@@ -10,13 +10,16 @@
 //!   acceptor thread owns
 //!   the listening socket; a fixed pool of [`NetLimits::reader_threads`]
 //!   multiplexer threads services *all* connections over non-blocking
-//!   sockets and a readiness loop. Parsed statements become
-//!   statement-granular jobs on a
+//!   sockets, each thread asleep in one `poll(2)` until a socket is
+//!   ready, another thread wakes it, or a deadline arrives. Parsed
+//!   statements become statement-granular jobs on a
 //!   [`StatementSession`](cryptdb_server::StatementSession) — the same
 //!   chained-job machinery the in-process serving layer uses, on the
-//!   proxy's shared crypto `WorkerPool`. Mux threads never execute SQL
-//!   and never block on a socket, so one stalled or hostile client
-//!   cannot pin a thread the way a thread-per-connection design lets it.
+//!   proxy's shared crypto `WorkerPool`; the extended-protocol frames
+//!   of one read (`Bind`+`Execute`+`Sync`) become one job. Mux threads
+//!   never execute SQL and never block on one socket, so one stalled or
+//!   hostile client cannot pin a thread the way a thread-per-connection
+//!   design lets it.
 //! * **Bounded queues and explicit shed points** ([`NetLimits`]):
 //!   connections over the cap are refused with `FATAL` SQLSTATE `53300`;
 //!   statements over the global in-flight budget draw `ERROR` `53400`
@@ -26,7 +29,8 @@
 //!   full or I/O error) draw `ERROR` `53100` without consuming in-flight
 //!   budget, while reads keep serving and periodic probe writes detect
 //!   recovery; handshakes and (optionally) idle sessions
-//!   time out under the readiness loop; slow consumers — clients not
+//!   time out (the nearest such deadline is the `poll` timeout, so
+//!   they fire on a silent server too); slow consumers — clients not
 //!   draining their socket while responses pile up — are evicted after
 //!   a grace period. Everything else is backpressure: a connection at
 //!   its ingress or egress bound simply stops being read until it
@@ -34,8 +38,9 @@
 //! * **Responses are written in per-session order**: responders run in
 //!   chain order, each batching its whole response
 //!   (`RowDescription`/`DataRow…`/`CommandComplete`/`ReadyForQuery` or
-//!   `ErrorResponse`) into one egress push, so pipelined clients see
-//!   answers in submission order.
+//!   `ErrorResponse`) into one egress push — written to the socket by
+//!   the responder itself unless the socket would block — so pipelined
+//!   clients see answers in submission order.
 //! * **The startup handshake names the principal** (§4.2): the `user`
 //!   startup parameter plus a cleartext `PasswordMessage` map onto
 //!   `Proxy::login` — exactly the `cryptdb_active` login the paper's
@@ -144,6 +149,9 @@ pub struct NetStats {
     /// them (DDL or onion-layer adjustment) — each one was re-planned,
     /// never executed stale.
     pub plans_invalidated: u64,
+    /// Times a multiplexer thread returned from its `poll(2)` wait,
+    /// summed over the threads. Idle connections cost none.
+    pub reader_wakeups: usize,
 }
 
 /// Outcome of a graceful [`NetServer::drain`].
@@ -211,9 +219,9 @@ impl NetServer {
             counters: mux::Counters::default(),
         });
         let accept_closed = Arc::new(AtomicBool::new(false));
-        let inboxes: Vec<Arc<mux::Inbox>> = (0..shared.limits.reader_threads)
-            .map(|_| Arc::new(mux::Inbox::new()))
-            .collect();
+        let inboxes = (0..shared.limits.reader_threads)
+            .map(|_| mux::Inbox::new().map(Arc::new))
+            .collect::<io::Result<Vec<_>>>()?;
         let mux_threads = inboxes
             .iter()
             .map(|inbox| {
@@ -311,6 +319,7 @@ impl NetServer {
             plan_hits: plans.hits,
             plan_misses: plans.misses,
             plans_invalidated: plans.invalidated,
+            reader_wakeups: c.reader_wakeups.load(Ordering::Relaxed),
         }
     }
 

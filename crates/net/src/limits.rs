@@ -112,11 +112,6 @@ pub struct NetLimits {
     /// answered with `ERROR` SQLSTATE `53400`; the unnamed statement
     /// and redefinitions of an existing name never count against it.
     pub max_prepared_statements: usize,
-    /// Longest a multiplexer thread parks when every socket is quiet
-    /// (default 2 ms). Parks start at ~1/10th of this after activity
-    /// and back off; egress completions wake the thread early, so this
-    /// bounds added *read* latency only after a genuine lull.
-    pub poll_interval: Duration,
 }
 
 impl Default for NetLimits {
@@ -134,7 +129,6 @@ impl Default for NetLimits {
             statement_deadline: None,
             slow_consumer_grace: Duration::from_secs(2),
             max_prepared_statements: 64,
-            poll_interval: Duration::from_millis(2),
         }
     }
 }

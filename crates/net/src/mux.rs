@@ -1,22 +1,40 @@
-//! Non-blocking connection multiplexing core.
+//! Connection multiplexing core: blocking readiness, non-blocking I/O.
 //!
 //! A small, fixed pool of multiplexer threads services every accepted
-//! socket: each connection is pinned to one thread, sockets are
-//! non-blocking (`TcpStream::set_nonblocking`), and the thread runs a
-//! readiness loop — flush pending egress, read what the socket has,
-//! parse complete frames, enforce deadlines — parking on a condvar with
-//! exponential backoff when every socket is quiet. Statement responders
-//! (pool workers) never touch sockets; they append framed bytes to the
-//! connection's bounded egress queue and wake the owning thread, so a
-//! stalled client can never block a crypto worker.
+//! socket. Each connection is pinned to one thread; sockets are
+//! non-blocking, and the thread sleeps in one `poll(2)` over its
+//! connections' fds plus a wake fd. It wakes for exactly four reasons —
+//! a socket became readable, a socket it has bytes queued for became
+//! writable, another thread wrote the wake fd, or the nearest deadline
+//! arrived — and then advances every connection's state machine: flush
+//! queued egress, read what the socket has, parse complete frames,
+//! enforce deadlines. A server with no traffic and no armed deadline
+//! makes no system calls at all.
 //!
-//! There is no `epoll` here by design: the repo's no-external-deps rule
-//! leaves `std`, and `std` exposes no readiness API. The loop instead
-//! issues one non-blocking `read` per pollable connection per
-//! iteration and backs its park interval off to
-//! [`NetLimits::poll_interval`] when nothing is happening; egress
-//! completions wake it early. The cost is bounded syscall churn when
-//! idle, which the 512-connection soak test pins down.
+//! **Who writes the socket.** Statement responders (pool workers) frame
+//! a response and hand it to the connection's [`Egress`]. If nothing is
+//! queued ahead of it the responder attempts the non-blocking `write`
+//! itself, under the egress lock — the common case, and it involves the
+//! mux thread not at all. Only what the socket would not take is queued,
+//! and only then is the owning thread woken to wait for `POLLOUT`, so a
+//! stalled client still never blocks a crypto worker.
+//!
+//! **Who wakes the thread.** The acceptor (new connection in the
+//! inbox), `drain`/shutdown, a responder that had to queue bytes, and a
+//! [`Ticket`] dropping while the thread has said it is waiting for the
+//! connection's outstanding work to fall (it paused reading at the
+//! ingress bound, the connection is closing, or its idle deadline
+//! passed mid-statement). Wakes are coalesced:
+//! any number between two waits cost one `write(2)`.
+//!
+//! **One job per extended-protocol batch.** `Parse`/`Bind`/`Describe`/
+//! `Execute`/`Close`/`Sync` frames are decoded as they are parsed and
+//! collected; when the bytes at hand are used up (or a `Q`/`X` must keep
+//! its place in line) the collected messages become *one* ordered job on
+//! the session chain, which runs them in order against one response
+//! buffer and writes it once. A client that sends `Bind`+`Execute`+
+//! `Sync` in one segment costs one pool hand-off and one `write(2)`; a
+//! client that dribbles them costs one each, and sees the same bytes.
 //!
 //! See [`NetLimits`] for every bound the loop enforces and the shed
 //! behaviour at each.
@@ -28,11 +46,13 @@ use cryptdb_core::proxy::{ColumnType, Param, PreparedStatement, Proxy};
 use cryptdb_core::ProxyError;
 use cryptdb_engine::QueryResult;
 use cryptdb_server::StatementSession;
+use poll::{PollFd, WakeFd, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// While the engine is degraded, one write in every
@@ -42,70 +62,61 @@ use std::time::{Duration, Instant};
 /// normal service resumes — no restart, no operator action.
 const DEGRADED_PROBE_EVERY: usize = 4;
 
-/// Wakeable park spot for one multiplexer thread. `wake` is called by
-/// responders finishing statements (egress now has bytes) and by the
-/// acceptor handing over a new connection; a wake that races a park
-/// is latched by the flag, never lost.
-pub(crate) struct Waker {
-    flag: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Waker {
-    fn new() -> Self {
-        Waker {
-            flag: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn wake(&self) {
-        let mut pending = self.flag.lock().unwrap();
-        *pending = true;
-        self.cv.notify_one();
-    }
-
-    /// Parks for at most `d`, returning early if woken.
-    fn park(&self, d: Duration) {
-        let mut pending = self.flag.lock().unwrap();
-        if !*pending {
-            let (guard, _) = self.cv.wait_timeout(pending, d).unwrap();
-            pending = guard;
-        }
-        *pending = false;
-    }
-}
-
 struct EgressState {
     bufs: VecDeque<Vec<u8>>,
-    bytes: usize,
+    /// Bytes of the front buffer the socket has already taken.
+    off: usize,
     /// No further pushes accepted (teardown begun). Queued buffers may
     /// still flush (`seal`) or have been dropped (`discard`).
     closed: bool,
 }
 
-/// One connection's bounded response queue: the only channel between
-/// pool-worker responders and the socket. Pushes never block — the
-/// bound is enforced by the mux loop, which stops *reading* an
-/// over-bound connection and eventually evicts it (see
-/// [`NetLimits::slow_consumer_grace`]).
+/// The half of a connection its responders share with the owning mux
+/// thread: the socket's write side behind a bounded-by-policy queue,
+/// and the count of work handed to the session and not yet answered.
+///
+/// Pushes never block. The byte bound is enforced by the mux loop,
+/// which stops *reading* an over-bound connection and eventually evicts
+/// it (see [`NetLimits::slow_consumer_grace`]).
 pub(crate) struct Egress {
+    /// The connection's socket. The mux thread reads it; writes go
+    /// through `state`'s lock, from whichever thread holds it.
+    stream: TcpStream,
     state: Mutex<EgressState>,
-    waker: Arc<Waker>,
+    /// Unwritten bytes in `state.bufs`, readable without the lock.
+    queued: AtomicUsize,
+    /// A write failed: the socket is gone, pushes are dropped.
+    dead: AtomicBool,
+    /// Frames and statements submitted to the session whose
+    /// [`Ticket`] has not dropped yet.
+    outstanding: AtomicUsize,
+    /// Set by the mux thread while it waits for `outstanding` to fall.
+    wake_on_progress: AtomicBool,
+    waker: Arc<WakeFd>,
 }
 
 impl Egress {
-    fn new(waker: Arc<Waker>) -> Self {
+    fn new(stream: TcpStream, waker: Arc<WakeFd>) -> Self {
         Egress {
+            stream,
             state: Mutex::new(EgressState {
                 bufs: VecDeque::new(),
-                bytes: 0,
+                off: 0,
                 closed: false,
             }),
+            queued: AtomicUsize::new(0),
+            dead: AtomicBool::new(false),
+            outstanding: AtomicUsize::new(0),
+            wake_on_progress: AtomicBool::new(false),
             waker,
         }
     }
 
+    /// Sends `frames`, in push order. With nothing queued ahead the
+    /// calling thread writes as much as the socket takes right now; the
+    /// rest is queued for the mux thread, which is woken to wait for
+    /// `POLLOUT` (and to start the slow-consumer clock if the queue is
+    /// now over its bound).
     fn push(&self, frames: Vec<u8>) {
         if frames.is_empty() {
             return;
@@ -115,25 +126,67 @@ impl Egress {
             if s.closed {
                 return;
             }
-            s.bytes += frames.len();
+            let first = s.bufs.is_empty();
+            self.queued.fetch_add(frames.len(), Ordering::SeqCst);
             s.bufs.push_back(frames);
+            if first {
+                self.write_queued(&mut s);
+            }
+            if s.bufs.is_empty() && !self.is_dead() {
+                return;
+            }
         }
         self.waker.wake();
     }
 
-    fn pop(&self) -> Option<Vec<u8>> {
-        let mut s = self.state.lock().unwrap();
-        let buf = s.bufs.pop_front()?;
-        s.bytes -= buf.len();
-        Some(buf)
+    /// Mux side: the socket reported writable.
+    fn flush(&self) {
+        if self.queued() > 0 {
+            self.write_queued(&mut self.state.lock().unwrap());
+        }
     }
 
-    fn pending_bytes(&self) -> usize {
-        self.state.lock().unwrap().bytes
+    /// Writes queued buffers until none are left or the socket would
+    /// block. A failed write drops the queue and marks the socket dead.
+    fn write_queued(&self, s: &mut EgressState) {
+        while let Some(front) = s.bufs.front() {
+            match (&self.stream).write(&front[s.off..]) {
+                Ok(n) if n > 0 => {
+                    self.queued.fetch_sub(n, Ordering::SeqCst);
+                    s.off += n;
+                    if s.off == front.len() {
+                        s.bufs.pop_front();
+                        s.off = 0;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Ok(_) | Err(_) => {
+                    self.dead.store(true, Ordering::SeqCst);
+                    self.drop_queue(s);
+                    return;
+                }
+            }
+        }
     }
 
-    fn is_empty(&self) -> bool {
-        self.state.lock().unwrap().bufs.is_empty()
+    fn drop_queue(&self, s: &mut EgressState) {
+        s.closed = true;
+        s.bufs.clear();
+        s.off = 0;
+        self.queued.store(0, Ordering::SeqCst);
+    }
+
+    fn queued(&self) -> usize {
+        self.queued.load(Ordering::SeqCst)
+    }
+
+    fn outstanding(&self) -> usize {
+        self.outstanding.load(Ordering::SeqCst)
+    }
+
+    fn is_dead(&self) -> bool {
+        self.dead.load(Ordering::SeqCst)
     }
 
     /// Refuses new pushes; queued buffers still flush (fatal-then-close
@@ -146,10 +199,40 @@ impl Egress {
     /// Refuses new pushes and drops everything queued (eviction or
     /// forced close: the socket is gone, flushing is pointless).
     fn discard(&self) {
-        let mut s = self.state.lock().unwrap();
-        s.closed = true;
-        s.bufs.clear();
-        s.bytes = 0;
+        self.drop_queue(&mut self.state.lock().unwrap());
+    }
+
+    /// Takes responsibility for `n` units of work about to be submitted
+    /// to the session.
+    fn ticket(self: &Arc<Self>, n: usize) -> Ticket {
+        self.outstanding.fetch_add(n, Ordering::SeqCst);
+        Ticket {
+            egress: self.clone(),
+            n,
+        }
+    }
+}
+
+/// RAII share of a connection's outstanding work: taken when frames are
+/// submitted to the session, moved into their job, dropped once the
+/// response has been pushed — or when the job is dropped unrun (session
+/// closed first). The mux thread reads the count for its ingress bound
+/// and to know when a closing connection has nothing left in flight;
+/// while it waits on either, the drop wakes it.
+struct Ticket {
+    egress: Arc<Egress>,
+    n: usize,
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        self.egress.outstanding.fetch_sub(self.n, Ordering::SeqCst);
+        // SeqCst on both sides: the mux thread stores the flag and then
+        // re-reads the count, so either it sees this decrement or this
+        // load sees its flag.
+        if self.egress.wake_on_progress.load(Ordering::SeqCst) {
+            self.egress.waker.wake();
+        }
     }
 }
 
@@ -172,6 +255,8 @@ pub(crate) struct Counters {
     pub(crate) shed_writes: AtomicUsize,
     pub(crate) drained: AtomicUsize,
     pub(crate) aborted: AtomicUsize,
+    /// Returns from `poll(2)` summed over the mux threads.
+    pub(crate) reader_wakeups: AtomicUsize,
 }
 
 /// State shared by the acceptor, every mux thread, and responders.
@@ -237,19 +322,6 @@ fn respond_frames(verb: &str, result: Result<QueryResult, ProxyError>) -> Vec<u8
     out
 }
 
-/// Pushes one `ERROR`-severity `ErrorResponse` (no `ReadyForQuery`):
-/// the extended-protocol error shape. Callers set [`ExtState::failed`]
-/// themselves, under the lock they already hold.
-fn push_err(egress: &Egress, code: &str, message: &str) {
-    let mut out = Vec::new();
-    protocol::push_frame(
-        &mut out,
-        b'E',
-        &protocol::error_body("ERROR", code, message),
-    );
-    egress.push(out);
-}
-
 /// A server-side statement created by `Parse`. `prepared` is `None` for
 /// an empty (whitespace-only) query string, which `Execute` answers
 /// with `EmptyQueryResponse` per pgwire.
@@ -280,6 +352,285 @@ struct ExtState {
     failed: bool,
 }
 
+impl ExtState {
+    /// Appends one `ERROR`-severity `ErrorResponse` (no
+    /// `ReadyForQuery`) and enters the skip-until-`Sync` state: the
+    /// extended-protocol error shape.
+    fn fail(&mut self, out: &mut Vec<u8>, code: &str, message: &str) {
+        self.failed = true;
+        protocol::push_frame(out, b'E', &protocol::error_body("ERROR", code, message));
+    }
+}
+
+/// One decoded extended-protocol frame, waiting in its connection's
+/// batch for the ordered job that will run it.
+enum ExtMsg {
+    Parse {
+        name: String,
+        sql: String,
+    },
+    Bind {
+        portal: String,
+        stmt: String,
+        params: protocol::BindValues,
+    },
+    Describe {
+        kind: u8,
+        name: String,
+    },
+    Execute {
+        portal: String,
+        /// The statement's share of the global in-flight budget, taken
+        /// when the frame was parsed; `None` if the budget was
+        /// exhausted (answered with `53400`).
+        admitted: Option<InflightGuard>,
+        deadline: Option<Instant>,
+    },
+    Close {
+        kind: u8,
+        name: String,
+    },
+    Sync,
+}
+
+impl ExtMsg {
+    /// Runs one message against the connection's extended-protocol
+    /// state, appending whatever it answers to `out`. After an error,
+    /// everything but `Sync` is skipped without a trace.
+    fn run(self, proxy: &Arc<Proxy>, st: &mut ExtState, out: &mut Vec<u8>, max_prepared: usize) {
+        if st.failed && !matches!(self, ExtMsg::Sync) {
+            return;
+        }
+        match self {
+            ExtMsg::Parse { name, sql } => run_parse(proxy, st, out, max_prepared, name, sql),
+            ExtMsg::Bind {
+                portal,
+                stmt,
+                params,
+            } => run_bind(st, out, portal, stmt, params),
+            ExtMsg::Describe { kind, name } => run_describe(st, out, kind, name),
+            ExtMsg::Execute {
+                portal,
+                admitted,
+                deadline,
+            } => run_execute(proxy, st, out, portal, admitted, deadline),
+            // `Close` is idempotent — an absent target still answers
+            // `CloseComplete`, as in PostgreSQL; closing a statement
+            // also closes portals constructed from it.
+            ExtMsg::Close { kind, name } => {
+                if kind == b'S' {
+                    if let Some(ws) = st.stmts.remove(&name) {
+                        st.portals.retain(|_, p| !Arc::ptr_eq(&p.stmt, &ws));
+                    }
+                } else {
+                    st.portals.remove(&name);
+                }
+                protocol::push_frame(out, b'3', &[]);
+            }
+            // `Sync` ends the extended-protocol cycle: clear the
+            // error-skip state and answer `ReadyForQuery`. Portals
+            // survive `Sync` here (this subset has no wire-level
+            // transactions to scope them to); they die on re-`Bind`,
+            // `Close`, or disconnect.
+            ExtMsg::Sync => {
+                st.failed = false;
+                protocol::push_frame(out, b'Z', &protocol::ready_body());
+            }
+        }
+    }
+}
+
+/// `Parse`: plan a named server-side statement (`Proxy::prepare` —
+/// parse, rewrite, onion-level selection, key resolution).
+fn run_parse(
+    proxy: &Arc<Proxy>,
+    st: &mut ExtState,
+    out: &mut Vec<u8>,
+    max_prepared: usize,
+    name: String,
+    sql: String,
+) {
+    // The unnamed statement ("") may be redefined freely; named ones
+    // must be Closed first, as in PostgreSQL.
+    if !name.is_empty() && st.stmts.contains_key(&name) {
+        let message = format!("prepared statement \"{name}\" already exists");
+        return st.fail(out, "42P05", &message);
+    }
+    if !st.stmts.contains_key(&name) && st.stmts.len() >= max_prepared {
+        return st.fail(
+            out,
+            "53400",
+            "too many prepared statements on this connection",
+        );
+    }
+    let prepared = if sql.trim().is_empty() {
+        None
+    } else {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| proxy.prepare(&sql))) {
+            Ok(Ok(ps)) => Some(ps),
+            Ok(Err(e)) => return st.fail(out, sqlstate(&e), &e.to_string()),
+            Err(_) => return st.fail(out, "XX000", "statement planning panicked"),
+        }
+    };
+    st.stmts.insert(name, Arc::new(WireStatement { prepared }));
+    protocol::push_frame(out, b'1', &[]);
+}
+
+/// `Bind`: decode text-format parameter values against the statement's
+/// plan-derived slot types and create a portal. An integer-typed slot
+/// (the target column stores ints) parses the text as `i64`; a text
+/// slot binds verbatim; an untyped slot (plaintext column or no typed
+/// target) binds ints when the text parses as one, text otherwise.
+fn run_bind(
+    st: &mut ExtState,
+    out: &mut Vec<u8>,
+    portal: String,
+    stmt_name: String,
+    raw_params: protocol::BindValues,
+) {
+    let Some(ws) = st.stmts.get(&stmt_name).cloned() else {
+        let message = format!("prepared statement \"{stmt_name}\" does not exist");
+        return st.fail(out, "26000", &message);
+    };
+    let want = ws.prepared.as_ref().map_or(0, |ps| ps.param_count());
+    if raw_params.len() != want {
+        let message = format!(
+            "bind message supplies {} parameters, but prepared statement \
+             \"{stmt_name}\" requires {want}",
+            raw_params.len()
+        );
+        return st.fail(out, "08P01", &message);
+    }
+    let kinds: &[Option<ColumnType>] = ws.prepared.as_ref().map_or(&[], |ps| ps.param_kinds());
+    let mut params = Vec::with_capacity(raw_params.len());
+    for (i, raw) in raw_params.into_iter().enumerate() {
+        let value = match raw {
+            None => Param::Null,
+            Some(bytes) => {
+                let Ok(text) = String::from_utf8(bytes) else {
+                    let message = format!("parameter ${} is not valid UTF-8", i + 1);
+                    return st.fail(out, "22P02", &message);
+                };
+                match kinds.get(i).copied().flatten() {
+                    Some(ColumnType::Int) => match text.parse::<i64>() {
+                        Ok(n) => Param::Int(n),
+                        Err(_) => {
+                            let message =
+                                format!("invalid integer for parameter ${}: {text:?}", i + 1);
+                            return st.fail(out, "22P02", &message);
+                        }
+                    },
+                    Some(ColumnType::Text) => Param::Str(text),
+                    None => match text.parse::<i64>() {
+                        Ok(n) => Param::Int(n),
+                        Err(_) => Param::Str(text),
+                    },
+                }
+            }
+        };
+        params.push(value);
+    }
+    st.portals.insert(portal, Portal { stmt: ws, params });
+    protocol::push_frame(out, b'2', &[]);
+}
+
+/// `Describe`: `ParameterDescription` (+`RowDescription` or `NoData`)
+/// for a statement, `RowDescription`/`NoData` for a portal.
+/// Result-column OIDs are advertised as text here and refined from
+/// actual decrypted values at `Execute` (this front-end's documented
+/// subset).
+fn run_describe(st: &mut ExtState, out: &mut Vec<u8>, kind: u8, name: String) {
+    let stmt = if kind == b'S' {
+        match st.stmts.get(&name) {
+            Some(ws) => ws.clone(),
+            None => {
+                let message = format!("prepared statement \"{name}\" does not exist");
+                return st.fail(out, "26000", &message);
+            }
+        }
+    } else {
+        match st.portals.get(&name) {
+            Some(p) => p.stmt.clone(),
+            None => {
+                let message = format!("portal \"{name}\" does not exist");
+                return st.fail(out, "34000", &message);
+            }
+        }
+    };
+    if kind == b'S' {
+        let oids: Vec<i32> = stmt
+            .prepared
+            .as_ref()
+            .map(|ps| {
+                ps.param_kinds()
+                    .iter()
+                    .map(|k| match k {
+                        Some(ColumnType::Int) => protocol::OID_INT8,
+                        _ => protocol::OID_TEXT,
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        protocol::push_frame(out, b't', &protocol::param_description_body(&oids));
+    }
+    match stmt.prepared.as_ref().and_then(|ps| ps.columns()) {
+        Some(cols) => {
+            let described: Vec<(String, i32)> = cols
+                .iter()
+                .map(|c| (c.clone(), protocol::OID_TEXT))
+                .collect();
+            protocol::push_frame(out, b'T', &protocol::row_description_body(&described));
+        }
+        // Writes, DDL, generic plans, and the empty statement have no
+        // describable result shape.
+        None => protocol::push_frame(out, b'n', &[]),
+    }
+}
+
+/// `Execute`: run a bound portal. Result frames carry no trailing
+/// `ReadyForQuery` — that belongs to `Sync`. Shares the global
+/// in-flight budget and queue-wait deadline with the simple path.
+fn run_execute(
+    proxy: &Arc<Proxy>,
+    st: &mut ExtState,
+    out: &mut Vec<u8>,
+    portal: String,
+    admitted: Option<InflightGuard>,
+    deadline: Option<Instant>,
+) {
+    // Held until the statement has executed, released before the rest
+    // of the batch runs.
+    let Some(_admitted) = admitted else {
+        return st.fail(
+            out,
+            "53400",
+            "in-flight statement budget exhausted; retry later",
+        );
+    };
+    if deadline.is_some_and(|d| Instant::now() > d) {
+        return st.fail(
+            out,
+            "57014",
+            "canceling statement due to queue-wait deadline",
+        );
+    }
+    let Some(p) = st.portals.get(&portal).cloned() else {
+        let message = format!("portal \"{portal}\" does not exist");
+        return st.fail(out, "34000", &message);
+    };
+    let Some(ps) = p.stmt.prepared.as_ref() else {
+        return protocol::push_frame(out, b'I', &[]);
+    };
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        proxy.execute_prepared(ps, &p.params)
+    }));
+    match result {
+        Ok(Ok(r)) => push_query_result(out, &command_verb(ps.sql()), &r),
+        Ok(Err(e)) => st.fail(out, sqlstate(&e), &e.to_string()),
+        Err(_) => st.fail(out, "XX000", "statement execution panicked"),
+    }
+}
+
 /// Connection protocol phase (pre-session states are the handshake).
 enum Phase {
     /// Waiting for a startup packet (possibly after an `SSLRequest`
@@ -294,20 +645,35 @@ enum Phase {
     Ready,
 }
 
+/// What a connection asks of its thread's next `poll(2)`.
+struct Wait {
+    /// `POLLIN` / `POLLOUT` mask; 0 = nothing (the fd is left out, so a
+    /// hung-up peer cannot make the wait return at once, over and over).
+    events: i16,
+    /// The nearest instant at which the connection must be looked at
+    /// again even if nothing happens on its socket.
+    deadline: Option<Instant>,
+    /// Look again without sleeping: parsing stopped at a bound that has
+    /// since cleared.
+    again: bool,
+}
+
 /// One multiplexed connection: socket, parse buffer, egress queue, and
 /// the state machine the mux loop advances. Owned by exactly one mux
-/// thread; only the egress queue is shared (with responders).
+/// thread; only the [`Egress`] is shared (with responders).
 pub(crate) struct Conn {
     id: u64,
-    stream: TcpStream,
     /// Accumulated unparsed input (at most one maximal frame plus one
-    /// read chunk, since parsing is greedy and reads pause under
+    /// pump's reads, since parsing is greedy and reads pause under
     /// backpressure).
     rbuf: Vec<u8>,
-    /// In-progress write: front egress buffer being pushed through the
-    /// non-blocking socket.
-    wbuf: Vec<u8>,
-    woff: usize,
+    /// Parsing stopped at a backpressure bound with complete frames
+    /// possibly still in `rbuf`.
+    parse_stalled: bool,
+    /// Extended-protocol messages decoded during the current parse
+    /// pass, submitted as one job when it ends (never held across a
+    /// sleep).
+    batch: Vec<ExtMsg>,
     egress: Arc<Egress>,
     /// Extended-protocol statement/portal maps (see [`ExtState`]).
     ext: Arc<Mutex<ExtState>>,
@@ -317,12 +683,19 @@ pub(crate) struct Conn {
     logged_in: bool,
     opened: Instant,
     last_activity: Instant,
+    /// The idle deadline passed while a statement was outstanding or a
+    /// response was draining: no deadline is pending, the close fires
+    /// as soon as the connection goes quiet.
+    idle_overdue: bool,
     /// When the connection first went over its egress bound (slow
     /// consumer clock; cleared when it drains back under).
     egress_full_since: Option<Instant>,
+    /// What the last `poll(2)` reported for the socket. A new
+    /// connection starts out "readable": its startup packet is usually
+    /// already there.
+    revents: i16,
     read_closed: bool,
-    write_dead: bool,
-    /// Tear down once the session is idle and egress has flushed.
+    /// Tear down once nothing is outstanding and egress has flushed.
     dying: bool,
     /// Torn down by force (eviction/abort): counted as aborted, not
     /// drained, and the socket is already shut.
@@ -338,7 +711,7 @@ impl Conn {
     pub(crate) fn new(
         id: u64,
         stream: TcpStream,
-        waker: Arc<Waker>,
+        waker: Arc<WakeFd>,
         doomed: bool,
     ) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
@@ -346,11 +719,10 @@ impl Conn {
         let now = Instant::now();
         Ok(Conn {
             id,
-            stream,
             rbuf: Vec::new(),
-            wbuf: Vec::new(),
-            woff: 0,
-            egress: Arc::new(Egress::new(waker)),
+            parse_stalled: false,
+            batch: Vec::new(),
+            egress: Arc::new(Egress::new(stream, waker)),
             ext: Arc::new(Mutex::new(ExtState::default())),
             phase: Phase::Startup,
             session: None,
@@ -358,9 +730,10 @@ impl Conn {
             logged_in: false,
             opened: now,
             last_activity: now,
+            idle_overdue: false,
             egress_full_since: None,
+            revents: POLLIN,
             read_closed: false,
-            write_dead: false,
             dying: false,
             forced: false,
             doomed,
@@ -368,10 +741,10 @@ impl Conn {
         })
     }
 
-    /// One readiness-loop iteration for this connection. Returns true
-    /// if any byte moved or frame parsed (progress resets the owning
-    /// thread's park backoff).
-    fn pump(&mut self, shared: &Arc<Shared>, scratch: &mut [u8]) -> bool {
+    /// Advances the connection after a wake-up: acts on what `poll(2)`
+    /// reported for its socket and on whatever other threads changed,
+    /// then says what to wait for next.
+    fn pump(&mut self, shared: &Arc<Shared>, scratch: &mut [u8]) -> Wait {
         if shared.draining.load(Ordering::Acquire) && !self.drain_marked {
             self.drain_marked = true;
             // Graceful drain: stop reading; statements already queued
@@ -380,56 +753,51 @@ impl Conn {
             self.read_closed = true;
             self.dying = true;
         }
-        let mut progress = self.flush();
-        progress |= self.fill(shared, scratch);
-        progress |= self.parse(shared);
+        // Errors and hang-ups are reported whatever was asked for; let
+        // the read or write that was waiting surface them.
+        let ready = std::mem::take(&mut self.revents);
+        if ready & !POLLIN != 0 {
+            self.egress.flush();
+        }
+        if ready & !POLLOUT != 0 {
+            self.fill(shared, scratch);
+        }
+        self.parse(shared);
         self.check_deadlines(shared);
         if shared.drain_abort.load(Ordering::Acquire) && !self.finished() && !self.forced {
             shared.counters.aborted.fetch_add(1, Ordering::Relaxed);
             self.force_close();
         }
-        progress
+        // Ask for a wake-up before looking, so a ticket dropping in
+        // between is either seen below or wakes the thread.
+        let waiting = self.dying || self.idle_overdue || self.ingress_full(shared);
+        self.egress
+            .wake_on_progress
+            .store(waiting, Ordering::SeqCst);
+        let paused = self.backpressured(shared);
+        let mut events = 0;
+        if !self.read_closed && !self.dying && !paused {
+            events |= POLLIN;
+        }
+        if self.egress.queued() > 0 {
+            events |= POLLOUT;
+        }
+        Wait {
+            events,
+            deadline: self.next_deadline(&shared.limits),
+            again: (self.parse_stalled && !self.dying && !paused)
+                || (self.idle_overdue && self.quiet()),
+        }
     }
 
-    /// Pushes queued egress through the non-blocking socket.
-    fn flush(&mut self) -> bool {
-        if self.write_dead {
-            return false;
-        }
-        let mut progress = false;
-        loop {
-            if self.woff == self.wbuf.len() {
-                match self.egress.pop() {
-                    Some(buf) => {
-                        self.wbuf = buf;
-                        self.woff = 0;
-                    }
-                    None => break,
-                }
-            }
-            match self.stream.write(&self.wbuf[self.woff..]) {
-                Ok(0) => {
-                    self.write_dead = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.woff += n;
-                    progress = true;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.write_dead = true;
-                    break;
-                }
-            }
-        }
-        if self.write_dead {
-            self.egress.discard();
-            self.wbuf.clear();
-            self.woff = 0;
-        }
-        progress
+    /// Nothing submitted is unanswered and every response has reached
+    /// the socket.
+    fn quiet(&self) -> bool {
+        self.egress.outstanding() == 0 && self.egress.queued() == 0
+    }
+
+    fn ingress_full(&self, shared: &Arc<Shared>) -> bool {
+        self.egress.outstanding() + self.batch.len() >= shared.limits.ingress_statements
     }
 
     /// True when reading must pause: the connection is at its ingress
@@ -437,28 +805,19 @@ impl Conn {
     /// shedding — the bytes wait in the socket buffer and TCP flow
     /// control stalls the sender.
     fn backpressured(&self, shared: &Arc<Shared>) -> bool {
-        let egress_pending = self.egress.pending_bytes() + (self.wbuf.len() - self.woff);
-        if egress_pending >= shared.limits.egress_bytes {
-            return true;
-        }
-        if let Some(session) = &self.session {
-            if session.queued_len() >= shared.limits.ingress_statements {
-                return true;
-            }
-        }
-        false
+        self.egress.queued() >= shared.limits.egress_bytes || self.ingress_full(shared)
     }
 
-    /// Reads available bytes into `rbuf` (bounded per iteration so one
-    /// firehose socket cannot starve its thread's other connections).
-    fn fill(&mut self, shared: &Arc<Shared>, scratch: &mut [u8]) -> bool {
+    /// Reads available bytes into `rbuf` (bounded per pump so one
+    /// firehose socket cannot starve its thread's other connections;
+    /// what is left keeps the socket readable for the next `poll`).
+    fn fill(&mut self, shared: &Arc<Shared>, scratch: &mut [u8]) {
         if self.read_closed || self.dying || self.backpressured(shared) {
-            return false;
+            return;
         }
-        let mut progress = false;
         let mut budget = 4usize;
         while budget > 0 {
-            match self.stream.read(scratch) {
+            match (&self.egress.stream).read(scratch) {
                 Ok(0) => {
                     self.on_disconnect();
                     break;
@@ -466,7 +825,6 @@ impl Conn {
                 Ok(n) => {
                     self.rbuf.extend_from_slice(&scratch[..n]);
                     self.last_activity = Instant::now();
-                    progress = true;
                     budget -= 1;
                     if n < scratch.len() {
                         break;
@@ -480,7 +838,15 @@ impl Conn {
                 }
             }
         }
-        progress
+    }
+
+    /// Closes the session: queued statements (and an unsubmitted
+    /// batch) are dropped, the in-flight one completes.
+    fn close_session(&mut self) {
+        self.batch.clear();
+        if let Some(s) = &self.session {
+            s.close();
+        }
     }
 
     /// Abrupt disconnect (EOF/reset): queued statements are dropped,
@@ -488,16 +854,19 @@ impl Conn {
     fn on_disconnect(&mut self) {
         self.read_closed = true;
         self.dying = true;
-        if let Some(s) = &self.session {
-            s.close();
-        }
+        self.close_session();
     }
 
     /// Parses and dispatches complete frames from `rbuf`, stopping at
-    /// an incomplete frame or a backpressure bound.
-    fn parse(&mut self, shared: &Arc<Shared>) -> bool {
-        let mut progress = false;
-        while !self.dying {
+    /// an incomplete frame or a backpressure bound, then submits the
+    /// extended-protocol messages it collected as one job.
+    fn parse(&mut self, shared: &Arc<Shared>) {
+        self.parse_stalled = false;
+        while !self.dying && !self.rbuf.is_empty() {
+            if self.backpressured(shared) {
+                self.parse_stalled = true;
+                break;
+            }
             let consumed = match &self.phase {
                 Phase::Startup => {
                     match protocol::try_parse_startup(&self.rbuf, shared.limits.max_frame) {
@@ -529,12 +898,8 @@ impl Conn {
             // A dispatch that fatal_closed already cleared rbuf; cap
             // the drain so it cannot overrun the emptied buffer.
             self.rbuf.drain(..consumed.min(self.rbuf.len()));
-            progress = true;
-            if self.backpressured(shared) {
-                break;
-            }
         }
-        progress
+        self.submit_batch(shared);
     }
 
     fn on_startup(&mut self, startup: protocol::Startup) {
@@ -565,32 +930,100 @@ impl Conn {
     }
 
     fn on_frame(&mut self, shared: &Arc<Shared>, tag: u8, body: &[u8]) {
-        match (&self.phase, tag) {
-            (Phase::Password { .. }, b'p') => self.on_password(shared, body),
-            (Phase::Password { .. }, _) => {
-                self.fatal_close("08P01", "expected cleartext PasswordMessage");
-            }
-            (Phase::Ready, b'Q') => self.on_query(shared, body),
-            (Phase::Ready, b'P') => self.on_parse(shared, body),
-            (Phase::Ready, b'B') => self.on_bind(body),
-            (Phase::Ready, b'D') => self.on_describe(body),
-            (Phase::Ready, b'E') => self.on_execute(shared, body),
-            (Phase::Ready, b'C') => self.on_close_target(body),
-            (Phase::Ready, b'S') => self.on_sync(),
-            (Phase::Ready, b'X') => {
-                // Graceful terminate. PostgreSQL processes messages in
-                // order, so statements pipelined BEFORE the Terminate
-                // still execute; the connection closes once they have
-                // responded and the responses flushed.
-                self.read_closed = true;
-                self.dying = true;
-            }
-            (Phase::Ready, t) => {
-                self.fatal_close("08P01", &format!("unexpected message type {:?}", t as char));
-            }
-            // Unreachable: Startup parses via try_parse_startup.
-            (Phase::Startup, _) => {}
+        if !matches!(self.phase, Phase::Ready) {
+            return match tag {
+                b'p' => self.on_password(shared, body),
+                _ => self.fatal_close("08P01", "expected cleartext PasswordMessage"),
+            };
         }
+        let decoded = match tag {
+            b'P' => protocol::parse_parse_body(body)
+                .map(|(name, sql, _oid_hints)| ExtMsg::Parse { name, sql })
+                .map_err(|_| "Parse"),
+            b'B' => protocol::parse_bind_body(body)
+                .map(|(portal, stmt, params)| ExtMsg::Bind {
+                    portal,
+                    stmt,
+                    params,
+                })
+                .map_err(|_| "Bind"),
+            b'D' => protocol::parse_describe_body(body)
+                .map(|(kind, name)| ExtMsg::Describe { kind, name })
+                .map_err(|_| "Describe"),
+            b'E' => protocol::parse_execute_body(body)
+                .map(|(portal, _maxrows)| self.admit_execute(shared, portal))
+                .map_err(|_| "Execute"),
+            b'C' => protocol::parse_describe_body(body)
+                .map(|(kind, name)| ExtMsg::Close { kind, name })
+                .map_err(|_| "Close"),
+            b'S' => Ok(ExtMsg::Sync),
+            // Everything else keeps its place in line behind the
+            // extended messages parsed before it.
+            other => {
+                self.submit_batch(shared);
+                return match other {
+                    b'Q' => self.on_query(shared, body),
+                    // Graceful terminate. PostgreSQL processes messages
+                    // in order, so statements pipelined BEFORE the
+                    // Terminate still execute; the connection closes
+                    // once they have responded and the responses
+                    // flushed.
+                    b'X' => {
+                        self.read_closed = true;
+                        self.dying = true;
+                    }
+                    t => self
+                        .fatal_close("08P01", &format!("unexpected message type {:?}", t as char)),
+                };
+            }
+        };
+        match decoded {
+            Ok(msg) => self.batch.push(msg),
+            Err(what) => self.fatal_close("08P01", &format!("malformed {what} message")),
+        }
+    }
+
+    /// `Execute` admission, at parse time like a simple statement's:
+    /// the global in-flight budget and the queue-wait deadline.
+    fn admit_execute(&self, shared: &Arc<Shared>, portal: String) -> ExtMsg {
+        let admitted = InflightGuard::try_acquire(shared);
+        if admitted.is_none() {
+            shared
+                .counters
+                .rejected_statements
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        ExtMsg::Execute {
+            portal,
+            admitted,
+            deadline: shared.limits.statement_deadline.map(|d| Instant::now() + d),
+        }
+    }
+
+    /// Submits the collected extended-protocol messages as ONE ordered
+    /// session job: they run in order against one response buffer,
+    /// which is pushed — normally written — once.
+    fn submit_batch(&mut self, shared: &Arc<Shared>) {
+        if self.batch.is_empty() {
+            return;
+        }
+        let batch = std::mem::take(&mut self.batch);
+        let Some(session) = &self.session else { return };
+        let ticket = self.egress.ticket(batch.len());
+        let ext = self.ext.clone();
+        let egress = self.egress.clone();
+        let max_prepared = shared.limits.max_prepared_statements;
+        session.submit_job(move |proxy| {
+            let mut out = Vec::new();
+            {
+                let mut st = ext.lock().unwrap();
+                for msg in batch {
+                    msg.run(proxy, &mut st, &mut out, max_prepared);
+                }
+            }
+            egress.push(out);
+            drop(ticket);
+        });
     }
 
     fn on_password(&mut self, shared: &Arc<Shared>, body: &[u8]) {
@@ -638,6 +1071,7 @@ impl Conn {
         let Some(session) = &self.session else { return };
         let ext = self.ext.clone();
         let egress = self.egress.clone();
+        let ticket = egress.ticket(1);
         if sql.trim().is_empty() {
             // PostgreSQL answers an empty query string with
             // EmptyQueryResponse, not a zero-row SELECT or a syntax
@@ -651,10 +1085,27 @@ impl Conn {
                 protocol::push_frame(&mut out, b'I', &[]);
                 protocol::push_frame(&mut out, b'Z', &protocol::ready_body());
                 egress.push(out);
+                drop(ticket);
             });
             return;
         }
         let verb = command_verb(&sql);
+        let is_write = !(verb.eq_ignore_ascii_case("SELECT")
+            || verb.eq_ignore_ascii_case("BEGIN")
+            || verb.eq_ignore_ascii_case("COMMIT")
+            || verb.eq_ignore_ascii_case("ROLLBACK"));
+        // Responders run in chain order on a pool worker: frame the
+        // outcome, write (or queue) it, then give up the statement's
+        // shares of the in-flight budget and the connection's ingress
+        // bound. A responder dropped unrun releases both just the same.
+        let respond = move |admitted: Option<InflightGuard>| {
+            move |result: Result<QueryResult, ProxyError>, _service_ns: u64| {
+                ext.lock().unwrap().failed = false;
+                egress.push(respond_frames(&verb, result));
+                drop(admitted);
+                drop(ticket);
+            }
+        };
         // Degraded read-only mode: the WAL cannot accept appends, so
         // every write is doomed to fail inside the engine anyway. Shed
         // them here — before they consume in-flight budget or a crypto
@@ -669,10 +1120,6 @@ impl Conn {
         // they go through unconditionally (acting as extra probes) and
         // the engine answers deterministically, 53100 with the
         // transaction intact if the disk is still down.
-        let is_write = !(verb.eq_ignore_ascii_case("SELECT")
-            || verb.eq_ignore_ascii_case("BEGIN")
-            || verb.eq_ignore_ascii_case("COMMIT")
-            || verb.eq_ignore_ascii_case("ROLLBACK"));
         if is_write && shared.proxy.engine().is_degraded() {
             let n = shared
                 .counters
@@ -685,10 +1132,7 @@ impl Conn {
                         "wal unavailable (disk full or I/O error); writes are shed, reads still serve"
                             .into(),
                     ),
-                    move |result, _service_ns| {
-                        ext.lock().unwrap().failed = false;
-                        egress.push(respond_frames(&verb, result));
-                    },
+                    respond(None),
                 );
                 return;
             }
@@ -696,11 +1140,7 @@ impl Conn {
         match InflightGuard::try_acquire(shared) {
             Some(guard) => {
                 let deadline = shared.limits.statement_deadline.map(|d| Instant::now() + d);
-                session.submit_with_deadline(sql, deadline, move |result, _service_ns| {
-                    ext.lock().unwrap().failed = false;
-                    egress.push(respond_frames(&verb, result));
-                    drop(guard);
-                });
+                session.submit_with_deadline(sql, deadline, respond(Some(guard)));
             }
             None => {
                 // Over the global budget: shed THIS statement with a
@@ -713,382 +1153,10 @@ impl Conn {
                     ProxyError::Overloaded(
                         "in-flight statement budget exhausted; retry later".into(),
                     ),
-                    move |result, _service_ns| {
-                        ext.lock().unwrap().failed = false;
-                        egress.push(respond_frames(&verb, result));
-                    },
+                    respond(None),
                 );
             }
         }
-    }
-
-    /// `Parse`: plan a named server-side statement. The reader thread
-    /// only decodes the frame; planning (`Proxy::prepare` — parse,
-    /// rewrite, onion-level selection, key resolution) runs as an
-    /// ordered session job, sequenced with every other message on this
-    /// connection.
-    fn on_parse(&mut self, shared: &Arc<Shared>, body: &[u8]) {
-        let Ok((name, sql, _oid_hints)) = protocol::parse_parse_body(body) else {
-            self.fatal_close("08P01", "malformed Parse message");
-            return;
-        };
-        let Some(session) = &self.session else { return };
-        let ext = self.ext.clone();
-        let egress = self.egress.clone();
-        let cap = shared.limits.max_prepared_statements;
-        session.submit_job(move |proxy| {
-            let mut st = ext.lock().unwrap();
-            if st.failed {
-                return;
-            }
-            // The unnamed statement ("") may be redefined freely;
-            // named ones must be Closed first, as in PostgreSQL.
-            if !name.is_empty() && st.stmts.contains_key(&name) {
-                st.failed = true;
-                push_err(
-                    &egress,
-                    "42P05",
-                    &format!("prepared statement \"{name}\" already exists"),
-                );
-                return;
-            }
-            if !st.stmts.contains_key(&name) && st.stmts.len() >= cap {
-                st.failed = true;
-                push_err(
-                    &egress,
-                    "53400",
-                    "too many prepared statements on this connection",
-                );
-                return;
-            }
-            let prepared = if sql.trim().is_empty() {
-                None
-            } else {
-                let planned =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| proxy.prepare(&sql)));
-                match planned {
-                    Ok(Ok(ps)) => Some(ps),
-                    Ok(Err(e)) => {
-                        st.failed = true;
-                        push_err(&egress, sqlstate(&e), &e.to_string());
-                        return;
-                    }
-                    Err(_) => {
-                        st.failed = true;
-                        push_err(&egress, "XX000", "statement planning panicked");
-                        return;
-                    }
-                }
-            };
-            st.stmts.insert(name, Arc::new(WireStatement { prepared }));
-            let mut out = Vec::new();
-            protocol::push_frame(&mut out, b'1', &[]);
-            egress.push(out);
-        });
-    }
-
-    /// `Bind`: decode text-format parameter values against the
-    /// statement's plan-derived slot types and create a portal. An
-    /// integer-typed slot (the target column stores ints) parses the
-    /// text as `i64`; a text slot binds verbatim; an untyped slot
-    /// (plaintext column or no typed target) binds ints when the text
-    /// parses as one, text otherwise.
-    fn on_bind(&mut self, body: &[u8]) {
-        let Ok((portal, stmt_name, raw_params)) = protocol::parse_bind_body(body) else {
-            self.fatal_close("08P01", "malformed Bind message");
-            return;
-        };
-        let Some(session) = &self.session else { return };
-        let ext = self.ext.clone();
-        let egress = self.egress.clone();
-        session.submit_job(move |_proxy| {
-            let mut st = ext.lock().unwrap();
-            if st.failed {
-                return;
-            }
-            let Some(ws) = st.stmts.get(&stmt_name).cloned() else {
-                st.failed = true;
-                push_err(
-                    &egress,
-                    "26000",
-                    &format!("prepared statement \"{stmt_name}\" does not exist"),
-                );
-                return;
-            };
-            let want = ws.prepared.as_ref().map_or(0, |ps| ps.param_count());
-            if raw_params.len() != want {
-                st.failed = true;
-                push_err(
-                    &egress,
-                    "08P01",
-                    &format!(
-                        "bind message supplies {} parameters, but prepared statement \
-                         \"{stmt_name}\" requires {want}",
-                        raw_params.len()
-                    ),
-                );
-                return;
-            }
-            let kinds: Vec<Option<ColumnType>> = ws
-                .prepared
-                .as_ref()
-                .map(|ps| ps.param_kinds().to_vec())
-                .unwrap_or_default();
-            let mut params = Vec::with_capacity(raw_params.len());
-            for (i, raw) in raw_params.into_iter().enumerate() {
-                let value = match raw {
-                    None => Param::Null,
-                    Some(bytes) => {
-                        let Ok(text) = String::from_utf8(bytes) else {
-                            st.failed = true;
-                            push_err(
-                                &egress,
-                                "22P02",
-                                &format!("parameter ${} is not valid UTF-8", i + 1),
-                            );
-                            return;
-                        };
-                        match kinds.get(i).copied().flatten() {
-                            Some(ColumnType::Int) => match text.parse::<i64>() {
-                                Ok(n) => Param::Int(n),
-                                Err(_) => {
-                                    st.failed = true;
-                                    push_err(
-                                        &egress,
-                                        "22P02",
-                                        &format!(
-                                            "invalid integer for parameter ${}: {text:?}",
-                                            i + 1
-                                        ),
-                                    );
-                                    return;
-                                }
-                            },
-                            Some(ColumnType::Text) => Param::Str(text),
-                            None => match text.parse::<i64>() {
-                                Ok(n) => Param::Int(n),
-                                Err(_) => Param::Str(text),
-                            },
-                        }
-                    }
-                };
-                params.push(value);
-            }
-            st.portals.insert(portal, Portal { stmt: ws, params });
-            let mut out = Vec::new();
-            protocol::push_frame(&mut out, b'2', &[]);
-            egress.push(out);
-        });
-    }
-
-    /// `Describe`: `ParameterDescription` (+`RowDescription` or
-    /// `NoData`) for a statement, `RowDescription`/`NoData` for a
-    /// portal. Result-column OIDs are advertised as text here and
-    /// refined from actual decrypted values at `Execute` (this
-    /// front-end's documented subset).
-    fn on_describe(&mut self, body: &[u8]) {
-        let Ok((kind, name)) = protocol::parse_describe_body(body) else {
-            self.fatal_close("08P01", "malformed Describe message");
-            return;
-        };
-        let Some(session) = &self.session else { return };
-        let ext = self.ext.clone();
-        let egress = self.egress.clone();
-        session.submit_job(move |_proxy| {
-            let mut st = ext.lock().unwrap();
-            if st.failed {
-                return;
-            }
-            let stmt = if kind == b'S' {
-                match st.stmts.get(&name) {
-                    Some(ws) => ws.clone(),
-                    None => {
-                        st.failed = true;
-                        push_err(
-                            &egress,
-                            "26000",
-                            &format!("prepared statement \"{name}\" does not exist"),
-                        );
-                        return;
-                    }
-                }
-            } else {
-                match st.portals.get(&name) {
-                    Some(p) => p.stmt.clone(),
-                    None => {
-                        st.failed = true;
-                        push_err(
-                            &egress,
-                            "34000",
-                            &format!("portal \"{name}\" does not exist"),
-                        );
-                        return;
-                    }
-                }
-            };
-            let mut out = Vec::new();
-            if kind == b'S' {
-                let oids: Vec<i32> = stmt
-                    .prepared
-                    .as_ref()
-                    .map(|ps| {
-                        ps.param_kinds()
-                            .iter()
-                            .map(|k| match k {
-                                Some(ColumnType::Int) => protocol::OID_INT8,
-                                _ => protocol::OID_TEXT,
-                            })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                protocol::push_frame(&mut out, b't', &protocol::param_description_body(&oids));
-            }
-            match stmt.prepared.as_ref().and_then(|ps| ps.columns()) {
-                Some(cols) => {
-                    let described: Vec<(String, i32)> = cols
-                        .iter()
-                        .map(|c| (c.clone(), protocol::OID_TEXT))
-                        .collect();
-                    protocol::push_frame(
-                        &mut out,
-                        b'T',
-                        &protocol::row_description_body(&described),
-                    );
-                }
-                // Writes, DDL, generic plans, and the empty statement
-                // have no describable result shape.
-                None => protocol::push_frame(&mut out, b'n', &[]),
-            }
-            egress.push(out);
-        });
-    }
-
-    /// `Execute`: run a bound portal. Result frames are pushed
-    /// *without* a trailing `ReadyForQuery` — that belongs to `Sync`.
-    /// Shares the global in-flight budget and queue-wait deadline with
-    /// the simple path.
-    fn on_execute(&mut self, shared: &Arc<Shared>, body: &[u8]) {
-        let Ok((portal, _maxrows)) = protocol::parse_execute_body(body) else {
-            self.fatal_close("08P01", "malformed Execute message");
-            return;
-        };
-        let Some(session) = &self.session else { return };
-        let ext = self.ext.clone();
-        let egress = self.egress.clone();
-        let Some(guard) = InflightGuard::try_acquire(shared) else {
-            shared
-                .counters
-                .rejected_statements
-                .fetch_add(1, Ordering::Relaxed);
-            session.submit_job(move |_proxy| {
-                let mut st = ext.lock().unwrap();
-                if st.failed {
-                    return;
-                }
-                st.failed = true;
-                push_err(
-                    &egress,
-                    "53400",
-                    "in-flight statement budget exhausted; retry later",
-                );
-            });
-            return;
-        };
-        let deadline = shared.limits.statement_deadline.map(|d| Instant::now() + d);
-        session.submit_job(move |proxy| {
-            let _guard = guard;
-            let mut st = ext.lock().unwrap();
-            if st.failed {
-                return;
-            }
-            if deadline.is_some_and(|d| Instant::now() > d) {
-                st.failed = true;
-                push_err(
-                    &egress,
-                    "57014",
-                    "canceling statement due to queue-wait deadline",
-                );
-                return;
-            }
-            let Some(p) = st.portals.get(&portal).cloned() else {
-                st.failed = true;
-                push_err(
-                    &egress,
-                    "34000",
-                    &format!("portal \"{portal}\" does not exist"),
-                );
-                return;
-            };
-            let Some(ps) = p.stmt.prepared.clone() else {
-                let mut out = Vec::new();
-                protocol::push_frame(&mut out, b'I', &[]);
-                egress.push(out);
-                return;
-            };
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                proxy.execute_prepared(&ps, &p.params)
-            }));
-            match result {
-                Ok(Ok(r)) => {
-                    let mut out = Vec::new();
-                    push_query_result(&mut out, &command_verb(ps.sql()), &r);
-                    egress.push(out);
-                }
-                Ok(Err(e)) => {
-                    st.failed = true;
-                    push_err(&egress, sqlstate(&e), &e.to_string());
-                }
-                Err(_) => {
-                    st.failed = true;
-                    push_err(&egress, "XX000", "statement execution panicked");
-                }
-            }
-        });
-    }
-
-    /// `Close`: drop a statement or portal. Idempotent — an absent
-    /// target still answers `CloseComplete`, as in PostgreSQL; closing
-    /// a statement also closes portals constructed from it.
-    fn on_close_target(&mut self, body: &[u8]) {
-        let Ok((kind, name)) = protocol::parse_describe_body(body) else {
-            self.fatal_close("08P01", "malformed Close message");
-            return;
-        };
-        let Some(session) = &self.session else { return };
-        let ext = self.ext.clone();
-        let egress = self.egress.clone();
-        session.submit_job(move |_proxy| {
-            let mut st = ext.lock().unwrap();
-            if st.failed {
-                return;
-            }
-            if kind == b'S' {
-                if let Some(ws) = st.stmts.remove(&name) {
-                    st.portals.retain(|_, p| !Arc::ptr_eq(&p.stmt, &ws));
-                }
-            } else {
-                st.portals.remove(&name);
-            }
-            let mut out = Vec::new();
-            protocol::push_frame(&mut out, b'3', &[]);
-            egress.push(out);
-        });
-    }
-
-    /// `Sync`: end the extended-protocol cycle — clear the error-skip
-    /// state and answer `ReadyForQuery`. Portals survive `Sync` here
-    /// (this subset has no wire-level transactions to scope them to);
-    /// they die on re-`Bind`, `Close`, or disconnect.
-    fn on_sync(&mut self) {
-        let Some(session) = &self.session else { return };
-        let ext = self.ext.clone();
-        let egress = self.egress.clone();
-        session.submit_job(move |_proxy| {
-            ext.lock().unwrap().failed = false;
-            let mut out = Vec::new();
-            protocol::push_frame(&mut out, b'Z', &protocol::ready_body());
-            egress.push(out);
-        });
     }
 
     /// FATAL error + orderly close: the error frame flushes, nothing
@@ -1105,9 +1173,7 @@ impl Conn {
         self.egress.seal();
         self.read_closed = true;
         self.dying = true;
-        if let Some(s) = &self.session {
-            s.close();
-        }
+        self.close_session();
         self.rbuf.clear();
     }
 
@@ -1115,25 +1181,28 @@ impl Conn {
     /// socket shuts now, queued egress is dropped.
     fn force_close(&mut self) {
         self.forced = true;
+        self.egress_full_since = None;
         self.egress.discard();
-        self.write_dead = true;
+        self.egress.dead.store(true, Ordering::SeqCst);
         self.read_closed = true;
         self.dying = true;
-        if let Some(s) = &self.session {
-            s.close();
-        }
-        let _ = self.stream.shutdown(Shutdown::Both);
+        self.close_session();
+        let _ = self.egress.stream.shutdown(Shutdown::Both);
         self.rbuf.clear();
     }
 
+    /// Enforces the deadlines that have passed. Every deadline
+    /// [`Conn::next_deadline`] can report is handled here by closing
+    /// the connection or, for an idle deadline that finds it busy, by
+    /// trading the timeout for a wake-up on progress (`idle_overdue`),
+    /// so the thread never wakes for the same instant twice.
     fn check_deadlines(&mut self, shared: &Arc<Shared>) {
         let now = Instant::now();
         let limits = &shared.limits;
         // Slow consumer: at/over the egress bound past the grace
         // period. Checked even while dying — a terminated connection
         // flushing to a stalled client must not hold its fd forever.
-        let egress_pending = self.egress.pending_bytes() + (self.wbuf.len() - self.woff);
-        if egress_pending >= limits.egress_bytes {
+        if self.egress.queued() >= limits.egress_bytes {
             let since = *self.egress_full_since.get_or_insert(now);
             if now.duration_since(since) >= limits.slow_consumer_grace {
                 shared
@@ -1151,27 +1220,24 @@ impl Conn {
         }
         match self.phase {
             Phase::Ready => {
-                if let Some(idle) = limits.idle_deadline {
-                    let session_idle = self.session.as_ref().is_none_or(|s| s.is_idle());
-                    if session_idle
-                        && self.egress.is_empty()
-                        && now.duration_since(self.last_activity) >= idle
-                    {
-                        shared
-                            .counters
-                            .idle_timeouts
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.fatal_close(
-                            "57P05",
-                            "terminating connection due to idle-session timeout",
-                        );
-                    }
+                let Some(idle) = limits.idle_deadline else {
+                    return;
+                };
+                self.idle_overdue = now.duration_since(self.last_activity) >= idle;
+                if self.idle_overdue && self.quiet() {
+                    shared
+                        .counters
+                        .idle_timeouts
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.fatal_close(
+                        "57P05",
+                        "terminating connection due to idle-session timeout",
+                    );
                 }
             }
             // Slowloris defense: the handshake (startup + auth) must
-            // complete within its deadline. Enforced here by the
-            // readiness loop — a stalled handshake pins one fd and a
-            // buffer, never a thread.
+            // complete within its deadline. A stalled handshake pins
+            // one fd and a buffer, never a thread.
             Phase::Startup | Phase::Password { .. } => {
                 if now.duration_since(self.opened) >= limits.handshake_deadline {
                     shared
@@ -1184,19 +1250,41 @@ impl Conn {
         }
     }
 
-    /// True once teardown can complete: marked dying, the session's
-    /// statements have all responded, and the responses reached the
-    /// socket (or the socket is already dead).
+    /// The nearest instant [`Conn::check_deadlines`] has something to
+    /// do, if any. A queued statement's `statement_deadline` is not
+    /// among them: the session chain checks it when it pops the entry.
+    fn next_deadline(&self, limits: &NetLimits) -> Option<Instant> {
+        let evict = self
+            .egress_full_since
+            .and_then(|t| t.checked_add(limits.slow_consumer_grace));
+        let phase = match self.phase {
+            _ if self.dying => None,
+            // Overdue: the wake-up is the last ticket dropping or the
+            // socket turning writable, not a timeout.
+            Phase::Ready if self.idle_overdue => None,
+            Phase::Ready => limits
+                .idle_deadline
+                .and_then(|d| self.last_activity.checked_add(d)),
+            Phase::Startup | Phase::Password { .. } => {
+                self.opened.checked_add(limits.handshake_deadline)
+            }
+        };
+        evict.into_iter().chain(phase).min()
+    }
+
+    /// True once teardown can complete: marked dying, every submitted
+    /// statement has responded (or was dropped), and the responses
+    /// reached the socket (or the socket is already dead).
     fn finished(&self) -> bool {
         self.dying
-            && self.session.as_ref().is_none_or(|s| s.is_idle())
-            && (self.write_dead || (self.egress.is_empty() && self.woff == self.wbuf.len()))
+            && self.egress.outstanding() == 0
+            && (self.egress.is_dead() || self.egress.queued() == 0)
     }
 
     /// Final non-blocking teardown: the logout (removing the
     /// principal's keys) is sequenced strictly after the last statement
-    /// that could resolve through them, because `finished` required the
-    /// session idle first.
+    /// that could resolve through them, because `finished` required
+    /// every ticket dropped first.
     fn finish(&mut self, shared: &Arc<Shared>) {
         self.egress.discard();
         if self.logged_in {
@@ -1205,33 +1293,34 @@ impl Conn {
             }
             self.logged_in = false;
         }
-        let _ = self.stream.shutdown(Shutdown::Both);
+        let _ = self.egress.stream.shutdown(Shutdown::Both);
     }
 
     /// Blocking teardown for abrupt server shutdown: close the session,
     /// wait out the in-flight statement, log out. Only called from a
     /// mux thread that is exiting (never from the readiness loop).
     fn teardown_blocking(&mut self, shared: &Arc<Shared>) {
+        self.close_session();
         if let Some(s) = &self.session {
-            s.close();
             s.wait_idle();
         }
         self.finish(shared);
     }
 }
 
-/// Hand-off queue from the acceptor to one mux thread.
+/// Hand-off queue from the acceptor to one mux thread, and the wake fd
+/// every thread with news for that mux thread writes.
 pub(crate) struct Inbox {
     pub(crate) queue: Mutex<Vec<Conn>>,
-    pub(crate) waker: Arc<Waker>,
+    pub(crate) waker: Arc<WakeFd>,
 }
 
 impl Inbox {
-    pub(crate) fn new() -> Inbox {
-        Inbox {
+    pub(crate) fn new() -> io::Result<Inbox> {
+        Ok(Inbox {
             queue: Mutex::new(Vec::new()),
-            waker: Arc::new(Waker::new()),
-        }
+            waker: Arc::new(WakeFd::new()?),
+        })
     }
 }
 
@@ -1244,19 +1333,41 @@ pub(crate) fn release_counts(shared: &Shared, conn: &Conn) {
     shared.counters.live.fetch_sub(1, Ordering::AcqRel);
 }
 
-/// The mux thread body: adopt handed-off connections, pump each one,
-/// reap finished ones, park with backoff when idle.
+/// The mux thread body: sleep in `poll(2)`, then adopt handed-off
+/// connections, pump each one, reap finished ones, and work out what to
+/// sleep on next.
 pub(crate) fn run_mux(shared: Arc<Shared>, inbox: Arc<Inbox>) {
     let mut conns: Vec<Conn> = Vec::new();
+    // fds[0] is the wake fd; fds[i + 1] belongs to conns[i].
+    let mut fds: Vec<PollFd> = vec![inbox.waker.poll_fd()];
     let mut scratch = vec![0u8; 16 * 1024];
-    let max_park = shared.limits.poll_interval.max(Duration::from_micros(100));
-    let min_park = (max_park / 10).max(Duration::from_micros(50));
-    let mut park = min_park;
+    let mut timeout = None;
     loop {
-        {
-            let mut q = inbox.queue.lock().unwrap();
-            conns.append(&mut q);
+        match poll::poll(&mut fds, timeout) {
+            Ok(_) => {
+                for (conn, fd) in conns.iter_mut().zip(&fds[1..]) {
+                    conn.revents = fd.revents();
+                }
+            }
+            // Nothing a connection did can make the call itself fail
+            // (a dead fd is an event, not an error), so this is the
+            // kernel out of memory: back off and try every socket.
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(1));
+                for conn in &mut conns {
+                    conn.revents = POLLIN | POLLOUT;
+                }
+            }
         }
+        shared
+            .counters
+            .reader_wakeups
+            .fetch_add(1, Ordering::Relaxed);
+        // Before looking at anything a waker may have published.
+        if fds[0].revents() != 0 {
+            inbox.waker.drain();
+        }
+        conns.append(&mut inbox.queue.lock().unwrap());
         if shared.shutdown.load(Ordering::Acquire) {
             for mut conn in conns.drain(..) {
                 conn.teardown_blocking(&shared);
@@ -1264,10 +1375,12 @@ pub(crate) fn run_mux(shared: Arc<Shared>, inbox: Arc<Inbox>) {
             }
             return;
         }
-        let mut progress = false;
+        fds.truncate(1);
+        let mut deadline: Option<Instant> = None;
+        let mut again = false;
         let mut i = 0;
         while i < conns.len() {
-            progress |= conns[i].pump(&shared, &mut scratch);
+            let wait = conns[i].pump(&shared, &mut scratch);
             if conns[i].finished() {
                 let mut conn = conns.swap_remove(i);
                 conn.finish(&shared);
@@ -1277,16 +1390,22 @@ pub(crate) fn run_mux(shared: Arc<Shared>, inbox: Arc<Inbox>) {
                     shared.counters.drained.fetch_add(1, Ordering::Relaxed);
                 }
                 release_counts(&shared, &conn);
-                progress = true;
-            } else {
-                i += 1;
+                continue;
             }
+            let fd = if wait.events == 0 {
+                -1
+            } else {
+                conns[i].egress.stream.as_raw_fd()
+            };
+            fds.push(PollFd::new(fd, wait.events));
+            deadline = deadline.into_iter().chain(wait.deadline).min();
+            again |= wait.again;
+            i += 1;
         }
-        if progress {
-            park = min_park;
+        timeout = if again {
+            Some(Duration::ZERO)
         } else {
-            inbox.waker.park(park);
-            park = (park * 2).min(max_park);
-        }
+            deadline.map(|d| d.saturating_duration_since(Instant::now()))
+        };
     }
 }

@@ -1,7 +1,8 @@
 //! Overload and hostile-client harness for the multiplexed serving
 //! edge: slowloris handshakes, byte-at-a-time frames, slow-consumer
 //! eviction, connection-cap floods, statement deadlines, the in-flight
-//! budget, an idle-connection soak, and drain-during-flood with a WAL
+//! budget, deadlines on a silent server, an idle-connection soak with a
+//! wake-up budget, and drain-during-flood with a WAL
 //! recovery oracle. Every test drives real sockets against a real
 //! server; none may panic a server thread.
 
@@ -80,6 +81,119 @@ fn stalled_handshake_times_out_without_pinning_a_thread() {
     // The healthy connection never noticed.
     good.simple_query("INSERT INTO t (a) VALUES (1)").unwrap();
     good.terminate().unwrap();
+}
+
+/// With blocking waits nothing ticks: a deadline fires only because it
+/// was the `poll` timeout. These two run on an otherwise silent server
+/// — no other client whose traffic could wake the reader threads.
+#[test]
+fn stalled_handshake_is_closed_on_time_on_a_silent_server() {
+    let deadline = Duration::from_millis(400);
+    let limits = NetLimits {
+        handshake_deadline: deadline,
+        ..NetLimits::default()
+    };
+    let server = NetServer::spawn_with(small_proxy(), "127.0.0.1:0", limits).unwrap();
+    let mut s = TcpStream::connect(server.local_addr()).unwrap();
+    let t0 = Instant::now();
+    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let (tag, body) = protocol::read_frame(&mut s).unwrap();
+    let took = t0.elapsed();
+    assert_eq!(tag, b'E');
+    let (severity, code, _) = protocol::parse_error_body(&body);
+    assert_eq!((severity.as_str(), code.as_str()), ("FATAL", "08P01"));
+    assert!(
+        took >= deadline.mul_f64(0.9) && took <= deadline.mul_f64(1.5),
+        "handshake deadline {deadline:?} fired after {took:?}"
+    );
+    assert!(protocol::read_frame(&mut s).is_err(), "socket must close");
+    let stats = server.stats();
+    assert_eq!(stats.handshake_timeouts, 1);
+    // Adoption, the deadline, the reap: not a tick every few ms.
+    assert!(stats.reader_wakeups <= 8, "{stats:?}");
+}
+
+#[test]
+fn idle_session_is_closed_on_time_on_a_silent_server() {
+    let idle = Duration::from_millis(400);
+    let limits = NetLimits {
+        idle_deadline: Some(idle),
+        ..NetLimits::default()
+    };
+    let server = NetServer::spawn_with(small_proxy(), "127.0.0.1:0", limits).unwrap();
+    let mut c = NetClient::connect(server.local_addr(), "sleepy", "").unwrap();
+    let t0 = Instant::now();
+    let (tag, body) = c.read_raw_frame().unwrap();
+    let took = t0.elapsed();
+    assert_eq!(tag, b'E');
+    let (severity, code, _) = protocol::parse_error_body(&body);
+    assert_eq!((severity.as_str(), code.as_str()), ("FATAL", "57P05"));
+    assert!(
+        took >= idle.mul_f64(0.9) && took <= idle.mul_f64(1.5),
+        "idle deadline {idle:?} fired after {took:?}"
+    );
+    assert!(c.read_raw_frame().is_err(), "socket must close");
+    assert_eq!(server.stats().idle_timeouts, 1);
+
+    // A session that keeps talking is never idle, however long it lives.
+    let mut c = NetClient::connect(server.local_addr(), "chatty", "").unwrap();
+    for _ in 0..8 {
+        std::thread::sleep(idle / 4);
+        c.simple_query("SELECT 1").unwrap();
+    }
+    c.terminate().unwrap();
+    assert_eq!(server.stats().idle_timeouts, 1);
+}
+
+/// The idle clock counts from the client's last byte, not from the
+/// server's last response: a deadline that passes while a statement is
+/// outstanding closes the session as soon as the response is out, not a
+/// whole idle window later.
+#[test]
+fn idle_deadline_passing_mid_statement_closes_once_the_response_is_out() {
+    let idle = Duration::from_millis(600);
+    let limits = NetLimits {
+        idle_deadline: Some(idle),
+        ..NetLimits::default()
+    };
+    let cfg = ProxyConfig {
+        policy: EncryptionPolicy::Explicit(Default::default()),
+        paillier_bits: 256,
+        runtime_threads: 1,
+        ..Default::default()
+    };
+    let proxy = Arc::new(Proxy::new(Arc::new(Engine::new()), [7u8; 32], cfg));
+    let server = NetServer::spawn_with(proxy.clone(), "127.0.0.1:0", limits).unwrap();
+    let mut c = NetClient::connect(server.local_addr(), "busy", "").unwrap();
+
+    // Hold the only worker, so the statement stays outstanding until
+    // the gate opens half an idle window past the deadline.
+    let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+    proxy.runtime().execute(move || {
+        let _ = gate_rx.recv();
+    });
+    let mut query = Vec::new();
+    protocol::push_frame(&mut query, b'Q', b"SELECT 1\0");
+    let t0 = Instant::now();
+    c.send_raw(&query).unwrap();
+    std::thread::sleep(idle.mul_f64(1.5));
+    assert_eq!(server.stats().idle_timeouts, 0, "busy is not idle");
+    gate_tx.send(()).unwrap();
+
+    while c.read_raw_frame().unwrap().0 != b'Z' {}
+    let answered = Instant::now();
+    assert!(answered.duration_since(t0) >= idle);
+    let (tag, body) = c.read_raw_frame().unwrap();
+    let lag = answered.elapsed();
+    assert_eq!(tag, b'E');
+    let (severity, code, _) = protocol::parse_error_body(&body);
+    assert_eq!((severity.as_str(), code.as_str()), ("FATAL", "57P05"));
+    assert!(
+        lag <= idle / 4,
+        "close came {lag:?} after the response, idle deadline {idle:?}"
+    );
+    assert!(c.read_raw_frame().is_err(), "socket must close");
+    assert_eq!(server.stats().idle_timeouts, 1);
 }
 
 #[test]
@@ -375,6 +489,17 @@ fn soak_512_idle_connections_on_two_reader_threads() {
         );
     }
     assert!(server.stats().live_connections >= 512);
+
+    // Idle connections cost nothing: the two reader threads sleep in
+    // poll(2) with no timeout (no deadline is armed once every
+    // handshake is done) until a socket has bytes.
+    let before = server.stats().reader_wakeups;
+    std::thread::sleep(Duration::from_secs(1));
+    let woken = server.stats().reader_wakeups - before;
+    assert!(
+        woken <= 4,
+        "512 idle connections woke the reader threads {woken} times in 1 s"
+    );
 
     // With 512 idle sockets multiplexed on two threads, active clients
     // must still be served promptly.

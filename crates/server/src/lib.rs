@@ -475,26 +475,6 @@ impl StatementSession {
         }
     }
 
-    /// Non-blocking idle check: `true` when every submitted statement
-    /// has executed and responded (the chain has no queued or running
-    /// job). The multiplexed wire edge polls this from its readiness
-    /// loop — which must never block — to sequence connection teardown
-    /// and graceful drain.
-    pub fn is_idle(&self) -> bool {
-        let q = self.inner.queue.lock().unwrap();
-        !q.running && q.pending.is_empty()
-    }
-
-    /// Number of statements queued or executing (the session's in-flight
-    /// depth; may briefly overcount by one while a chain job is queued
-    /// but has not yet popped its entry). The wire edge compares this
-    /// against its ingress bound to decide when to stop reading a
-    /// connection's socket.
-    pub fn queued_len(&self) -> usize {
-        let q = self.inner.queue.lock().unwrap();
-        q.pending.len() + usize::from(q.running)
-    }
-
     /// Closes the session: queued-but-unstarted statements (and their
     /// responders) are dropped and later submissions are ignored. The
     /// statement currently executing, if any, still completes and
