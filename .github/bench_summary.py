@@ -12,7 +12,6 @@ import sys
 # own enforcement (see the bench source and BENCHMARKS.md).
 GATE_POLICY = {
     # BENCH_runtime.json
-    "batch_pool_vs_scoped": ("min", 0.97),
     "blinding_spike_free": ("flag", 1.0),
     "background_refill_clean": ("flag", 1.0),
     "ope_bounded": ("flag", 1.0),

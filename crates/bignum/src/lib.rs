@@ -6,18 +6,13 @@
 //!
 //! * [`Ubig`] — an unsigned big integer on 64-bit limbs with schoolbook and
 //!   Karatsuba multiplication and Knuth Algorithm D division. Its
-//!   heap-allocating Karatsuba doubles as the cross-check oracle for the
-//!   Montgomery kernel's allocation-free variant.
+//!   heap-allocating multiply and division are the cross-check oracle
+//!   for the Montgomery kernels.
 //! * [`Montgomery`] — Montgomery-form modular multiplication and
-//!   exponentiation for odd moduli (Paillier's hot path). Above a tunable
-//!   limb threshold ([`DEFAULT_KARA_THRESHOLD`]) the product kernel is
-//!   **two-phase**: an allocation-free Karatsuba into a caller-provided
-//!   double-width scratch buffer followed by a standalone word-level
-//!   Montgomery reduction (REDC); below it, the classic interleaved CIOS
-//!   loop. [`MontScratch`] carries every working buffer across repeated
-//!   exponentiations, and [`FixedBase`] holds a per-bit comb that removes
-//!   all squarings from fixed-base exponentiation. See the `mont` module
-//!   docs for the crossover-tuning procedure.
+//!   exponentiation for odd moduli (Paillier's hot path): one CIOS
+//!   product and one SOS squaring, both allocation-free on
+//!   caller-provided limb slices. [`MontScratch`] carries every working
+//!   buffer across repeated exponentiations.
 //! * `prime` (internal) — Miller–Rabin probable-prime testing and random prime
 //!   generation (Paillier key generation).
 //!
@@ -31,10 +26,6 @@ mod mont;
 mod prime;
 mod ubig;
 
-#[doc(hidden)]
-pub use mont::probes;
-pub use mont::{
-    FixedBase, MontScratch, Montgomery, DEFAULT_KARA_SQR_THRESHOLD, DEFAULT_KARA_THRESHOLD,
-};
+pub use mont::{MontScratch, Montgomery};
 pub use prime::{gen_prime, gen_safe_prime, is_prime, miller_rabin};
 pub use ubig::Ubig;

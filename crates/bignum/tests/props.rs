@@ -157,16 +157,15 @@ proptest! {
     }
 
     #[test]
-    fn kara_kernel_matches_ubig_oracle(a_hex in "[0-9a-f]{1,520}",
-                                       b_hex in "[0-9a-f]{1,520}",
-                                       m_hex in "[1-9a-f][0-9a-f]{260,520}") {
-        // 260–520 hex chars = 17–33 limbs: the two-phase Karatsuba+REDC
-        // multiply is always engaged (threshold 16). The oracle is the
-        // heap-allocating Ubig Karatsuba/schoolbook multiply + division.
+    fn mont_mul_matches_ubig_oracle_wide(a_hex in "[0-9a-f]{1,520}",
+                                         b_hex in "[0-9a-f]{1,520}",
+                                         m_hex in "[1-9a-f][0-9a-f]{260,520}") {
+        // 260–520 hex chars = 17–33 limbs, up to the Paillier n² width.
+        // The oracle is the heap-allocating Ubig Karatsuba/schoolbook
+        // multiply + division.
         let m = Ubig::from_hex(&m_hex).unwrap().add(&Ubig::one());
         let m = if m.is_even() { m.add(&Ubig::one()) } else { m };
         let mont = Montgomery::new(m.clone());
-        prop_assert!(mont.width() >= mont.kara_threshold());
         let a = Ubig::from_hex(&a_hex).unwrap().rem(&m);
         let b = Ubig::from_hex(&b_hex).unwrap().rem(&m);
         let mut scratch = mont.scratch();
@@ -175,41 +174,20 @@ proptest! {
         let mut out = vec![0u64; mont.width()];
         mont.mont_mul(&am, &bm, &mut out, &mut scratch);
         prop_assert_eq!(mont.from_mont(&out), a.mul(&b).rem(&m));
-        // The forced-CIOS context must agree limb-for-limb.
-        let cios = Montgomery::with_kara_threshold(m.clone(), usize::MAX);
-        let mut out_cios = vec![0u64; cios.width()];
-        let mut cs = cios.scratch();
-        cios.mont_mul(&am, &bm, &mut out_cios, &mut cs);
-        prop_assert_eq!(&out, &out_cios);
     }
 
     #[test]
-    fn kara_sqr_matches_ubig_oracle(a_hex in "[0-9a-f]{1,520}",
-                                    m_hex in "[1-9a-f][0-9a-f]{260,520}") {
+    fn mont_sqr_matches_ubig_oracle_wide(a_hex in "[0-9a-f]{1,520}",
+                                         m_hex in "[1-9a-f][0-9a-f]{260,520}") {
         let m = Ubig::from_hex(&m_hex).unwrap().add(&Ubig::one());
         let m = if m.is_even() { m.add(&Ubig::one()) } else { m };
-        // Threshold 2 forces the three-half-squares path regardless of
-        // the tuned squaring crossover.
-        let mont = Montgomery::with_kara_threshold(m.clone(), 2);
+        let mont = Montgomery::new(m.clone());
         let a = Ubig::from_hex(&a_hex).unwrap().rem(&m);
         let mut scratch = mont.scratch();
         let am = mont.to_mont(&a);
         let mut sq = vec![0u64; mont.width()];
         mont.mont_sqr(&am, &mut sq, &mut scratch);
         prop_assert_eq!(mont.from_mont(&sq), a.mul(&a).rem(&m));
-    }
-
-    #[test]
-    fn pow_fixed_base_matches_pow(b_hex in "[0-9a-f]{1,80}",
-                                  e_hex in "[0-9a-f]{1,80}",
-                                  m_hex in "[1-9a-f][0-9a-f]{40,80}") {
-        let m = Ubig::from_hex(&m_hex).unwrap().add(&Ubig::one());
-        let m = if m.is_even() { m.add(&Ubig::one()) } else { m };
-        let mont = Montgomery::new(m.clone());
-        let base = Ubig::from_hex(&b_hex).unwrap();
-        let e = Ubig::from_hex(&e_hex).unwrap();
-        let fb = mont.fixed_base(&base);
-        prop_assert_eq!(mont.pow_fixed_base(&fb, &e), mont.pow(&base, &e));
     }
 
     #[test]

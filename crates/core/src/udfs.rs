@@ -9,7 +9,6 @@
 //! chose to reveal.
 
 use crate::colcrypt::{parse_search_token, search_matches, JTAG_LEN};
-use cryptdb_bignum::Ubig;
 use cryptdb_crypto::aes::Aes;
 use cryptdb_crypto::modes::cbc_decrypt;
 use cryptdb_ecgroup::{JoinAdj, Scalar};
@@ -108,24 +107,6 @@ pub fn register_udfs(engine: &Engine, paillier_public: PaillierPublic) {
         let a = pp.ciphertext_from_bytes(&bytes_arg(args, 0, "HOM_ADD a")?);
         let b = pp.ciphertext_from_bytes(&bytes_arg(args, 1, "HOM_ADD b")?);
         Ok(Value::Bytes(pp.ciphertext_to_bytes(&pp.add(&a, &b))))
-    });
-
-    // HOM_MUL_PLAIN(c, k) -> encryption of m·k.
-    let pp = paillier_public.clone();
-    engine.register_scalar_udf("HOM_MUL_PLAIN", move |args| {
-        if matches!(args.first(), Some(Value::Null)) {
-            return Ok(Value::Null);
-        }
-        let c = pp.ciphertext_from_bytes(&bytes_arg(args, 0, "HOM_MUL_PLAIN c")?);
-        let k = args
-            .get(1)
-            .and_then(Value::as_int)
-            .ok_or_else(|| EngineError::Udf("HOM_MUL_PLAIN: int k expected".into()))?;
-        if k < 0 {
-            return Err(EngineError::Udf("HOM_MUL_PLAIN: negative k".into()));
-        }
-        let r = pp.mul_plain(&c, &Ubig::from_u64(k as u64));
-        Ok(Value::Bytes(pp.ciphertext_to_bytes(&r)))
     });
 
     // HOM_SUM(col): the aggregate the proxy substitutes for SUM (§3.3).

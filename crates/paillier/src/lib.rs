@@ -31,12 +31,10 @@
 //!     full-width path, kept as
 //!     [`PaillierPrivate::precompute_blinding_noncrt`].
 //!
-//!   Batch SUM decryption rides the same CRT path: on a long-lived
-//!   proxy, [`PaillierPrivate::decrypt_i64_batch_on`] fans the cells out
-//!   over a persistent [`WorkerPool`] (no per-query thread spawns, and
-//!   the pending form lets the caller overlap row post-processing);
-//!   [`PaillierPrivate::decrypt_i64_batch`] keeps the scoped-thread
-//!   fan-out as the no-runtime fallback and benchmark baseline.
+//!   Batch SUM decryption rides the same CRT path:
+//!   [`PaillierPrivate::decrypt_i64_batch_pending`] fans the cells out
+//!   over the proxy's persistent [`WorkerPool`] (no per-query thread
+//!   spawns) and lets the caller overlap row post-processing.
 //! * Signed 64-bit values are encoded as residues: `v < 0` maps to
 //!   `n + v`; decode folds values above `n/2` back to negatives.
 //!
@@ -69,20 +67,20 @@ impl PaillierScratch {
 /// Public Paillier parameters: the modulus and derived constants.
 ///
 /// Cloneable so the DBMS server side (UDFs) can hold the public half —
-/// the server multiplies ciphertexts but can never decrypt them. The
-/// `mod n²` Montgomery context is shared (`Arc`) across clones, so
-/// [`PaillierPublic::mul_plain`] never rebuilds the full-width tables.
+/// the server multiplies ciphertexts but can never decrypt them.
 #[derive(Clone)]
 pub struct PaillierPublic {
     n: Ubig,
     n_squared: Ubig,
     half_n: Ubig,
-    mont_n2: Arc<Montgomery>,
 }
 
 /// Private Paillier key (proxy side only).
 pub struct PaillierPrivate {
     public: PaillierPublic,
+    /// `mod n²` context — key generation's `g^λ` and the non-CRT
+    /// reference paths.
+    mont_n2: Montgomery,
     /// λ = lcm(p−1, q−1) — non-CRT reference path.
     lambda: Ubig,
     /// μ = L(g^λ mod n²)⁻¹ mod n — non-CRT reference path.
@@ -183,17 +181,6 @@ impl PaillierPublic {
         Ciphertext(Ubig::one())
     }
 
-    /// Homomorphic plaintext multiplication: `c^k mod n²` encrypts `m·k`.
-    ///
-    /// Runs on the key's cached `mod n²` Montgomery context — the seed
-    /// rebuilt a full-width context per call via `Ubig::mod_exp`, which
-    /// cost a modular inversion and an R² setup on every server-side
-    /// `HOM_MUL`. The proxy side, which knows the factorisation, should
-    /// prefer [`PaillierPrivate::mul_plain`] (CRT, ~4× again).
-    pub fn mul_plain(&self, c: &Ciphertext, k: &Ubig) -> Ciphertext {
-        Ciphertext(self.mont_n2.pow(&c.0, k))
-    }
-
     /// Serialises a ciphertext to fixed-width big-endian bytes.
     pub fn ciphertext_to_bytes(&self, c: &Ciphertext) -> Vec<u8> {
         c.0.to_bytes_be(self.ciphertext_len())
@@ -229,7 +216,7 @@ impl PaillierPrivate {
         let n_squared = n.mul(&n);
         let one = Ubig::one();
         let lambda = p.sub(&one).lcm(&q.sub(&one));
-        let mont_n2 = Arc::new(Montgomery::new(n_squared.clone()));
+        let mont_n2 = Montgomery::new(n_squared.clone());
         // μ = L(g^λ mod n²)⁻¹ mod n, with g = n + 1.
         let g = n.add(&one);
         let glambda = mont_n2.pow(&g, &lambda);
@@ -242,8 +229,8 @@ impl PaillierPrivate {
                 n,
                 n_squared,
                 half_n,
-                mont_n2,
             },
+            mont_n2,
             lambda,
             mu,
             crt,
@@ -312,7 +299,7 @@ impl PaillierPrivate {
     /// `rⁿ mod n²` by the direct full-width exponentiation (the pre-CRT
     /// path, kept as a cross-check and benchmark baseline).
     pub fn blinding_from_r_noncrt(&self, r: &Ubig) -> Ubig {
-        self.public.mont_n2.pow(r, &self.public.n)
+        self.mont_n2.pow(r, &self.public.n)
     }
 
     /// [`Self::precompute_blinding`] without CRT (benchmark baseline).
@@ -358,7 +345,7 @@ impl PaillierPrivate {
     /// Decrypts via the full-width `L(c^λ mod n²)·μ mod n` (the pre-CRT
     /// path, kept as a cross-check and benchmark baseline).
     pub fn decrypt_noncrt(&self, c: &Ciphertext) -> Ubig {
-        let clambda = self.public.mont_n2.pow(&c.0, &self.lambda);
+        let clambda = self.mont_n2.pow(&c.0, &self.lambda);
         let l = clambda.sub(&Ubig::one()).div_rem(&self.public.n).0;
         l.mod_mul(&self.mu, &self.public.n)
     }
@@ -375,48 +362,12 @@ impl PaillierPrivate {
         self.public.decode_i64(&self.decrypt_with(c, ws))
     }
 
-    /// Homomorphic plaintext multiplication on the CRT fast path:
-    /// `c^k` is computed mod `p²` and `q²` (half-width moduli) and
-    /// recombined — the proxy-side counterpart of
-    /// [`PaillierPublic::mul_plain`], for when the exponentiation runs
-    /// where the factorisation is known (e.g. pre-scaling a constant
-    /// before it is sent to the server).
-    pub fn mul_plain(&self, c: &Ciphertext, k: &Ubig) -> Ciphertext {
-        let t = &self.crt;
-        let a = t.mont_p2.pow(&c.0, k);
-        let b = t.mont_q2.pow(&c.0, k);
-        Ciphertext(t.recombine_mod_n2(&a, &b))
-    }
-
-    /// Decrypts a batch of ciphertexts on a persistent [`WorkerPool`],
-    /// blocking until every result is in. Results keep input order.
-    ///
-    /// Equivalent to the pending form plus an immediate wait (minus the
-    /// dispatch copies when the work runs inline anyway); prefer
-    /// [`Self::decrypt_i64_batch_pending`] when there is independent
-    /// work to overlap with the decryption (the proxy overlaps row
-    /// post-processing).
-    pub fn decrypt_i64_batch_on(
-        self: &Arc<Self>,
-        pool: &WorkerPool,
-        cts: &[Ciphertext],
-    ) -> Vec<Option<i64>> {
-        if pool.threads() <= 1 || cts.len() < 4 {
-            let mut ws = PaillierScratch::new();
-            return cts
-                .iter()
-                .map(|c| self.decrypt_i64_with(c, &mut ws))
-                .collect();
-        }
-        self.decrypt_i64_batch_pending(pool, cts.to_vec()).wait()
-    }
-
     /// Starts decrypting a batch of ciphertexts on a persistent
     /// [`WorkerPool`] and returns immediately; join with
-    /// [`PendingMap::wait`]. Unlike [`Self::decrypt_i64_batch`], no
-    /// threads are spawned per call — the chunks are queued to
-    /// already-running workers, and the caller's thread stays free to
-    /// pipeline other work (§3.5.2: crypto off the critical path).
+    /// [`PendingMap::wait`]. No threads are spawned per call — the
+    /// chunks are queued to already-running workers, and the caller's
+    /// thread stays free to pipeline other work (§3.5.2: crypto off the
+    /// critical path).
     ///
     /// Small batches (under 4 ciphertexts) go to the pool as a single
     /// chunk: at that size the split overhead exceeds the parallelism.
@@ -446,84 +397,10 @@ impl PaillierPrivate {
                 .collect()
         })
     }
-
-    /// Decrypts a batch of ciphertexts (e.g. every `SUM`/`AVG` cell of a
-    /// result set) over the shared CRT tables, fanning the independent
-    /// decryptions out across scoped threads spawned for this call.
-    ///
-    /// This is the no-runtime fallback (and the benchmark baseline the
-    /// pooled path is gated against); a long-lived proxy should hold a
-    /// [`WorkerPool`] and use [`Self::decrypt_i64_batch_on`] instead.
-    pub fn decrypt_i64_batch(&self, cts: &[Ciphertext]) -> Vec<Option<i64>> {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(cts.len());
-        // At 256-bit test keys a decrypt is ~µs and spawn overhead wins;
-        // at the paper's 1024 bits each decrypt is ~0.6 ms and the
-        // fan-out is a clean multi-core speedup.
-        if threads <= 1 || cts.len() < 4 {
-            let mut ws = PaillierScratch::new();
-            return cts
-                .iter()
-                .map(|c| self.decrypt_i64_with(c, &mut ws))
-                .collect();
-        }
-        let chunk = cts.len().div_ceil(threads);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = cts
-                .chunks(chunk)
-                .map(|part| {
-                    s.spawn(move || {
-                        let mut ws = PaillierScratch::new();
-                        part.iter()
-                            .map(|c| self.decrypt_i64_with(c, &mut ws))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("decrypt worker panicked"))
-                .collect()
-        })
-    }
-}
-
-impl PaillierPrivate {
-    /// A functional clone of this key whose Montgomery contexts force the
-    /// quadratic CIOS/SOS kernels (the PR 2 kernel) — the benchmark
-    /// baseline the two-phase Karatsuba + REDC kernel is compared
-    /// against in the same run. Not for production use.
-    pub fn with_cios_kernels(&self) -> PaillierPrivate {
-        let public = &self.public;
-        let crt = &self.crt;
-        PaillierPrivate {
-            public: PaillierPublic {
-                n: public.n.clone(),
-                n_squared: public.n_squared.clone(),
-                half_n: public.half_n.clone(),
-                mont_n2: Arc::new(Montgomery::with_kara_threshold(
-                    public.n_squared.clone(),
-                    usize::MAX,
-                )),
-            },
-            lambda: self.lambda.clone(),
-            mu: self.mu.clone(),
-            crt: CrtKey::with_kara_threshold(crt.p.clone(), crt.q.clone(), usize::MAX),
-        }
-    }
 }
 
 impl CrtKey {
     fn new(p: Ubig, q: Ubig) -> Self {
-        Self::with_kara_threshold(p, q, 0)
-    }
-
-    /// Builds the CRT tables; `threshold == 0` uses the tuned kernel
-    /// defaults, anything else forces that Karatsuba crossover on every
-    /// context (`usize::MAX` = pure CIOS/SOS, for benchmarking).
-    fn with_kara_threshold(p: Ubig, q: Ubig, threshold: usize) -> Self {
         let one = Ubig::one();
         let p_squared = p.mul(&p);
         let q_squared = q.mul(&q);
@@ -541,18 +418,11 @@ impl CrtKey {
             .expect("p invertible mod q for distinct primes");
         let q_inv_p = q.mod_inv(&p).expect("distinct primes");
         let p2_inv_q2 = p_squared.mod_inv(&q_squared).expect("distinct primes");
-        let ctx = |m: Ubig| {
-            if threshold == 0 {
-                Montgomery::new(m)
-            } else {
-                Montgomery::with_kara_threshold(m, threshold)
-            }
-        };
         CrtKey {
-            mont_p: ctx(p.clone()),
-            mont_q: ctx(q.clone()),
-            mont_p2: ctx(p_squared.clone()),
-            mont_q2: ctx(q_squared.clone()),
+            mont_p: Montgomery::new(p.clone()),
+            mont_q: Montgomery::new(q.clone()),
+            mont_p2: Montgomery::new(p_squared.clone()),
+            mont_q2: Montgomery::new(q_squared.clone()),
             q_mod_pm1: q.rem(&pm1),
             p_mod_qm1: p.rem(&qm1),
             p,
@@ -618,52 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn plaintext_multiplication() {
-        let (sk, mut rng) = key();
-        let c = sk.encrypt_i64(7, &mut rng);
-        let c3 = sk.public().mul_plain(&c, &Ubig::from_u64(3));
-        assert_eq!(sk.decrypt_i64(&c3), Some(21));
-    }
-
-    #[test]
-    fn mul_plain_crt_matches_public() {
-        let (sk, mut rng) = key();
-        let c = sk.encrypt_i64(-11, &mut rng);
-        for k in [0u64, 1, 2, 3, 1000, u32::MAX as u64] {
-            let k = Ubig::from_u64(k);
-            // Identical group elements, not merely equal plaintexts.
-            assert_eq!(sk.mul_plain(&c, &k), sk.public().mul_plain(&c, &k));
-        }
-        assert_eq!(
-            sk.decrypt_i64(&sk.mul_plain(&c, &Ubig::from_u64(5))),
-            Some(-55)
-        );
-    }
-
-    #[test]
-    fn pooled_batch_decrypt_matches_scoped() {
-        let (sk, mut rng) = key();
-        let sk = Arc::new(sk);
-        let values: Vec<i64> = (0..37).map(|i| i * 1_000_003 - 18).collect();
-        let cts: Vec<Ciphertext> = values
-            .iter()
-            .map(|&v| sk.encrypt_i64(v, &mut rng))
-            .collect();
-        let pool = WorkerPool::new(4);
-        let scoped = sk.decrypt_i64_batch(&cts);
-        let pooled = sk.decrypt_i64_batch_on(&pool, &cts);
-        assert_eq!(pooled, scoped);
-        // The pending form overlaps caller-side work with decryption.
-        let pending = sk.decrypt_i64_batch_pending(&pool, cts.clone());
-        let check: Vec<Option<i64>> = values.iter().map(|&v| Some(v)).collect();
-        assert_eq!(pending.wait(), check);
-        // Single-worker pools resolve inline (pre-resolved pending).
-        let single = WorkerPool::new(1);
-        assert_eq!(sk.decrypt_i64_batch_on(&single, &cts), check);
-        assert_eq!(sk.decrypt_i64_batch_pending(&single, cts).wait(), check);
-    }
-
-    #[test]
     fn probabilistic_encryption() {
         let (sk, mut rng) = key();
         let a = sk.encrypt_i64(5, &mut rng);
@@ -680,21 +504,6 @@ mod tests {
             .public()
             .encrypt_with_blinding(&sk.public().encode_i64(99), &blinding);
         assert_eq!(sk.decrypt_i64(&c), Some(99));
-    }
-
-    #[test]
-    fn cios_kernel_clone_agrees() {
-        // The benchmark baseline (forced quadratic kernels) must be a
-        // perfect functional clone of the tuned key.
-        let (sk, mut rng) = key();
-        let cios = sk.with_cios_kernels();
-        for v in [0i64, 31337, -123_456_789] {
-            let c = sk.encrypt_i64(v, &mut rng);
-            assert_eq!(cios.decrypt(&c), sk.decrypt(&c), "v={v}");
-            assert_eq!(cios.decrypt_i64(&c), Some(v));
-        }
-        let r = sk.sample_r(&mut rng);
-        assert_eq!(cios.blinding_from_r(&r), sk.blinding_from_r(&r));
     }
 
     #[test]
@@ -728,15 +537,29 @@ mod tests {
 
     #[test]
     fn batch_decrypt_matches_single() {
+        // Chunked over a 4-worker pool and inline on a 1-worker pool
+        // (pre-resolved pending): both keep input order and agree with
+        // one-at-a-time decryption.
         let (sk, mut rng) = key();
-        let values = [3i64, -9, 1 << 40, 0];
+        let sk = Arc::new(sk);
+        let values: Vec<i64> = (0..37)
+            .map(|i| i * 1_000_003 - 18)
+            .chain([1 << 40, 0])
+            .collect();
         let cts: Vec<Ciphertext> = values
             .iter()
             .map(|&v| sk.encrypt_i64(v, &mut rng))
             .collect();
-        let batch = sk.decrypt_i64_batch(&cts);
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(batch[i], Some(v));
+        let mut ws = PaillierScratch::new();
+        let single: Vec<Option<i64>> = cts
+            .iter()
+            .map(|c| sk.decrypt_i64_with(c, &mut ws))
+            .collect();
+        assert_eq!(single, values.iter().map(|&v| Some(v)).collect::<Vec<_>>());
+        for workers in [1, 4] {
+            let pool = WorkerPool::new(workers);
+            let batch = sk.decrypt_i64_batch_pending(&pool, cts.clone()).wait();
+            assert_eq!(batch, single, "{workers} workers");
         }
     }
 

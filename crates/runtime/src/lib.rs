@@ -622,6 +622,15 @@ impl<T> BlindState<T> {
         }
         self.last_take = Some(now);
     }
+
+    /// Splices `batch` in up to the current target and drops the rest.
+    /// A refill sizes its batch before generating outside the lock, so a
+    /// dry taker's synchronous batch can land in between; re-reading the
+    /// room here keeps the pool at or below its target.
+    fn splice(&mut self, batch: Vec<T>) {
+        let room = self.target.saturating_sub(self.items.len());
+        self.items.extend(batch.into_iter().take(room));
+    }
 }
 
 struct BlindShared<T> {
@@ -778,7 +787,7 @@ impl<T: Send + 'static> BlindingPool<T> {
                 let first = batch.pop().expect("generator returned no items");
                 let mut st = lock(&self.shared.state);
                 st.sync_refills += 1;
-                st.items.extend(batch);
+                st.splice(batch);
                 first
             }
         }
@@ -825,8 +834,7 @@ impl<T: Send + 'static> BlindingPool<T> {
             // Generate outside the lock, splice in small batches so
             // concurrent takers see progress.
             let batch = (shared.generate)(deficit.min(REFILL_CHUNK));
-            let mut st = lock(&shared.state);
-            st.items.extend(batch);
+            lock(&shared.state).splice(batch);
             shared.cond.notify_all();
         });
     }
@@ -844,8 +852,7 @@ impl<T: Send + 'static> BlindingPool<T> {
         };
         if deficit > 0 {
             let batch = (self.shared.generate)(deficit);
-            let mut st = lock(&self.shared.state);
-            st.items.extend(batch);
+            lock(&self.shared.state).splice(batch);
             self.shared.cond.notify_all();
         }
     }
@@ -1105,10 +1112,37 @@ mod tests {
         let stats = bp.stats();
         assert!(stats.sync_refills >= 1);
         bp.wait_ready();
-        // The sync fallback batch and the racing background refill may
-        // overfill slightly (benign — extra factors get spent); the pool
-        // must hold at least the target.
-        assert!(bp.len() >= bp.stats().target);
+        // The sync fallback batch and the racing background refill both
+        // splice only up to the target, and the refill tops up the rest.
+        assert_eq!(bp.len(), bp.stats().target);
+    }
+
+    #[test]
+    fn refill_landing_after_sync_fallback_stays_within_target() {
+        // The refill job sizes its batch from the empty pool, then a dry
+        // taker's synchronous batch lands before the refill's does. The
+        // generator forces that order: the refill (on the worker) signals
+        // that it has sized its batch and waits for the gate; the taker's
+        // fallback (on this thread) waits for that signal.
+        let workers = WorkerPool::new(1);
+        let taker = std::thread::current().id();
+        let (sized_tx, sized_rx) = std::sync::mpsc::channel::<()>();
+        let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+        let (sized_rx, gate_rx) = (Mutex::new(sized_rx), Mutex::new(gate_rx));
+        let bp = BlindingPool::new(&workers, 2, 8, move |n| {
+            if std::thread::current().id() == taker {
+                lock(&sized_rx).recv().expect("refill sized its batch");
+            } else {
+                let _ = sized_tx.send(());
+                let _ = lock(&gate_rx).recv();
+            }
+            (0..n as u64).collect()
+        });
+        bp.take();
+        assert_eq!(bp.stats().sync_refills, 1);
+        gate_tx.send(()).unwrap();
+        bp.wait_ready();
+        assert!(bp.len() <= bp.stats().target);
     }
 
     #[test]
