@@ -537,30 +537,63 @@ mod tests {
 
     #[test]
     fn batch_decrypt_matches_single() {
-        // Chunked over a 4-worker pool and inline on a 1-worker pool
-        // (pre-resolved pending): both keep input order and agree with
-        // one-at-a-time decryption.
+        // Under 4 ciphertexts the batch goes to the pool as one job.
         let (sk, mut rng) = key();
         let sk = Arc::new(sk);
-        let values: Vec<i64> = (0..37)
-            .map(|i| i * 1_000_003 - 18)
-            .chain([1 << 40, 0])
-            .collect();
+        let values = [3i64, -9, 1 << 40, 0];
         let cts: Vec<Ciphertext> = values
             .iter()
             .map(|&v| sk.encrypt_i64(v, &mut rng))
             .collect();
         let mut ws = PaillierScratch::new();
-        let single: Vec<Option<i64>> = cts
-            .iter()
-            .map(|c| sk.decrypt_i64_with(c, &mut ws))
-            .collect();
-        assert_eq!(single, values.iter().map(|&v| Some(v)).collect::<Vec<_>>());
-        for workers in [1, 4] {
-            let pool = WorkerPool::new(workers);
-            let batch = sk.decrypt_i64_batch_pending(&pool, cts.clone()).wait();
-            assert_eq!(batch, single, "{workers} workers");
+        let pool = WorkerPool::new(4);
+        let batch = sk.decrypt_i64_batch_pending(&pool, cts.clone()).wait();
+        for (i, &v) in values.iter().enumerate() {
+            assert_eq!(sk.decrypt_i64_with(&cts[i], &mut ws), Some(v));
+            assert_eq!(batch[i], Some(v));
         }
+    }
+
+    #[test]
+    fn pooled_batch_decrypt_matches_scoped() {
+        let (sk, mut rng) = key();
+        let sk = Arc::new(sk);
+        let values: Vec<i64> = (0..37).map(|i| i * 1_000_003 - 18).collect();
+        let cts: Vec<Ciphertext> = values
+            .iter()
+            .map(|&v| sk.encrypt_i64(v, &mut rng))
+            .collect();
+        // Baseline: one scoped thread per chunk, each with its own scratch.
+        let scoped: Vec<Option<i64>> = std::thread::scope(|s| {
+            let handles: Vec<_> = cts
+                .chunks(10)
+                .map(|chunk| {
+                    let sk = &sk;
+                    s.spawn(move || {
+                        let mut ws = PaillierScratch::new();
+                        chunk
+                            .iter()
+                            .map(|c| sk.decrypt_i64_with(c, &mut ws))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let check: Vec<Option<i64>> = values.iter().map(|&v| Some(v)).collect();
+        assert_eq!(scoped, check);
+        // The pending form overlaps caller-side work with decryption.
+        let pool = WorkerPool::new(4);
+        let pending = sk.decrypt_i64_batch_pending(&pool, cts.clone());
+        let again: Vec<Option<i64>> = cts.iter().map(|c| sk.decrypt_i64(c)).collect();
+        assert_eq!(pending.wait(), scoped);
+        assert_eq!(again, scoped);
+        // Single-worker pools resolve inline (pre-resolved pending).
+        let single = WorkerPool::new(1);
+        assert_eq!(sk.decrypt_i64_batch_pending(&single, cts).wait(), scoped);
     }
 
     #[test]
