@@ -212,6 +212,12 @@ impl ColumnKeys {
         Ok(c)
     }
 
+    /// `ope_encrypt(m, true)`'s answer if the result cache holds it;
+    /// never walks the tree.
+    pub fn ope_cached(&self, m: u64) -> Option<u128> {
+        self.ope_results.read().get(&m).copied()
+    }
+
     /// OPE decryption (lock-free: decryption never touches the caches).
     pub fn ope_decrypt(&self, c: u128) -> Result<u64, OpeError> {
         self.ope.decrypt(c)
@@ -409,6 +415,16 @@ pub fn encrypt_ord_constant(
         .ope_encrypt(ord_encode(v)?, use_cache)
         .map_err(|e| ProxyError::Crypto(e.to_string()))?;
     Ok(Value::Bytes(c.to_be_bytes().to_vec()))
+}
+
+/// [`encrypt_ord_constant`]'s cached answer, `None` if the §3.5.2
+/// result cache does not hold it; never walks the OPE tree.
+pub fn cached_ord_constant(keys: &ColumnKeys, v: &Value) -> Result<Option<Value>, ProxyError> {
+    if v.is_null() {
+        return Ok(Some(Value::Null));
+    }
+    let c = keys.ope_cached(ord_encode(v)?);
+    Ok(c.map(|c| Value::Bytes(c.to_be_bytes().to_vec())))
 }
 
 /// Encrypts a constant into a HOM ciphertext (for increment updates).

@@ -19,7 +19,7 @@
 //! and each execution substitutes plaintext values into the AST and runs
 //! the ordinary statement pipeline.
 
-use super::rewrite::{locked_col, CachedSelect, ParamSlot, RunOutcome};
+use super::rewrite::{locked_col, CachedSelect, ParamSlot, RunOutcome, Slot};
 use super::*;
 
 /// A bound parameter value. `NULL` binds as [`Value::Null`].
@@ -140,13 +140,7 @@ impl Proxy {
                 entry = e;
             }
         }
-        if params.len() != entry.nparams {
-            return Err(ProxyError::Schema(format!(
-                "statement takes {} parameter(s), {} bound",
-                entry.nparams,
-                params.len()
-            )));
-        }
+        check_arity(&entry, params)?;
         // Bounded re-plan loop: a DDL storm can keep invalidating the
         // plan, but each retry re-reads the schema, so a quiescent
         // moment completes. After the retries, fall back to plaintext
@@ -157,18 +151,77 @@ impl Proxy {
                 PlanKind::Generic(stmt) => {
                     return self.execute_stmt(&subst_stmt_user(stmt, params));
                 }
-                PlanKind::Select(cs) => match self.run_select_plan(cs, params, true)? {
+                PlanKind::Select(cs) => match self.run_select_plan(cs, params, true, None)? {
                     RunOutcome::Done(r) => return Ok(r),
                     RunOutcome::Stale => {
                         self.plans_invalidated.fetch_add(1, Ordering::Relaxed);
                         entry = Arc::new(self.build_plan(&ps.sql)?);
                         self.plan_cache.insert(ps.sql.clone(), entry.clone());
                     }
+                    RunOutcome::Declined => unreachable!("not a bounded run"),
                 },
             }
         }
         let stmt = single_stmt(&ps.sql)?;
         self.execute_stmt(&subst_stmt_user(&stmt, params))
+    }
+
+    /// Runs `ps` as [`Proxy::execute_prepared`] would, but only if that
+    /// costs bounded work; otherwise returns `None` having run nothing.
+    /// Bounded means: the plan to run (this handle's, or the cache's
+    /// fresher one) is a typed SELECT at the live schema epoch — a stale
+    /// plan is never re-planned here, because planning may adjust onions
+    /// under the schema write lock; every bound value's encryption is
+    /// already in the §3.5.2 caches (a miss would cost a JOIN-ADJ tag,
+    /// about 2.3 ms, or an OPE tree walk); no output column needs
+    /// Paillier decryption (`SUM`/`AVG` or a HOM projection, which wait
+    /// on the worker pool) or a per-principal key chain; and the engine
+    /// scan visits at most `max_cells / encrypted output columns` rows,
+    /// so at most `max_cells` cells are decrypted. A `LIMIT` bounds the answer, not
+    /// the scan, and does not count. Nothing is bounded with the caches
+    /// off ([`ProxyConfig::precompute`]).
+    pub fn execute_prepared_within(
+        &self,
+        ps: &PreparedStatement,
+        params: &[Param],
+        max_cells: usize,
+    ) -> Option<Result<QueryResult, ProxyError>> {
+        if !self.config.precompute {
+            return None;
+        }
+        let epoch = self.schema_epoch();
+        let entry = if ps.entry.epoch == epoch {
+            ps.entry.clone()
+        } else {
+            self.plan_cache.get(&ps.sql).filter(|e| e.epoch == epoch)?
+        };
+        let PlanKind::Select(cs) = &entry.plan else {
+            return None;
+        };
+        let pooled = |s: &Slot| {
+            matches!(
+                s,
+                Slot::Add { .. }
+                    | Slot::AvgPair { .. }
+                    | Slot::Eq {
+                        enc_for: Some(_),
+                        ..
+                    }
+            )
+        };
+        if cs.plan.slots.iter().any(pooled) {
+            return None;
+        }
+        if let Err(e) = check_arity(&entry, params) {
+            return Some(Err(e));
+        }
+        let decrypted = cs.plan.slots.iter().filter(|s| !matches!(s, Slot::Raw));
+        let max_rows = max_cells / decrypted.count().max(1);
+        match self.run_select_plan(cs, params, true, Some(max_rows)) {
+            Ok(RunOutcome::Done(r)) => Some(Ok(r)),
+            Ok(RunOutcome::Stale | RunOutcome::Declined) => None,
+            Err(e) => Some(Err(e)),
+        }
     }
 
     /// Plan-cache observability: size plus hit/miss/invalidation
@@ -232,6 +285,17 @@ impl Proxy {
             }),
         }
     }
+}
+
+fn check_arity(entry: &PlanEntry, params: &[Param]) -> Result<(), ProxyError> {
+    if params.len() == entry.nparams {
+        return Ok(());
+    }
+    Err(ProxyError::Schema(format!(
+        "statement takes {} parameter(s), {} bound",
+        entry.nparams,
+        params.len()
+    )))
 }
 
 fn single_stmt(sql: &str) -> Result<Stmt, ProxyError> {

@@ -1230,6 +1230,9 @@ pub(crate) enum RunOutcome {
     Done(QueryResult),
     /// The schema epoch moved since the plan was built; re-plan.
     Stale,
+    /// Bounded run only: a bound value is not in the §3.5.2 caches, or
+    /// the engine scan would visit more rows than allowed; nothing ran.
+    Declined,
 }
 
 struct SelectRw<'a> {
@@ -1729,13 +1732,7 @@ impl Proxy {
         col: &ColumnState,
         v: &Value,
     ) -> Result<Value, ProxyError> {
-        let memo_key = (
-            col.table.clone(),
-            col.name.to_lowercase(),
-            col.join_owner.0.clone(),
-            col.join_owner.1.to_lowercase(),
-            v.clone(),
-        );
+        let memo_key = eq_memo_key(col, v);
         if self.config.precompute {
             if let Some(hit) = self.eq_memo.get(&memo_key) {
                 return Ok(hit);
@@ -1759,6 +1756,16 @@ impl Proxy {
     }
 }
 
+fn eq_memo_key(col: &ColumnState, v: &Value) -> EqMemoKey {
+    (
+        col.table.clone(),
+        col.name.to_lowercase(),
+        col.join_owner.0.clone(),
+        col.join_owner.1.to_lowercase(),
+        v.clone(),
+    )
+}
+
 fn flip_cmp(op: BinOp) -> BinOp {
     match op {
         BinOp::Lt => BinOp::Gt,
@@ -1775,9 +1782,11 @@ impl Proxy {
             return Ok(self.engine.execute(&Stmt::Select(sel.clone()))?);
         }
         let cs = self.plan_select(sel, false)?;
-        match self.run_select_plan(&cs, &[], false)? {
+        match self.run_select_plan(&cs, &[], false, None)? {
             RunOutcome::Done(r) => Ok(r),
-            RunOutcome::Stale => unreachable!("epoch unchecked on the simple path"),
+            RunOutcome::Stale | RunOutcome::Declined => {
+                unreachable!("neither epoch nor budget checked on the simple path")
+            }
         }
     }
 
@@ -1816,11 +1825,17 @@ impl Proxy {
     /// schema moved since the plan was built — the epoch is re-read under
     /// the same read guard the bind encryptions use, so a plan never
     /// binds against a schema newer than the one it was rewritten for.
+    /// With `max_rows` the run is bounded: it reports `Declined` instead
+    /// of executing when a bound value would need a fresh encryption (a
+    /// JOIN-ADJ tag or an OPE tree walk — only the §3.5.2 caches are
+    /// read) or the engine scan would visit more rows
+    /// ([`cryptdb_engine::Engine::select_within`]).
     pub(crate) fn run_select_plan(
         &self,
         cs: &CachedSelect,
         params: &[Value],
         check_epoch: bool,
+        max_rows: Option<usize>,
     ) -> Result<RunOutcome, ProxyError> {
         let stmt = {
             let schema = self.schema.read();
@@ -1837,11 +1852,15 @@ impl Proxy {
                         .ok_or_else(|| {
                             ProxyError::Schema(format!("parameter ${} not bound", occ.n))
                         })?;
-                    let lit = match &occ.slot {
-                        ParamSlot::Plain => value_to_literal(v.clone()),
+                    let enc = match &occ.slot {
+                        ParamSlot::Plain => Some(v.clone()),
                         ParamSlot::Eq { table, col } => {
                             let col = locked_col(&schema, table, col)?;
-                            value_to_literal(self.encrypt_eq_const_in(&schema, col, v)?)
+                            if max_rows.is_some() {
+                                self.eq_memo.get(&eq_memo_key(col, v))
+                            } else {
+                                Some(self.encrypt_eq_const_in(&schema, col, v)?)
+                            }
                         }
                         ParamSlot::Ord { table, col } => {
                             let col = locked_col(&schema, table, col)?;
@@ -1851,15 +1870,28 @@ impl Proxy {
                                 &self.mk,
                                 col.ope_group.as_deref(),
                             );
-                            value_to_literal(self.ope_encrypt_cached(&keys, v)?)
+                            if max_rows.is_some() {
+                                colcrypt::cached_ord_constant(&keys, v)?
+                            } else {
+                                Some(self.ope_encrypt_cached(&keys, v)?)
+                            }
                         }
                     };
-                    bound.push(lit);
+                    let Some(enc) = enc else {
+                        return Ok(RunOutcome::Declined);
+                    };
+                    bound.push(value_to_literal(enc));
                 }
                 super::prepared::subst_select(&cs.stmt, &|occ| bound[occ as usize].clone())
             }
         };
-        let result = self.engine.execute(&Stmt::Select(stmt))?;
+        let result = match max_rows {
+            None => self.engine.execute(&Stmt::Select(stmt))?,
+            Some(cap) => match self.engine.select_within(&stmt, cap)? {
+                Some(r) => r,
+                None => return Ok(RunOutcome::Declined),
+            },
+        };
         self.decrypt_results(&cs.plan, result).map(RunOutcome::Done)
     }
 

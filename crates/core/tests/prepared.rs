@@ -221,3 +221,99 @@ fn onion_adjustment_invalidates_cached_plan() {
     assert_eq!(r.rows(), &[vec![Value::Int(23)]]);
     assert!(p.plan_cache_stats().invalidated > before);
 }
+
+/// `execute_prepared_within` is what lets the wire front-end run a
+/// statement on its reader thread: it runs only a typed SELECT plan at
+/// the live epoch, without Paillier output, whose scan fits the cell
+/// budget — and otherwise runs, re-plans and writes nothing.
+#[test]
+fn execute_prepared_within_runs_only_bounded_reads() {
+    let p = proxy();
+    seeded(&p);
+    // Peel the onions first, so no prepare below moves the epoch.
+    for sql in [
+        "SELECT name FROM employees WHERE id = 1",
+        "SELECT name FROM employees WHERE salary > 1",
+        "SELECT name FROM employees WHERE dept = 'eng'",
+    ] {
+        p.execute(sql).unwrap();
+    }
+    let point = p
+        .prepare("SELECT name, salary FROM employees WHERE id = $1")
+        .unwrap();
+    let range = p
+        .prepare("SELECT name FROM employees WHERE salary > $1 ORDER BY salary LIMIT 2")
+        .unwrap();
+    let sum = p
+        .prepare("SELECT SUM(salary) FROM employees WHERE dept = $1")
+        .unwrap();
+    let insert = p
+        .prepare("INSERT INTO employees (id, name, dept, salary) VALUES ($1, $2, $3, $4)")
+        .unwrap();
+    // A bound value the caches have not seen would cost a JOIN-ADJ tag:
+    // declined until an ordinary execution has encrypted it once.
+    let bob = [Param::Int(2)];
+    assert!(p.execute_prepared_within(&point, &bob, 1000).is_none());
+    let want = p.execute_prepared(&point, &bob).unwrap();
+    let got = p
+        .execute_prepared_within(&point, &bob, 1000)
+        .unwrap()
+        .unwrap();
+    assert_eq!(got.canonical_text(), want.canonical_text());
+
+    // The range matches all four rows: LIMIT 2 bounds the answer, not
+    // the scan, so four cells are needed. Its bound value goes through
+    // the OPE cache the same way.
+    let low = [Param::Int(0)];
+    assert!(p.execute_prepared_within(&range, &low, 1000).is_none());
+    p.execute_prepared(&range, &low).unwrap();
+    let got = p.execute_prepared_within(&range, &low, 4).unwrap().unwrap();
+    assert_eq!(got.rows().len(), 2);
+    assert!(p.execute_prepared_within(&range, &low, 3).is_none());
+
+    assert!(
+        p.execute_prepared_within(&sum, &[Param::Str("eng".into())], 1000)
+            .is_none(),
+        "SUM decrypts HOM on the pool"
+    );
+    let row = [
+        Param::Int(9),
+        Param::Str("Eve".into()),
+        Param::Str("eng".into()),
+        Param::Int(1),
+    ];
+    assert!(p.execute_prepared_within(&insert, &row, 1000).is_none());
+    let count = p.execute("SELECT COUNT(*) FROM employees").unwrap();
+    assert_eq!(count.rows(), &[vec![Value::Int(4)]], "the INSERT ran");
+    assert!(matches!(
+        p.execute_prepared_within(&point, &[], 1000),
+        Some(Err(ProxyError::Schema(_)))
+    ));
+
+    // DDL moves the epoch: the old handle is declined, not re-planned,
+    // until any session re-prepares; then it runs the cache's fresh
+    // plan.
+    p.execute("CREATE TABLE other (x int)").unwrap();
+    let stats = p.plan_cache_stats();
+    assert!(p.execute_prepared_within(&point, &bob, 1000).is_none());
+    assert_eq!(p.plan_cache_stats().invalidated, stats.invalidated);
+    p.prepare("SELECT name, salary FROM employees WHERE id = $1")
+        .unwrap();
+    assert!(p.execute_prepared_within(&point, &bob, 1000).is_some());
+
+    // Without the §3.5.2 caches nothing is bounded.
+    let cold = Proxy::new(
+        Arc::new(Engine::new()),
+        [42u8; 32],
+        ProxyConfig {
+            paillier_bits: 256,
+            precompute: false,
+            ..Default::default()
+        },
+    );
+    seeded(&cold);
+    let ps = cold
+        .prepare("SELECT name FROM employees WHERE id = $1")
+        .unwrap();
+    assert!(cold.execute_prepared_within(&ps, &bob, 1000).is_none());
+}

@@ -673,6 +673,31 @@ impl Engine {
     }
 
     fn select(&self, sel: &cryptdb_sqlparser::Select) -> Result<QueryResult, EngineError> {
+        Ok(self.select_capped(sel, None)?.expect("no cap, no refusal"))
+    }
+
+    /// Runs a `SELECT` only if its cost is bounded by `max_rows`: at
+    /// most one table, whose scan (index probe, or the whole table when
+    /// no index applies) visits at most `max_rows` rows. Otherwise
+    /// returns `None` having run nothing; the check itself costs
+    /// O(`max_rows`) index steps. Unlike [`Engine::execute`] it never
+    /// triggers an automatic snapshot.
+    pub fn select_within(
+        &self,
+        sel: &cryptdb_sqlparser::Select,
+        max_rows: usize,
+    ) -> Result<Option<QueryResult>, EngineError> {
+        self.select_capped(sel, Some(max_rows))
+    }
+
+    fn select_capped(
+        &self,
+        sel: &cryptdb_sqlparser::Select,
+        max_rows: Option<usize>,
+    ) -> Result<Option<QueryResult>, EngineError> {
+        if max_rows.is_some() && sel.from.len() + sel.joins.len() > 1 {
+            return Ok(None);
+        }
         // Collect table handles in FROM-then-JOIN order; lock in sorted
         // order to avoid deadlocks, then execute.
         let mut refs = sel.from.clone();
@@ -710,10 +735,15 @@ impl Engine {
             .zip(&handles)
             .map(|(r, h)| Source::new(&views[find_guard(h)], r))
             .collect();
+        if let (Some(cap), Some(src)) = (max_rows, sources.first()) {
+            if !exec::scan_within(src, sel, cap) {
+                return Ok(None);
+            }
+        }
         let udfs = self.udfs.read();
         let ctx = Ctx { udfs: &udfs };
         let (columns, rows) = exec::run_select(&sources, &join_ons, sel, &ctx)?;
-        Ok(QueryResult::Rows { columns, rows })
+        Ok(Some(QueryResult::Rows { columns, rows }))
     }
 
     fn update(&self, upd: &Update, meta: Option<&[u8]>) -> Result<QueryResult, EngineError> {

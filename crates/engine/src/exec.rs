@@ -605,8 +605,71 @@ fn index_candidates(
     schema: &RowSchema,
     filters: &[Expr],
 ) -> Option<Vec<u64>> {
+    choose_probe(table, schema, filters).map(|p| p.ids(table))
+}
+
+/// True when scanning the only source of `select` visits at most `cap`
+/// rows: the index probe [`scan_source`] makes yields that few
+/// candidates, or with no usable index the table holds that few rows.
+/// Costs O(`cap`) index steps at most, whatever the table's size.
+pub fn scan_within(src: &Source<'_>, select: &Select, cap: usize) -> bool {
+    let filters: Vec<Expr> = select
+        .selection
+        .as_ref()
+        .map(split_and)
+        .unwrap_or_default()
+        .into_iter()
+        .filter(|c| src.schema.covers(c))
+        .collect();
+    match choose_probe(src.view, &src.schema, &filters) {
+        Some(probe) => probe.count(src.view, cap) <= cap,
+        None => src.view.row_count() <= cap,
+    }
+}
+
+/// One index probe over a source: equality, range or `IN` list.
+enum Probe {
+    Eq(usize, Value),
+    Range(usize, Option<Value>, Option<Value>),
+    In(usize, Vec<Value>),
+}
+
+impl Probe {
+    fn ids(&self, table: &TableView<'_>) -> Vec<u64> {
+        match self {
+            Probe::Eq(pos, v) => table.index_lookup(*pos, v),
+            Probe::Range(pos, lo, hi) => table.index_range(*pos, lo.as_ref(), hi.as_ref()),
+            Probe::In(pos, vs) => Some(
+                vs.iter()
+                    .flat_map(|v| table.index_lookup(*pos, v).unwrap_or_default())
+                    .collect(),
+            ),
+        }
+        .unwrap_or_default()
+    }
+
+    /// `ids(table).len()`, or any number above `cap` once that is known.
+    fn count(&self, table: &TableView<'_>, cap: usize) -> usize {
+        match self {
+            Probe::Eq(pos, v) => table.index_count(*pos, v),
+            Probe::Range(pos, lo, hi) => {
+                table.index_range_count(*pos, lo.as_ref(), hi.as_ref(), cap)
+            }
+            Probe::In(pos, vs) => Some(
+                vs.iter()
+                    .map(|v| table.index_count(*pos, v).unwrap_or_default())
+                    .sum(),
+            ),
+        }
+        .unwrap_or_default()
+    }
+}
+
+/// Picks the index probe for single-source filter conjuncts; `None`
+/// means full scan.
+fn choose_probe(table: &TableView<'_>, schema: &RowSchema, filters: &[Expr]) -> Option<Probe> {
     // Prefer equality probes, then ranges.
-    let mut range_choice: Option<Vec<u64>> = None;
+    let mut range_choice: Option<Probe> = None;
     for f in filters {
         match f {
             Expr::Binary { op, left, right } if op.is_comparison() => {
@@ -623,14 +686,14 @@ fn index_candidates(
                 }
                 let v = literal_value(lit);
                 match op {
-                    BinOp::Eq => return table.index_lookup(pos, &v),
+                    BinOp::Eq => return Some(Probe::Eq(pos, v)),
                     BinOp::Gt | BinOp::GtEq => {
                         // Inclusive bound is fine: the residual filter
                         // re-checks strictness.
-                        range_choice = table.index_range(pos, Some(&v), None);
+                        range_choice = Some(Probe::Range(pos, Some(v), None));
                     }
                     BinOp::Lt | BinOp::LtEq => {
-                        range_choice = table.index_range(pos, None, Some(&v));
+                        range_choice = Some(Probe::Range(pos, None, Some(v)));
                     }
                     _ => {}
                 }
@@ -650,8 +713,11 @@ fn index_candidates(
                 if !table.has_index(pos) {
                     continue;
                 }
-                range_choice =
-                    table.index_range(pos, Some(&literal_value(lo)), Some(&literal_value(hi)));
+                range_choice = Some(Probe::Range(
+                    pos,
+                    Some(literal_value(lo)),
+                    Some(literal_value(hi)),
+                ));
             }
             Expr::InList {
                 expr,
@@ -663,17 +729,14 @@ fn index_candidates(
                 if !table.has_index(pos) || !list.iter().all(|e| matches!(e, Expr::Literal(_))) {
                     continue;
                 }
-                let mut ids = Vec::new();
-                for l in list {
-                    if let Expr::Literal(l) = l {
-                        ids.extend(
-                            table
-                                .index_lookup(pos, &literal_value(l))
-                                .unwrap_or_default(),
-                        );
-                    }
-                }
-                return Some(ids);
+                let values = list
+                    .iter()
+                    .filter_map(|e| match e {
+                        Expr::Literal(l) => Some(literal_value(l)),
+                        _ => None,
+                    })
+                    .collect();
+                return Some(Probe::In(pos, values));
             }
             _ => {}
         }

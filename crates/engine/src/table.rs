@@ -500,6 +500,55 @@ impl<'a> TableView<'a> {
         Some(pairs.into_iter().map(|(_, rid)| rid).collect())
     }
 
+    /// `index_lookup(col, value)`'s length, without collecting it.
+    pub fn index_count(&self, col: usize, value: &Value) -> Option<usize> {
+        if !self.has_index(col) {
+            return None;
+        }
+        let key = OrdValue(value.clone());
+        Some(
+            (0..self.shard_count())
+                .filter_map(|i| {
+                    self.shard(i)
+                        .indexes
+                        .get(&col)?
+                        .get(&key)
+                        .map(BTreeSet::len)
+                })
+                .sum(),
+        )
+    }
+
+    /// `index_range(col, low, high)`'s length, or any number above
+    /// `cap` once it is known to exceed `cap`: visits at most `cap + 1`
+    /// index keys per shard.
+    pub fn index_range_count(
+        &self,
+        col: usize,
+        low: Option<&Value>,
+        high: Option<&Value>,
+        cap: usize,
+    ) -> Option<usize> {
+        use std::ops::Bound;
+        if !self.has_index(col) {
+            return None;
+        }
+        let lo = low.map_or(Bound::Unbounded, |v| Bound::Included(OrdValue(v.clone())));
+        let hi = high.map_or(Bound::Unbounded, |v| Bound::Included(OrdValue(v.clone())));
+        let mut n = 0;
+        for i in 0..self.shard_count() {
+            if let Some(ix) = self.shard(i).indexes.get(&col) {
+                for (_, set) in ix.range((lo.clone(), hi.clone())) {
+                    n += set.len();
+                    if n > cap {
+                        return Some(n);
+                    }
+                }
+            }
+        }
+        Some(n)
+    }
+
     /// Total storage footprint of all cells (§8.4.3).
     pub fn storage_bytes(&self) -> usize {
         (0..self.shard_count())

@@ -408,3 +408,40 @@ fn canonical_text_is_order_insensitive() {
     let d = e.execute_sql("SELECT v FROM m").unwrap();
     assert_eq!(d.canonical_text(), "7\nNULL");
 }
+
+/// `select_within` runs a one-table SELECT only if its scan — the index
+/// probe, or the whole table when no index applies — visits at most the
+/// cap; a `LIMIT` does not shrink the scan, and joins are refused.
+#[test]
+fn select_within_refuses_scans_over_the_cap() {
+    let e = db();
+    let within = |sql: &str, cap: usize| {
+        let cryptdb_sqlparser::Stmt::Select(sel) = cryptdb_sqlparser::parse(sql).unwrap().remove(0)
+        else {
+            panic!("not a SELECT: {sql}");
+        };
+        e.select_within(&sel, cap).unwrap().map(|r| r.rows().len())
+    };
+    // Index equality probe: one candidate.
+    assert_eq!(within("SELECT name FROM emp WHERE id = 3", 1), Some(1));
+    // Index range probe: three candidates.
+    let range = "SELECT name FROM emp WHERE salary > 56000";
+    assert_eq!(within(range, 2), None);
+    assert_eq!(within(range, 3), Some(3));
+    // IN list over the id index: two candidates.
+    assert_eq!(within("SELECT name FROM emp WHERE id IN (1, 2)", 1), None);
+    assert_eq!(
+        within("SELECT name FROM emp WHERE id IN (1, 2)", 2),
+        Some(2)
+    );
+    // No index on dept: the whole five-row table is scanned.
+    let scan = "SELECT name FROM emp WHERE dept = 'eng'";
+    assert_eq!(within(scan, 4), None);
+    assert_eq!(within(scan, 5), Some(2));
+    assert_eq!(
+        within("SELECT name FROM emp WHERE dept = 'eng' LIMIT 1", 4),
+        None
+    );
+    let join = "SELECT name FROM emp JOIN dept ON emp.dept = dept.dname WHERE id = 1";
+    assert_eq!(within(join, 1000), None);
+}

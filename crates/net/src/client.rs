@@ -6,6 +6,11 @@
 //! (and its serial-oracle comparison) exercises the full wire path —
 //! frame encoding, the per-connection reader, pool-chained execution,
 //! and response framing — not an in-process shortcut.
+//!
+//! Every request is framed into one buffer and sent with one write:
+//! the startup packet, the password, a `Q`, `Parse`+`Describe`+`Sync`,
+//! `Bind`+`Execute`+`Sync`, `Close`+`Sync`, and `Terminate` each reach
+//! the server as one segment, as a pipelining client library's would.
 
 use crate::protocol;
 use std::fmt;
@@ -143,7 +148,8 @@ impl Default for ConnectConfig {
     }
 }
 
-/// A synchronous pgwire-subset client over one TCP connection.
+/// A synchronous pgwire-subset client over one TCP connection. Each
+/// request cycle is sent as one `write`.
 pub struct NetClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
@@ -206,11 +212,9 @@ impl NetClient {
             writer: stream,
             reader,
         };
-        protocol::write_startup(
-            &mut client.writer,
-            &[("user", user), ("database", "cryptdb")],
-        )?;
-        client.writer.flush()?;
+        let mut startup = Vec::new();
+        protocol::write_startup(&mut startup, &[("user", user), ("database", "cryptdb")])?;
+        client.writer.write_all(&startup)?;
         loop {
             let (tag, body) = protocol::read_frame(&mut client.reader)?;
             match tag {
@@ -220,8 +224,7 @@ impl NetClient {
                         3 => {
                             let mut pw = password.as_bytes().to_vec();
                             pw.push(0);
-                            protocol::write_frame(&mut client.writer, b'p', &pw)?;
-                            client.writer.flush()?;
+                            client.send(&[(b'p', &pw)])?;
                         }
                         0 => {}
                         other => {
@@ -258,8 +261,7 @@ impl NetClient {
     pub fn simple_query(&mut self, sql: &str) -> Result<WireQueryResult, WireError> {
         let mut body = sql.as_bytes().to_vec();
         body.push(0);
-        protocol::write_frame(&mut self.writer, b'Q', &body)?;
-        self.writer.flush()?;
+        self.send(&[(b'Q', &body)])?;
         let mut result = WireQueryResult {
             columns: Vec::new(),
             rows: Vec::new(),
@@ -318,13 +320,10 @@ impl NetClient {
         parse.extend_from_slice(sql.as_bytes());
         parse.push(0);
         parse.extend_from_slice(&0i16.to_be_bytes());
-        protocol::write_frame(&mut self.writer, b'P', &parse)?;
         let mut describe = vec![b'S'];
         describe.extend_from_slice(name.as_bytes());
         describe.push(0);
-        protocol::write_frame(&mut self.writer, b'D', &describe)?;
-        protocol::write_frame(&mut self.writer, b'S', &[])?;
-        self.writer.flush()?;
+        self.send(&[(b'P', &parse), (b'D', &describe), (b'S', &[])])?;
         let mut prepared = WirePrepared {
             param_oids: Vec::new(),
             columns: Vec::new(),
@@ -390,13 +389,10 @@ impl NetClient {
             }
         }
         bind.extend_from_slice(&0i16.to_be_bytes()); // all-text result formats
-        protocol::write_frame(&mut self.writer, b'B', &bind)?;
         let mut execute = Vec::new();
         execute.push(0); // unnamed portal
         execute.extend_from_slice(&0i32.to_be_bytes()); // no row limit
-        protocol::write_frame(&mut self.writer, b'E', &execute)?;
-        protocol::write_frame(&mut self.writer, b'S', &[])?;
-        self.writer.flush()?;
+        self.send(&[(b'B', &bind), (b'E', &execute), (b'S', &[])])?;
         let mut result = WireQueryResult {
             columns: Vec::new(),
             rows: Vec::new(),
@@ -444,9 +440,7 @@ impl NetClient {
         let mut close = vec![b'S'];
         close.extend_from_slice(name.as_bytes());
         close.push(0);
-        protocol::write_frame(&mut self.writer, b'C', &close)?;
-        protocol::write_frame(&mut self.writer, b'S', &[])?;
-        self.writer.flush()?;
+        self.send(&[(b'C', &close), (b'S', &[])])?;
         let mut error: Option<WireError> = None;
         loop {
             let (tag, body) = protocol::read_frame(&mut self.reader)?;
@@ -483,8 +477,19 @@ impl NetClient {
     /// Sends raw bytes down the socket (fault injection for the
     /// malformed-frame and abrupt-disconnect tests).
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.writer.write_all(bytes)?;
-        self.writer.flush()
+        self.writer.write_all(bytes)
+    }
+
+    /// Frames one request into one buffer and sends it with one
+    /// `write_all`: with `TCP_NODELAY` set, frames written separately
+    /// would leave as separate segments, each waking the server's mux
+    /// thread.
+    fn send(&mut self, frames: &[(u8, &[u8])]) -> io::Result<()> {
+        let mut out = Vec::new();
+        for (tag, body) in frames {
+            protocol::push_frame(&mut out, *tag, body);
+        }
+        self.writer.write_all(&out)
     }
 
     /// Reads one raw frame (test hook for asserting on server behaviour
@@ -495,8 +500,7 @@ impl NetClient {
 
     /// Sends `Terminate` and closes the connection.
     pub fn terminate(mut self) -> io::Result<()> {
-        protocol::write_frame(&mut self.writer, b'X', &[])?;
-        self.writer.flush()?;
+        self.send(&[(b'X', &[])])?;
         self.writer.shutdown(std::net::Shutdown::Both)
     }
 }

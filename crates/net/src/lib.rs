@@ -16,8 +16,12 @@
 //!   [`StatementSession`](cryptdb_server::StatementSession) — the same
 //!   chained-job machinery the in-process serving layer uses, on the
 //!   proxy's shared crypto `WorkerPool`; the extended-protocol frames
-//!   of one read (`Bind`+`Execute`+`Sync`) become one job. Mux threads
-//!   never execute SQL and never block on one socket, so one stalled or
+//!   of one read (`Bind`+`Execute`+`Sync`) become one job — or, on a
+//!   connection with nothing outstanding, run on the mux thread that
+//!   read them, as far as they stay bounded: at most one prepared read
+//!   whose bound values are all cached and whose scan fits a fixed cell
+//!   budget. Mux threads never plan, write, compute a JOIN-ADJ tag or
+//!   wait on the pool, and never block on one socket, so one stalled or
 //!   hostile client cannot pin a thread the way a thread-per-connection
 //!   design lets it.
 //! * **Bounded queues and explicit shed points** ([`NetLimits`]):

@@ -66,8 +66,9 @@ use std::time::Duration;
 #[derive(Clone, Debug)]
 pub struct NetLimits {
     /// Multiplexer threads servicing all connections (default 2). Each
-    /// connection is pinned to one thread; the threads never execute
-    /// SQL, so a handful serve hundreds of sockets.
+    /// connection is pinned to one thread; the threads run no statement
+    /// but a bounded prepared read, so a handful serve hundreds of
+    /// sockets.
     pub reader_threads: usize,
     /// Admission cap on simultaneously open connections (default 256).
     /// Excess connections are shed with `FATAL` SQLSTATE `53300`.

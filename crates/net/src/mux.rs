@@ -11,8 +11,9 @@
 //! enforce deadlines. A server with no traffic and no armed deadline
 //! makes no system calls at all.
 //!
-//! **Who writes the socket.** Statement responders (pool workers) frame
-//! a response and hand it to the connection's [`Egress`]. If nothing is
+//! **Who writes the socket.** Statement responders (pool workers, or
+//! the mux thread for a batch it ran itself — see below) frame a
+//! response and hand it to the connection's [`Egress`]. If nothing is
 //! queued ahead of it the responder attempts the non-blocking `write`
 //! itself, under the egress lock — the common case, and it involves the
 //! mux thread not at all. Only what the socket would not take is queued,
@@ -27,14 +28,42 @@
 //! passed mid-statement). Wakes are coalesced:
 //! any number between two waits cost one `write(2)`.
 //!
-//! **One job per extended-protocol batch.** `Parse`/`Bind`/`Describe`/
+//! **Who runs an extended-protocol batch.** `Parse`/`Bind`/`Describe`/
 //! `Execute`/`Close`/`Sync` frames are decoded as they are parsed and
 //! collected; when the bytes at hand are used up (or a `Q`/`X` must keep
-//! its place in line) the collected messages become *one* ordered job on
-//! the session chain, which runs them in order against one response
-//! buffer and writes it once. A client that sends `Bind`+`Execute`+
-//! `Sync` in one segment costs one pool hand-off and one `write(2)`; a
-//! client that dribbles them costs one each, and sees the same bytes.
+//! its place in line) the collected messages run in order against one
+//! response buffer, which is written once. Where they run depends on
+//! what the mux thread can observe:
+//!
+//! - On a quiet connection (nothing submitted is unanswered and no
+//!   response bytes are queued, so nothing can be overtaken) the batch
+//!   starts *on the mux thread itself*. `Bind`, `Describe`, `Close` and
+//!   `Sync` only touch the connection's maps. One `Execute` runs there
+//!   if [`Proxy::execute_prepared_within`] accepts it: a typed SELECT
+//!   plan at the live schema epoch (a stale one is declined, never
+//!   re-planned here), every bound value already in the §3.5.2 caches
+//!   (no JOIN-ADJ tag or OPE tree walk is computed here), no Paillier
+//!   output, no per-principal column, and an engine scan of at most
+//!   [`INLINE_CELLS`] cells. A client that sends `Bind`+`Execute`+`Sync`
+//!   in one segment then costs one wake-up, no pool hand-off and one
+//!   `write(2)`.
+//! - The rest of the batch — from the first `Parse`, the first declined
+//!   `Execute`, or a second `Execute` on — and every batch on a
+//!   connection that is not quiet becomes *one* ordered job on the
+//!   session chain, which appends to what the mux thread answered and
+//!   pushes the whole buffer once. Simple `Q` statements always go
+//!   there: planning may adjust onions
+//!   (rewrite whole columns under the schema write lock), writes may
+//!   wait on a WAL fsync, and HOM decryption waits on the worker pool.
+//!
+//! A client that dribbles its frames costs one run per piece and sees
+//! the same bytes either way. The head-of-line ceiling this puts on the
+//! thread's other connections, per connection and wake-up: one read that
+//! looks its bound values up in the caches, then scans and decrypts at
+//! most [`INLINE_CELLS`] cells. What it can wait for is a lock a writer
+//! holds: the schema lock while another session runs DDL or adjusts an
+//! onion (which rewrites a whole column), and a table's shard locks
+//! while a writer appends to the WAL.
 //!
 //! See [`NetLimits`] for every bound the loop enforces and the shed
 //! behaviour at each.
@@ -62,10 +91,17 @@ use std::time::{Duration, Instant};
 /// normal service resumes — no restart, no operator action.
 const DEGRADED_PROBE_EVERY: usize = 4;
 
+/// The most cells (engine rows scanned × encrypted output columns) an
+/// `Execute` run on the mux thread may decrypt; anything larger goes to
+/// the session chain ([`Proxy::execute_prepared_within`]).
+const INLINE_CELLS: usize = 256;
+
 struct EgressState {
     bufs: VecDeque<Vec<u8>>,
     /// Bytes of the front buffer the socket has already taken.
     off: usize,
+    /// Unwritten bytes in `bufs`.
+    pending: usize,
     /// No further pushes accepted (teardown begun). Queued buffers may
     /// still flush (`seal`) or have been dropped (`discard`).
     closed: bool,
@@ -83,7 +119,9 @@ pub(crate) struct Egress {
     /// through `state`'s lock, from whichever thread holds it.
     stream: TcpStream,
     state: Mutex<EgressState>,
-    /// Unwritten bytes in `state.bufs`, readable without the lock.
+    /// `state.pending`, readable without the lock. Published only once
+    /// a pusher's own write attempt is over, so a push in progress on
+    /// another thread never looks like bytes the socket refused.
     queued: AtomicUsize,
     /// A write failed: the socket is gone, pushes are dropped.
     dead: AtomicBool,
@@ -102,6 +140,7 @@ impl Egress {
             state: Mutex::new(EgressState {
                 bufs: VecDeque::new(),
                 off: 0,
+                pending: 0,
                 closed: false,
             }),
             queued: AtomicUsize::new(0),
@@ -127,10 +166,12 @@ impl Egress {
                 return;
             }
             let first = s.bufs.is_empty();
-            self.queued.fetch_add(frames.len(), Ordering::SeqCst);
+            s.pending += frames.len();
             s.bufs.push_back(frames);
             if first {
                 self.write_queued(&mut s);
+            } else {
+                self.queued.store(s.pending, Ordering::SeqCst);
             }
             if s.bufs.is_empty() && !self.is_dead() {
                 return;
@@ -147,19 +188,20 @@ impl Egress {
     }
 
     /// Writes queued buffers until none are left or the socket would
-    /// block. A failed write drops the queue and marks the socket dead.
+    /// block, then publishes what is left. A failed write drops the
+    /// queue and marks the socket dead.
     fn write_queued(&self, s: &mut EgressState) {
         while let Some(front) = s.bufs.front() {
             match (&self.stream).write(&front[s.off..]) {
                 Ok(n) if n > 0 => {
-                    self.queued.fetch_sub(n, Ordering::SeqCst);
+                    s.pending -= n;
                     s.off += n;
                     if s.off == front.len() {
                         s.bufs.pop_front();
                         s.off = 0;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Ok(_) | Err(_) => {
                     self.dead.store(true, Ordering::SeqCst);
@@ -168,12 +210,14 @@ impl Egress {
                 }
             }
         }
+        self.queued.store(s.pending, Ordering::SeqCst);
     }
 
     fn drop_queue(&self, s: &mut EgressState) {
         s.closed = true;
         s.bufs.clear();
         s.off = 0;
+        s.pending = 0;
         self.queued.store(0, Ordering::SeqCst);
     }
 
@@ -337,12 +381,13 @@ struct Portal {
     params: Vec<Param>,
 }
 
-/// Per-connection extended-protocol state. The mux thread only clones
-/// the `Arc` handle; every read and write happens inside the session's
-/// *ordered* jobs (and responder closures), so named-statement
-/// bookkeeping is sequenced exactly like statement execution — a
-/// pipelined `Parse`/`Bind`/`Execute` can never observe a peer
-/// message's effects out of order.
+/// Per-connection extended-protocol state. It is read and written
+/// inside the session's *ordered* jobs (and responder closures), and
+/// by the mux thread only while the connection is quiet — when no job
+/// or responder of this connection is pending, so none holds the lock.
+/// Named-statement bookkeeping is therefore sequenced exactly like
+/// statement execution: a pipelined `Parse`/`Bind`/`Execute` can never
+/// observe a peer message's effects out of order.
 #[derive(Default)]
 struct ExtState {
     stmts: HashMap<String, Arc<WireStatement>>,
@@ -396,10 +441,23 @@ enum ExtMsg {
 impl ExtMsg {
     /// Runs one message against the connection's extended-protocol
     /// state, appending whatever it answers to `out`. After an error,
-    /// everything but `Sync` is skipped without a trace.
-    fn run(self, proxy: &Arc<Proxy>, st: &mut ExtState, out: &mut Vec<u8>, max_prepared: usize) {
+    /// everything but `Sync` is skipped without a trace. On the mux
+    /// thread (`on_mux`) a `Parse`, and an `Execute` that
+    /// [`Proxy::execute_prepared_within`] declines, are handed back
+    /// unrun, for the session chain.
+    fn run(
+        self,
+        proxy: &Arc<Proxy>,
+        st: &mut ExtState,
+        out: &mut Vec<u8>,
+        max_prepared: usize,
+        on_mux: bool,
+    ) -> Option<ExtMsg> {
         if st.failed && !matches!(self, ExtMsg::Sync) {
-            return;
+            return None;
+        }
+        if on_mux && matches!(self, ExtMsg::Parse { .. }) {
+            return Some(self);
         }
         match self {
             ExtMsg::Parse { name, sql } => run_parse(proxy, st, out, max_prepared, name, sql),
@@ -413,7 +471,18 @@ impl ExtMsg {
                 portal,
                 admitted,
                 deadline,
-            } => run_execute(proxy, st, out, portal, admitted, deadline),
+            } => {
+                let admitted_ok = admitted.is_some();
+                if !run_execute(proxy, st, out, &portal, admitted_ok, deadline, on_mux) {
+                    return Some(ExtMsg::Execute {
+                        portal,
+                        admitted,
+                        deadline,
+                    });
+                }
+                // The statement's in-flight share is released here,
+                // before the rest of the batch runs.
+            }
             // `Close` is idempotent — an absent target still answers
             // `CloseComplete`, as in PostgreSQL; closing a statement
             // also closes portals constructed from it.
@@ -437,6 +506,7 @@ impl ExtMsg {
                 protocol::push_frame(out, b'Z', &protocol::ready_body());
             }
         }
+        None
     }
 }
 
@@ -589,46 +659,58 @@ fn run_describe(st: &mut ExtState, out: &mut Vec<u8>, kind: u8, name: String) {
 
 /// `Execute`: run a bound portal. Result frames carry no trailing
 /// `ReadyForQuery` — that belongs to `Sync`. Shares the global
-/// in-flight budget and queue-wait deadline with the simple path.
+/// in-flight budget and queue-wait deadline with the simple path. On
+/// the mux thread (`on_mux`) the statement runs only if
+/// [`Proxy::execute_prepared_within`] accepts it; returns false, having
+/// answered nothing, when it does not.
 fn run_execute(
     proxy: &Arc<Proxy>,
     st: &mut ExtState,
     out: &mut Vec<u8>,
-    portal: String,
-    admitted: Option<InflightGuard>,
+    portal: &str,
+    admitted: bool,
     deadline: Option<Instant>,
-) {
-    // Held until the statement has executed, released before the rest
-    // of the batch runs.
-    let Some(_admitted) = admitted else {
-        return st.fail(
+    on_mux: bool,
+) -> bool {
+    if !admitted {
+        st.fail(
             out,
             "53400",
             "in-flight statement budget exhausted; retry later",
         );
-    };
+        return true;
+    }
     if deadline.is_some_and(|d| Instant::now() > d) {
-        return st.fail(
+        st.fail(
             out,
             "57014",
             "canceling statement due to queue-wait deadline",
         );
+        return true;
     }
-    let Some(p) = st.portals.get(&portal).cloned() else {
+    let Some(p) = st.portals.get(portal).cloned() else {
         let message = format!("portal \"{portal}\" does not exist");
-        return st.fail(out, "34000", &message);
+        st.fail(out, "34000", &message);
+        return true;
     };
     let Some(ps) = p.stmt.prepared.as_ref() else {
-        return protocol::push_frame(out, b'I', &[]);
+        protocol::push_frame(out, b'I', &[]);
+        return true;
     };
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        proxy.execute_prepared(ps, &p.params)
+        if on_mux {
+            proxy.execute_prepared_within(ps, &p.params, INLINE_CELLS)
+        } else {
+            Some(proxy.execute_prepared(ps, &p.params))
+        }
     }));
     match result {
-        Ok(Ok(r)) => push_query_result(out, &command_verb(ps.sql()), &r),
-        Ok(Err(e)) => st.fail(out, sqlstate(&e), &e.to_string()),
+        Ok(None) => return false,
+        Ok(Some(Ok(r))) => push_query_result(out, &command_verb(ps.sql()), &r),
+        Ok(Some(Err(e))) => st.fail(out, sqlstate(&e), &e.to_string()),
         Err(_) => st.fail(out, "XX000", "statement execution panicked"),
     }
+    true
 }
 
 /// Connection protocol phase (pre-session states are the handshake).
@@ -671,7 +753,7 @@ pub(crate) struct Conn {
     /// possibly still in `rbuf`.
     parse_stalled: bool,
     /// Extended-protocol messages decoded during the current parse
-    /// pass, submitted as one job when it ends (never held across a
+    /// pass, run as one batch when it ends (never held across a
     /// sleep).
     batch: Vec<ExtMsg>,
     egress: Arc<Egress>,
@@ -858,8 +940,8 @@ impl Conn {
     }
 
     /// Parses and dispatches complete frames from `rbuf`, stopping at
-    /// an incomplete frame or a backpressure bound, then submits the
-    /// extended-protocol messages it collected as one job.
+    /// an incomplete frame or a backpressure bound, then runs the
+    /// extended-protocol messages it collected as one batch.
     fn parse(&mut self, shared: &Arc<Shared>) {
         self.parse_stalled = false;
         while !self.dying && !self.rbuf.is_empty() {
@@ -1000,25 +1082,55 @@ impl Conn {
         }
     }
 
-    /// Submits the collected extended-protocol messages as ONE ordered
-    /// session job: they run in order against one response buffer,
-    /// which is pushed — normally written — once.
+    /// Runs the collected extended-protocol messages in order against
+    /// one response buffer, which is pushed — normally written — once.
+    /// On a quiet connection the batch starts right here on the mux
+    /// thread (see the module docs); whatever the thread may not run
+    /// becomes ONE ordered session job.
     fn submit_batch(&mut self, shared: &Arc<Shared>) {
         if self.batch.is_empty() {
             return;
         }
-        let batch = std::mem::take(&mut self.batch);
+        let mut batch = std::mem::take(&mut self.batch);
         let Some(session) = &self.session else { return };
+        let max_prepared = shared.limits.max_prepared_statements;
+        // Answers the mux thread produced; if it hands the rest of the
+        // batch on, the job appends to them and pushes once.
+        let mut out = Vec::new();
+        // Quiet: no earlier response is still owed, so nothing can
+        // overtake this one, and no job holds `ext`.
+        if self.quiet() {
+            let mut st = self.ext.lock().unwrap();
+            let mut msgs = std::mem::take(&mut batch).into_iter();
+            let mut executed = false;
+            while let Some(msg) = msgs.next() {
+                let is_execute = matches!(msg, ExtMsg::Execute { .. });
+                let back = if executed && is_execute {
+                    Some(msg)
+                } else {
+                    msg.run(&shared.proxy, &mut st, &mut out, max_prepared, true)
+                };
+                executed |= is_execute;
+                if let Some(msg) = back {
+                    batch = std::iter::once(msg).chain(msgs).collect();
+                    break;
+                }
+            }
+            drop(st);
+            if batch.is_empty() {
+                self.egress.push(out);
+                return;
+            }
+        }
         let ticket = self.egress.ticket(batch.len());
         let ext = self.ext.clone();
         let egress = self.egress.clone();
-        let max_prepared = shared.limits.max_prepared_statements;
         session.submit_job(move |proxy| {
-            let mut out = Vec::new();
+            let mut out = out;
             {
                 let mut st = ext.lock().unwrap();
                 for msg in batch {
-                    msg.run(proxy, &mut st, &mut out, max_prepared);
+                    msg.run(proxy, &mut st, &mut out, max_prepared, false);
                 }
             }
             egress.push(out);

@@ -182,15 +182,8 @@ pub fn try_parse_frame(buf: &[u8], max_frame: usize) -> io::Result<Option<(u8, V
     Ok(Some((tag, buf[5..total].to_vec(), total)))
 }
 
-/// Writes one typed frame.
-pub fn write_frame(w: &mut impl Write, tag: u8, body: &[u8]) -> io::Result<()> {
-    w.write_all(&[tag])?;
-    w.write_all(&(body.len() as i32 + 4).to_be_bytes())?;
-    w.write_all(body)
-}
-
-/// Appends one typed frame to an output buffer (for batching a whole
-/// response before taking the connection's write lock).
+/// Appends one typed frame to an output buffer, so a whole request or
+/// response goes out in one write.
 pub fn push_frame(out: &mut Vec<u8>, tag: u8, body: &[u8]) {
     out.push(tag);
     out.extend_from_slice(&(body.len() as i32 + 4).to_be_bytes());

@@ -6,8 +6,9 @@
 use cryptdb_core::proxy::{Proxy, ProxyConfig};
 use cryptdb_engine::Engine;
 use cryptdb_net::protocol;
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,6 +20,30 @@ pub fn small_proxy() -> Arc<Proxy> {
         ..Default::default()
     };
     Arc::new(Proxy::new(Arc::new(Engine::new()), [7u8; 32], cfg))
+}
+
+/// [`small_proxy`] with a single runtime worker, which [`hold_worker`]
+/// can take away from every session chain.
+pub fn one_worker_proxy() -> Arc<Proxy> {
+    let cfg = ProxyConfig {
+        paillier_bits: 256,
+        runtime_threads: 1,
+        ..Default::default()
+    };
+    Arc::new(Proxy::new(Arc::new(Engine::new()), [7u8; 32], cfg))
+}
+
+/// Occupies one of the proxy's runtime workers until the returned
+/// gate is sent to or dropped; returns once the worker is held.
+pub fn hold_worker(proxy: &Proxy) -> Sender<()> {
+    let (gate_tx, gate_rx) = channel::<()>();
+    let (held_tx, held_rx) = channel::<()>();
+    proxy.runtime().execute(move || {
+        let _ = held_tx.send(());
+        let _ = gate_rx.recv();
+    });
+    held_rx.recv().unwrap();
+    gate_tx
 }
 
 fn cstr(out: &mut Vec<u8>, s: &str) {
@@ -144,6 +169,31 @@ impl RawConn {
     /// One `write` of exactly these bytes.
     pub fn send(&mut self, bytes: &[u8]) {
         self.stream.write_all(bytes).unwrap();
+    }
+
+    /// True if the server sends nothing for `d`.
+    pub fn silent_for(&mut self, d: Duration) -> bool {
+        self.stream.set_read_timeout(Some(d)).unwrap();
+        let silent = match self.stream.peek(&mut [0u8; 1]) {
+            Ok(_) => false,
+            Err(e) => matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+        };
+        self.stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .unwrap();
+        silent
+    }
+
+    /// Prepares a named statement (`Parse`+`Describe`+`Sync`) and
+    /// checks the server accepted it.
+    pub fn prepare(&mut self, name: &str, sql: &str) {
+        self.send(&wire(&[parse(name, sql), describe(b'S', name), sync()]));
+        let answer = self.read_cycles(1);
+        assert!(
+            tags(&answer).starts_with('1'),
+            "prepare {sql}: {}",
+            tags(&answer)
+        );
     }
 
     /// Sends `bytes` in pieces of the given sizes (cycled), pausing

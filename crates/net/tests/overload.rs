@@ -2,10 +2,16 @@
 //! edge: slowloris handshakes, byte-at-a-time frames, slow-consumer
 //! eviction, connection-cap floods, statement deadlines, the in-flight
 //! budget, deadlines on a silent server, an idle-connection soak with a
-//! wake-up budget, and drain-during-flood with a WAL
-//! recovery oracle. Every test drives real sockets against a real
-//! server; none may panic a server thread.
+//! wake-up budget, drain-during-flood with a WAL recovery oracle, and
+//! which statements a mux thread runs while every worker is busy. Every
+//! test drives real sockets against a real server; none may panic a
+//! server thread.
 
+mod common;
+
+use common::{
+    bind, execute, hold_worker, one_worker_proxy, parse, query, sync, tags, wire, RawConn,
+};
 use cryptdb_core::proxy::{EncryptionPolicy, Proxy, ProxyConfig};
 use cryptdb_engine::Engine;
 use cryptdb_net::{protocol, NetClient, NetLimits, NetServer, WireError};
@@ -168,17 +174,14 @@ fn idle_deadline_passing_mid_statement_closes_once_the_response_is_out() {
 
     // Hold the only worker, so the statement stays outstanding until
     // the gate opens half an idle window past the deadline.
-    let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-    proxy.runtime().execute(move || {
-        let _ = gate_rx.recv();
-    });
+    let gate = hold_worker(&proxy);
     let mut query = Vec::new();
     protocol::push_frame(&mut query, b'Q', b"SELECT 1\0");
     let t0 = Instant::now();
     c.send_raw(&query).unwrap();
     std::thread::sleep(idle.mul_f64(1.5));
     assert_eq!(server.stats().idle_timeouts, 0, "busy is not idle");
-    gate_tx.send(()).unwrap();
+    gate.send(()).unwrap();
 
     while c.read_raw_frame().unwrap().0 != b'Z' {}
     let answered = Instant::now();
@@ -718,4 +721,172 @@ fn rollback_is_never_shed_while_degraded() {
     c.terminate().unwrap();
     assert!(server.drain(Duration::from_secs(10)).wal_synced);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Which batches a mux thread runs itself: with the only worker held,
+/// a bounded prepared read on a quiet connection still answers, while
+/// a prepared write, a prepared HOM `SUM`, a batch holding a `Parse`
+/// and an `Execute` of a plan that DDL made stale all wait for the
+/// worker — and so does a bounded read pipelined behind any of them,
+/// which answers after it, in submission order.
+#[test]
+fn only_bounded_reads_on_quiet_connections_skip_the_worker() {
+    const GET: &str = "SELECT owner FROM acct WHERE id = $1";
+    let proxy = one_worker_proxy();
+    let server = NetServer::spawn_with(proxy.clone(), "127.0.0.1:0", NetLimits::default()).unwrap();
+    let addr = server.local_addr();
+    let mut setup = RawConn::open(addr);
+    for sql in [
+        "CREATE TABLE acct (id int, owner text, bal int)",
+        "INSERT INTO acct (id, owner, bal) VALUES (1, 'ann', 5), (2, 'bob', 7)",
+        // Expose every onion level the statements below use, so no
+        // later prepare adjusts one and moves the schema epoch; this
+        // also puts the point read's bound id in the constant cache.
+        "SELECT owner FROM acct WHERE id = 2",
+        "SELECT owner FROM acct WHERE bal = 5",
+        "SELECT SUM(bal) FROM acct WHERE owner = 'ann'",
+    ] {
+        setup.send(&wire(&[query(sql)]));
+        assert!(tags(&setup.read_cycles(1)).ends_with("CZ"), "{sql}");
+    }
+    let mut stale = RawConn::open(addr);
+    stale.prepare("old", "SELECT owner FROM acct WHERE bal = $1");
+    let epoch = proxy.schema_epoch();
+    setup.send(&wire(&[query("CREATE TABLE other (x int)")]));
+    setup.read_cycles(1);
+    assert!(proxy.schema_epoch() > epoch, "DDL must move the epoch");
+
+    let mut write = RawConn::open(addr);
+    write.prepare(
+        "ins",
+        "INSERT INTO acct (id, owner, bal) VALUES ($1, $2, $3)",
+    );
+    let mut sum = RawConn::open(addr);
+    sum.prepare("total", "SELECT SUM(bal) FROM acct WHERE owner = $1");
+    let parsing = RawConn::open(addr);
+    let mut point = RawConn::open(addr);
+    let mut waiting = [
+        (
+            write,
+            vec![
+                bind("", "ins", &[Some("3"), Some("cy"), Some("9")]),
+                execute(""),
+                sync(),
+            ],
+            "2CZ",
+        ),
+        (
+            sum,
+            vec![bind("", "total", &[Some("ann")]), execute(""), sync()],
+            "2TDCZ",
+        ),
+        (
+            parsing,
+            vec![
+                parse("again", GET),
+                bind("", "again", &[Some("1")]),
+                execute(""),
+                sync(),
+            ],
+            "12TDCZ",
+        ),
+        (
+            stale,
+            vec![bind("", "old", &[Some("5")]), execute(""), sync()],
+            "2TDCZ",
+        ),
+    ];
+    // Prepared last, so nothing after it moves the epoch.
+    for (conn, _, _) in &mut waiting {
+        conn.prepare("get", GET);
+    }
+    point.prepare("get", GET);
+    let read = [bind("", "get", &[Some("2")]), execute(""), sync()];
+
+    let gate = hold_worker(&proxy);
+    point.send(&wire(&read));
+    assert!(
+        !point.silent_for(Duration::from_secs(5)),
+        "a bounded read on a quiet connection waited for the worker"
+    );
+    let answer = point.read_cycles(1);
+    assert_eq!(tags(&answer), "2TDCZ");
+    assert!(answer.windows(3).any(|w| w == b"bob"));
+
+    for (conn, batch, _) in &mut waiting {
+        conn.send(&wire(batch));
+        conn.send(&wire(&read));
+    }
+    for (conn, batch, _) in &mut waiting {
+        assert!(
+            conn.silent_for(Duration::from_millis(200)),
+            "{} ran without the worker",
+            tags(&wire(batch))
+        );
+    }
+    gate.send(()).unwrap();
+    for (conn, batch, shape) in &mut waiting {
+        let first = conn.read_cycles(1);
+        assert_eq!(tags(&first), *shape, "answer to {}", tags(&wire(batch)));
+        let second = conn.read_cycles(1);
+        assert_eq!(tags(&second), "2TDCZ");
+        assert!(second.windows(3).any(|w| w == b"bob"));
+    }
+}
+
+/// The mux thread is bounded by what a read scans, not by what it
+/// returns: with the only worker held, a prepared range read over a
+/// three-row table answers on a quiet connection, while the same read
+/// over a table larger than the mux thread's cell budget — a full scan,
+/// with or without a `LIMIT` — waits for the worker, then answers.
+#[test]
+fn full_scans_over_the_cell_budget_wait_for_the_worker() {
+    let cfg = ProxyConfig {
+        policy: EncryptionPolicy::Explicit(Default::default()),
+        paillier_bits: 256,
+        runtime_threads: 1,
+        ..Default::default()
+    };
+    let proxy = Arc::new(Proxy::new(Arc::new(Engine::new()), [7u8; 32], cfg));
+    let server = NetServer::spawn_with(proxy.clone(), "127.0.0.1:0", NetLimits::default()).unwrap();
+    let addr = server.local_addr();
+    let mut setup = RawConn::open(addr);
+    let rows: Vec<String> = (1..=300).map(|n| format!("({n})")).collect();
+    for sql in [
+        "CREATE TABLE small (n int)".to_string(),
+        "CREATE TABLE big (n int)".to_string(),
+        "INSERT INTO small (n) VALUES (1), (2), (3)".to_string(),
+        format!("INSERT INTO big (n) VALUES {}", rows.join(", ")),
+    ] {
+        setup.send(&wire(&[query(&sql)]));
+        assert!(tags(&setup.read_cycles(1)).ends_with("CZ"), "{sql}");
+    }
+    let mut small = RawConn::open(addr);
+    small.prepare("s", "SELECT n FROM small WHERE n > $1");
+    let mut scan = RawConn::open(addr);
+    scan.prepare("s", "SELECT n FROM big WHERE n > $1");
+    let mut top = RawConn::open(addr);
+    top.prepare("s", "SELECT n FROM big WHERE n > $1 ORDER BY n LIMIT 1");
+    let read = [bind("", "s", &[Some("0")]), execute(""), sync()];
+
+    let gate = hold_worker(&proxy);
+    small.send(&wire(&read));
+    assert!(
+        !small.silent_for(Duration::from_secs(5)),
+        "a three-row scan waited for the worker"
+    );
+    assert_eq!(tags(&small.read_cycles(1)), "2TDDDCZ");
+    for conn in [&mut scan, &mut top] {
+        conn.send(&wire(&read));
+        assert!(
+            conn.silent_for(Duration::from_millis(200)),
+            "a 300-row scan ran on the mux thread"
+        );
+    }
+    gate.send(()).unwrap();
+    assert_eq!(
+        tags(&scan.read_cycles(1)),
+        format!("2T{}CZ", "D".repeat(300))
+    );
+    assert_eq!(tags(&top.read_cycles(1)), "2TDCZ");
 }

@@ -155,6 +155,37 @@ fn prepared_cycle_matches_simple_query() {
     c.terminate().unwrap();
 }
 
+/// Each request leaves the client as one segment, and a segment holding
+/// a whole request costs the server one mux wake-up, whether its
+/// statement runs on the mux thread (a bounded prepared read) or on a
+/// pool worker that writes the response itself (a simple query).
+#[test]
+fn one_wakeup_per_request() {
+    let server = spawn();
+    let mut c = NetClient::connect(server.local_addr(), "alice", "").unwrap();
+    seed(&mut c);
+    c.prepare("fetch", "SELECT id, name FROM emp WHERE id = $1")
+        .unwrap();
+    let before = server.stats().reader_wakeups;
+    let ops = 200;
+    for i in 0..ops {
+        let id = (i % 3 + 1).to_string();
+        let r = c.execute_prepared("fetch", &[Some(id.clone())]).unwrap();
+        assert_eq!(r.rows.len(), 1);
+        let r = c
+            .simple_query(&format!("SELECT name FROM emp WHERE id = {id}"))
+            .unwrap();
+        assert_eq!(r.rows.len(), 1);
+    }
+    let woken = server.stats().reader_wakeups - before;
+    assert!(
+        woken * 10 <= 2 * ops * 11,
+        "{woken} mux wake-ups for {} requests",
+        2 * ops
+    );
+    c.terminate().unwrap();
+}
+
 #[test]
 fn unknown_statement_name_draws_26000() {
     let server = spawn();

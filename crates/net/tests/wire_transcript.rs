@@ -1,13 +1,16 @@
 //! Byte-transcript oracle for extended-protocol batching.
 //!
 //! The mux turns the extended-protocol frames it parses out of one read
-//! into ONE session job whose answers leave in one write. That may
-//! change *how many* jobs and writes a conversation costs — never
-//! *which bytes* the client sees, or their order. Each scenario of
-//! `wire_extended.rs`, plus a pipelined one, is played twice against a
-//! fresh server: every step's frames in a single `write`, and one frame
-//! per `write` with a pause in between (one job per frame). The two
-//! server→client byte streams must be identical.
+//! into ONE run whose answers leave in one write. That may change *how
+//! many* runs and writes a conversation costs — never *which bytes* the
+//! client sees, or their order. Each scenario of `wire_extended.rs`,
+//! plus a pipelined one, is played twice against a fresh server: every
+//! step's frames in a single `write`, and one frame per `write` with a
+//! pause in between (one run per frame). The two
+//! server→client byte streams must be identical. One more scenario
+//! holds the same oracle between the two places a batch can run: the
+//! mux thread (quiet connection) and a session job (pipelined behind an
+//! unanswered query).
 
 mod common;
 
@@ -229,6 +232,53 @@ fn bind_arity_mismatch() {
             run("one", &[Some("x"), Some("y")]),
             run("one", &[Some("ann")]),
         ]),
+    );
+}
+
+/// A bounded `Bind`/`Execute`/`Sync` on a quiet connection runs on the
+/// mux thread; pipelined behind an unanswered simple query it runs as a
+/// session job. The client must not be able to tell which.
+#[test]
+fn mux_thread_and_session_job_send_the_same_bytes() {
+    let proxy = one_worker_proxy();
+    let server = NetServer::spawn_with(proxy.clone(), "127.0.0.1:0", NetLimits::default()).unwrap();
+    let mut conn = RawConn::open(server.local_addr());
+    for sql in SEED {
+        conn.send(&wire(&[query(sql)]));
+        conn.read_cycles(1);
+    }
+    conn.prepare("byid", "SELECT id, name FROM emp WHERE id = $1");
+    // Put the bound id in the constant cache: a miss would send even a
+    // quiet connection's Execute to the worker.
+    conn.send(&wire(&[query("SELECT name FROM emp WHERE id = 2")]));
+    conn.read_cycles(1);
+    let step = run("byid", &[Some("2")]);
+    let slow = query("SELECT name FROM emp WHERE id = 3");
+
+    let gate = hold_worker(&proxy);
+    // Quiet connection: answered although the only worker is held.
+    conn.send(&wire(&step));
+    let inline = conn.read_cycles(1);
+    assert_eq!(tags(&inline), "2TDCZ");
+    // Behind a query that cannot run until the worker is free.
+    let mut pipelined = vec![slow.clone()];
+    pipelined.extend(step);
+    conn.send(&wire(&pipelined));
+    assert!(
+        conn.silent_for(Duration::from_millis(200)),
+        "the pipelined Execute overtook the query ahead of it"
+    );
+    gate.send(()).unwrap();
+    let chained = conn.read_cycles(2);
+
+    conn.send(&wire(&[slow]));
+    let mut expected = conn.read_cycles(1);
+    expected.extend_from_slice(&inline);
+    assert!(
+        chained == expected,
+        "the two paths differ:\n  chained  {}\n  expected {}",
+        tags(&chained),
+        tags(&expected)
     );
 }
 
