@@ -2322,11 +2322,14 @@ impl Proxy {
         let QueryResult::Rows { rows, .. } = result else {
             return Ok(result);
         };
-        let schema = self.schema.read();
         // Gather every Add-onion (HOM) cell of the whole result set —
         // SUM/AVG aggregates and stale-column projections — and kick off
         // one pooled batch decryption. Plans without aggregate slots
-        // (the common case) skip the row scan entirely.
+        // (the common case) skip the row scan entirely. This happens
+        // before the schema read guard is taken: a batch too small to
+        // split decrypts right here, and a guard held across it would
+        // stall every statement queued behind a writer waiting for it
+        // (`apply_adjustments` takes the write lock).
         let hom_slots: Vec<usize> = plan
             .slots
             .iter()
@@ -2358,6 +2361,7 @@ impl Proxy {
         // decrypts everything except HOM cells and per-principal
         // columns, second pass handles per-principal columns (which
         // need the already-decrypted key column).
+        let schema = self.schema.read();
         let mut out_rows = Vec::with_capacity(rows.len());
         for row in rows.iter() {
             let mut dec: Vec<Value> = vec![Value::Null; plan.slots.len()];
@@ -2438,8 +2442,9 @@ impl Proxy {
         // adjustment; INSERT itself is read-only here since rid
         // allocation went atomic) — with the guard still held that
         // same-thread read→write upgrade would deadlock (the locks are
-        // non-reentrant). Masked on a single-worker pool, where the
-        // pending batch is pre-resolved; live on multicore.
+        // non-reentrant). Masked on a single-worker pool and for
+        // batches under 4 cells, where the pending batch is
+        // pre-resolved; live for larger batches on multicore.
         drop(schema);
         // Join the pipelined HOM batch and fill the aggregate slots.
         if !hom_slots.is_empty() {

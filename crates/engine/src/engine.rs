@@ -1383,7 +1383,7 @@ impl Engine {
             None => out.extend(view.iter().map(|(id, _)| id)),
             Some(sel) => {
                 let filters = exec::split_and(sel);
-                let candidates = exec::index_candidates_public(view, schema, &filters);
+                let candidates = exec::index_candidates(view, schema, &filters);
                 match candidates {
                     Some(ids) => {
                         for id in ids {

@@ -1,4 +1,17 @@
 //! Query execution: expression evaluation, planning, joins, aggregation.
+//!
+//! A `SELECT` splits its `WHERE` and `ON` clauses into conjuncts. A
+//! conjunct that reads one source filters that source's scan, through an
+//! index when one applies. `L = R`, where `L` reads columns of exactly one
+//! source and `R` of exactly one other, is an equi-join edge: a bare
+//! column pair, or the `JOINTAG(a.c_eq) = JOINTAG(b.c_eq)` the proxy emits
+//! for an encrypted join (§3.4). Sources join left to right, and each is
+//! hash-joined to the rows so far on all of its edges to them, with each
+//! key expression evaluated once per row and NULL keys matching nothing.
+//! Only a source with no such edge is crossed with the rows so far. Every
+//! other conjunct filters the joined rows. Scans and joins work on rows
+//! borrowed from the table views; a row is cloned only once it has
+//! survived its filters and the joins.
 
 use crate::error::EngineError;
 use crate::table::{ColumnMeta, Table, TableView};
@@ -57,15 +70,15 @@ impl RowSchema {
 
     /// Resolves a (possibly qualified) column reference.
     pub fn resolve(&self, cref: &ColumnRef) -> Result<usize, EngineError> {
-        let want_col = cref.column.to_lowercase();
-        let want_table = cref.table.as_ref().map(|t| t.to_lowercase());
+        let column = lowercase_matcher(&cref.column);
+        let table = cref.table.as_deref().map(lowercase_matcher);
         let mut found = None;
         for (i, (alias, name)) in self.cols.iter().enumerate() {
-            if *name != want_col {
+            if !column(name) {
                 continue;
             }
-            if let Some(wt) = &want_table {
-                if alias.as_deref() != Some(wt.as_str()) {
+            if let Some(table) = &table {
+                if !alias.as_deref().is_some_and(table) {
                     continue;
                 }
             }
@@ -88,6 +101,22 @@ impl RowSchema {
             }
         });
         ok
+    }
+}
+
+/// Matches `ident` case-insensitively against names the schema stored
+/// lowercase, without allocating. An identifier that is already
+/// lowercase ASCII, as every proxy-rewritten one is, compares bytewise.
+fn lowercase_matcher(ident: &str) -> impl Fn(&str) -> bool + '_ {
+    let lowercase_ascii = ident
+        .bytes()
+        .all(|b| b.is_ascii() && !b.is_ascii_uppercase());
+    move |lower: &str| {
+        if lowercase_ascii {
+            lower == ident
+        } else {
+            lower.chars().eq(ident.chars().flat_map(char::to_lowercase))
+        }
     }
 }
 
@@ -589,18 +618,9 @@ impl<'a> Source<'a> {
     }
 }
 
-/// Public wrapper used by UPDATE/DELETE planning in the engine facade.
-pub fn index_candidates_public(
-    view: &TableView<'_>,
-    schema: &RowSchema,
-    filters: &[Expr],
-) -> Option<Vec<u64>> {
-    index_candidates(view, schema, filters)
-}
-
 /// Uses an index to produce candidate rowids for the given single-source
 /// filter conjuncts; `None` means full scan.
-fn index_candidates(
+pub(crate) fn index_candidates(
     table: &TableView<'_>,
     schema: &RowSchema,
     filters: &[Expr],
@@ -755,19 +775,20 @@ fn flip(op: BinOp) -> BinOp {
 }
 
 /// Scans one source applying its filters (with index acceleration).
-fn scan_source(
-    src: &Source<'_>,
+/// The surviving rows are borrowed from the view, not cloned.
+fn scan_source<'v>(
+    src: &Source<'v>,
     filters: &[Expr],
     ctx: &Ctx<'_>,
-) -> Result<Vec<Vec<Value>>, EngineError> {
+) -> Result<Vec<&'v [Value]>, EngineError> {
     let mut out = Vec::new();
-    let mut push = |row: &Vec<Value>| -> Result<(), EngineError> {
+    let mut push = |row: &'v Vec<Value>| -> Result<(), EngineError> {
         for f in filters {
             if !eval(f, &src.schema, row, ctx)?.is_truthy() {
                 return Ok(());
             }
         }
-        out.push(row.clone());
+        out.push(row.as_slice());
         Ok(())
     };
     match index_candidates(src.view, &src.schema, filters) {
@@ -785,6 +806,68 @@ fn scan_source(
         }
     }
     Ok(out)
+}
+
+/// An equi-join edge `L = R` where `L` reads columns of source `left`
+/// only, `R` of source `right` only, and `left < right`.
+struct JoinEdge<'e> {
+    left: usize,
+    left_key: &'e Expr,
+    right: usize,
+    right_key: &'e Expr,
+}
+
+/// The first source that resolves every column `e` reads; `None` when
+/// `e` reads no column or no single source covers it.
+fn owner(sources: &[Source<'_>], e: &Expr) -> Option<usize> {
+    let mut reads_column = false;
+    e.walk(&mut |node| reads_column |= matches!(node, Expr::Column(_)));
+    if !reads_column {
+        return None;
+    }
+    sources.iter().position(|s| s.schema.covers(e))
+}
+
+/// `c` as an equi-join edge, if it is `L = R` with `L` and `R` each
+/// reading one source and the two sources differ.
+fn join_edge<'e>(sources: &[Source<'_>], c: &'e Expr) -> Option<JoinEdge<'e>> {
+    let Expr::Binary {
+        op: BinOp::Eq,
+        left,
+        right,
+    } = c
+    else {
+        return None;
+    };
+    let mut sides = [
+        (owner(sources, left)?, &**left),
+        (owner(sources, right)?, &**right),
+    ];
+    sides.sort_by_key(|&(source, _)| source);
+    let [(left, left_key), (right, right_key)] = sides;
+    (left != right).then_some(JoinEdge {
+        left,
+        left_key,
+        right,
+        right_key,
+    })
+}
+
+/// Evaluates one row's composite join key; `None` when any part is
+/// NULL, because a NULL key equals nothing.
+fn join_key<'k>(
+    parts: impl Iterator<Item = (&'k Expr, &'k RowSchema, &'k [Value])>,
+    ctx: &Ctx<'_>,
+) -> Result<Option<Vec<Value>>, EngineError> {
+    let mut key = Vec::new();
+    for (e, schema, row) in parts {
+        let v = eval(e, schema, row, ctx)?;
+        if v.is_null() {
+            return Ok(None);
+        }
+        key.push(v);
+    }
+    Ok(Some(key))
 }
 
 /// Runs a `SELECT` over the locked sources.
@@ -825,107 +908,77 @@ pub fn run_select(
         pool.extend(split_and(on));
     }
 
-    // Classify conjuncts: single-source filters by source position.
+    // Classify conjuncts: single-source filters by source position,
+    // equi-join edges, and residual filters on the joined row.
     let mut source_filters: Vec<Vec<Expr>> = vec![Vec::new(); sources.len()];
-    let mut residual: Vec<Expr> = Vec::new();
-    let mut join_edges: Vec<(usize, ColumnRef, usize, ColumnRef, Expr)> = Vec::new();
-    'conj: for c in pool {
-        for (i, s) in sources.iter().enumerate() {
-            if s.schema.covers(&c) {
-                source_filters[i].push(c);
-                continue 'conj;
-            }
+    let mut edges: Vec<JoinEdge<'_>> = Vec::new();
+    let mut residual: Vec<&Expr> = Vec::new();
+    for c in &pool {
+        if let Some(i) = sources.iter().position(|s| s.schema.covers(c)) {
+            source_filters[i].push(c.clone());
+        } else if let Some(edge) = join_edge(sources, c) {
+            edges.push(edge);
+        } else {
+            residual.push(c);
         }
-        // Equi-join edge between two sources?
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left,
-            right,
-        } = &c
-        {
-            if let (Expr::Column(a), Expr::Column(b)) = (&**left, &**right) {
-                let fa = sources.iter().position(|s| s.schema.resolve(a).is_ok());
-                let fb = sources.iter().position(|s| s.schema.resolve(b).is_ok());
-                if let (Some(ia), Some(ib)) = (fa, fb) {
-                    if ia != ib {
-                        join_edges.push((ia, a.clone(), ib, b.clone(), c.clone()));
-                        continue 'conj;
-                    }
-                }
-            }
-        }
-        residual.push(c);
     }
 
-    // Join sources left to right, preferring hash joins on available edges.
-    let mut acc_rows = scan_source(&sources[0], &source_filters[0], ctx)?;
-    let mut acc_schema = sources[0].schema.clone();
-    let mut joined: Vec<usize> = vec![0];
+    // Join left to right. `tuples` is flat: `k` borrowed rows per tuple
+    // once sources 0..k are joined. Source k hash-joins on every edge
+    // whose `right` is k, so each edge is used exactly once.
+    let mut tuples = scan_source(&sources[0], &source_filters[0], ctx)?;
     for (k, src) in sources.iter().enumerate().skip(1) {
         let right_rows = scan_source(src, &source_filters[k], ctx)?;
-        // Find a hash-joinable edge between the accumulated sources and k.
-        let edge_pos = join_edges.iter().position(|(ia, _, ib, _, _)| {
-            (joined.contains(ia) && *ib == k) || (joined.contains(ib) && *ia == k)
-        });
-        if let Some(pos) = edge_pos {
-            let (ia, ca, _ib, cb, _) = join_edges.remove(pos);
-            let (acc_col, right_col) = if joined.contains(&ia) {
-                (ca, cb)
-            } else {
-                (cb, ca)
-            };
-            let acc_idx = acc_schema.resolve(&acc_col)?;
-            let right_idx = src.schema.resolve(&right_col)?;
-            let mut hash: HashMap<Value, Vec<usize>> = HashMap::new();
-            for (i, r) in right_rows.iter().enumerate() {
-                if !r[right_idx].is_null() {
-                    hash.entry(r[right_idx].clone()).or_default().push(i);
+        let keys: Vec<&JoinEdge<'_>> = edges.iter().filter(|e| e.right == k).collect();
+        let mut next: Vec<&[Value]> = Vec::new();
+        if keys.is_empty() {
+            // No equi-edge: Cartesian product.
+            for t in tuples.chunks(k) {
+                for &r in &right_rows {
+                    next.extend_from_slice(t);
+                    next.push(r);
                 }
             }
-            let mut next = Vec::new();
-            for arow in &acc_rows {
-                if let Some(matches) = hash.get(&arow[acc_idx]) {
-                    for &ri in matches {
-                        let mut joined_row = arow.clone();
-                        joined_row.extend(right_rows[ri].iter().cloned());
-                        next.push(joined_row);
-                    }
+        } else if !tuples.is_empty() && !right_rows.is_empty() {
+            let mut hash: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+            for (ri, &r) in right_rows.iter().enumerate() {
+                let parts = keys.iter().map(|e| (e.right_key, &src.schema, r));
+                if let Some(key) = join_key(parts, ctx)? {
+                    hash.entry(key).or_default().push(ri);
                 }
             }
-            acc_rows = next;
-        } else {
-            // Cartesian product fallback.
-            let mut next = Vec::with_capacity(acc_rows.len() * right_rows.len());
-            for arow in &acc_rows {
-                for rrow in &right_rows {
-                    let mut joined_row = arow.clone();
-                    joined_row.extend(rrow.iter().cloned());
-                    next.push(joined_row);
+            for t in tuples.chunks(k) {
+                let parts = keys
+                    .iter()
+                    .map(|e| (e.left_key, &sources[e.left].schema, t[e.left]));
+                let Some(key) = join_key(parts, ctx)? else {
+                    continue;
+                };
+                for &ri in hash.get(&key).into_iter().flatten() {
+                    next.extend_from_slice(t);
+                    next.push(right_rows[ri]);
                 }
             }
-            acc_rows = next;
         }
-        acc_schema = acc_schema.concat(&src.schema);
-        joined.push(k);
+        tuples = next;
     }
 
-    // Remaining join edges and residual conjuncts as filters.
-    let mut final_filters = residual;
-    final_filters.extend(join_edges.into_iter().map(|(_, _, _, _, e)| e));
-    if !final_filters.is_empty() {
-        let mut kept = Vec::new();
-        'row: for row in acc_rows {
-            for f in &final_filters {
-                if !eval(f, &acc_schema, &row, ctx)?.is_truthy() {
-                    continue 'row;
-                }
+    // Clone the surviving tuples into rows; apply the residual filters.
+    let schema = sources[1..]
+        .iter()
+        .fold(sources[0].schema.clone(), |acc, s| acc.concat(&s.schema));
+    let mut rows = Vec::with_capacity(tuples.len() / sources.len());
+    'row: for t in tuples.chunks(sources.len()) {
+        let row = t.concat();
+        for f in &residual {
+            if !eval(f, &schema, &row, ctx)?.is_truthy() {
+                continue 'row;
             }
-            kept.push(row);
         }
-        acc_rows = kept;
+        rows.push(row);
     }
 
-    project_and_finish(acc_rows, &acc_schema, select, ctx)
+    project_and_finish(rows, &schema, select, ctx)
 }
 
 /// Grouping, projection, HAVING, DISTINCT, ORDER BY, LIMIT.

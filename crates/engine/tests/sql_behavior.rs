@@ -445,3 +445,127 @@ fn select_within_refuses_scans_over_the_cap() {
     let join = "SELECT name FROM emp JOIN dept ON emp.dept = dept.dname WHERE id = 1";
     assert_eq!(within(join, 1000), None);
 }
+
+/// Equi-joins on expressions hash-join: `F` runs once per row, not once
+/// per pair, and every join returns the rows of the filtered Cartesian
+/// product. That product is the same query with each equality written
+/// `(L = R OR 0 = 1)`, which no join can use, so it filters pairs.
+#[test]
+fn expression_equi_joins_hash_join_and_match_the_cartesian_product() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let e = Engine::new();
+    let calls = Arc::new(AtomicUsize::new(0));
+    let counter = calls.clone();
+    e.register_scalar_udf("f", move |args| {
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(match args[0] {
+            Value::Int(v) => Value::Int(v % 3),
+            _ => Value::Null,
+        })
+    });
+    let n = 20;
+    let mut b_rows: Vec<String> = (0..n).map(|i| format!("({i}, {})", i * 10)).collect();
+    b_rows.push("(NULL, -1)".into());
+    e.execute_sql(&format!(
+        "CREATE TABLE a (k int, tag text); INSERT INTO a (k, tag) VALUES (4, 'one'); \
+         CREATE TABLE b (k int, v int); INSERT INTO b (k, v) VALUES {}",
+        b_rows.join(", ")
+    ))
+    .unwrap();
+    let rows = b_rows.len();
+    calls.store(0, Ordering::Relaxed);
+    let r = e
+        .execute_sql("SELECT a.tag, b.v FROM a JOIN b ON F(a.k) = F(b.k)")
+        .unwrap();
+    // k % 3 == 1 for k in 0..20: 1, 4, ..., 19.
+    assert_eq!(r.rows().len(), 7);
+    let runs = calls.load(Ordering::Relaxed);
+    assert!(runs <= rows + 1, "F ran {runs} times for 1 x {rows} rows");
+
+    e.execute_sql(
+        "CREATE TABLE l (id int, k int); \
+         INSERT INTO l (id, k) VALUES (1, 1), (2, 4), (3, NULL), (4, 2), (5, 1), (6, 7); \
+         CREATE TABLE r (id int, k int); \
+         INSERT INTO r (id, k) VALUES (10, 1), (11, NULL), (12, 4), (13, 1), (14, 5), (15, 8); \
+         CREATE TABLE s (id int, k int); \
+         INSERT INTO s (id, k) VALUES (20, 10), (21, 11), (22, NULL), (23, 13), (24, 12)",
+    )
+    .unwrap();
+    let sorted = |sql: &str| {
+        let mut rows = e.execute_sql(sql).expect(sql).rows().to_vec();
+        rows.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
+        rows
+    };
+    let cases: [(&str, &str, usize); 7] = [
+        // NULL and duplicate keys, expression edge.
+        (
+            "SELECT l.id, r.id FROM l JOIN r ON F(l.k) = F(r.k)",
+            "SELECT l.id, r.id FROM l JOIN r ON (F(l.k) = F(r.k) OR 0 = 1)",
+            14,
+        ),
+        // NULL and duplicate keys, column edge.
+        (
+            "SELECT l.id, r.id FROM l JOIN r ON l.k = r.k",
+            "SELECT l.id, r.id FROM l JOIN r ON (l.k = r.k OR 0 = 1)",
+            5,
+        ),
+        // Aliased self-join, explicit and implicit.
+        (
+            "SELECT x.id, y.id FROM l x JOIN l y ON F(x.k) = F(y.k)",
+            "SELECT x.id, y.id FROM l x JOIN l y ON (F(x.k) = F(y.k) OR 0 = 1)",
+            17,
+        ),
+        (
+            "SELECT x.id, y.id FROM l x, l AS y WHERE F(x.k) = F(y.k) AND x.id <> y.id",
+            "SELECT x.id, y.id FROM l x, l AS y WHERE (F(x.k) = F(y.k) OR 0 = 1) AND x.id <> y.id",
+            12,
+        ),
+        // Three-way: a column edge, then an expression edge to the
+        // second source and a column edge to the first.
+        (
+            "SELECT l.id, r.id, s.id FROM l JOIN r ON l.k = r.k \
+             JOIN s ON F(r.id) = F(s.k) AND s.id - 19 = l.id",
+            "SELECT l.id, r.id, s.id FROM l JOIN r ON (l.k = r.k OR 0 = 1) \
+             JOIN s ON (F(r.id) = F(s.k) OR 0 = 1) AND (s.id - 19 = l.id OR 0 = 1)",
+            2,
+        ),
+        // Expression edge between the first and third source only.
+        (
+            "SELECT l.id, s.id FROM l, r, s WHERE F(l.id) = F(s.k) AND r.id = 10",
+            "SELECT l.id, s.id FROM l, r, s WHERE (F(l.id) = F(s.k) OR 0 = 1) AND r.id = 10",
+            8,
+        ),
+        // `<>` is no equi-edge: it filters the product.
+        (
+            "SELECT l.id, r.id FROM l JOIN r ON l.k <> r.k",
+            "SELECT l.id, r.id FROM l JOIN r ON (l.k <> r.k OR 0 = 1)",
+            20,
+        ),
+    ];
+    for (joined, product, len) in cases {
+        let got = sorted(joined);
+        assert_eq!(got.len(), len, "{joined}");
+        assert_eq!(got, sorted(product), "{joined}");
+    }
+    // A `<>` ON clause stays a residual filter: evaluated per pair.
+    calls.store(0, Ordering::Relaxed);
+    sorted("SELECT l.id, r.id FROM l JOIN r ON F(l.k) <> F(r.k)");
+    assert_eq!(calls.load(Ordering::Relaxed), 2 * 6 * 6);
+}
+
+/// Column and table references match the lowercase schema names in any
+/// case.
+#[test]
+fn identifiers_resolve_case_insensitively() {
+    let e = db();
+    let r = e
+        .execute_sql("SELECT EMP.Name FROM emp WHERE Emp.ID = 3 AND SALARY > 1")
+        .unwrap();
+    assert_eq!(strs(&r), vec!["carol"]);
+    let r = e
+        .execute_sql(
+            "SELECT E.name, D.Budget FROM emp e JOIN dept d ON E.DEPT = d.DNAME WHERE e.Id = 5",
+        )
+        .unwrap();
+    assert_eq!(r.rows(), &[vec![Value::Str("eve".into()), Value::Int(50)]]);
+}

@@ -369,18 +369,18 @@ impl PaillierPrivate {
     /// thread stays free to pipeline other work (§3.5.2: crypto off the
     /// critical path).
     ///
-    /// Small batches (under 4 ciphertexts) go to the pool as a single
-    /// chunk: at that size the split overhead exceeds the parallelism.
-    /// On a single-worker pool the batch is decrypted inline and
-    /// returned pre-resolved — one hardware thread cannot overlap the
-    /// decryption with the caller's work anyway, so the channel
-    /// round-trip would be pure overhead.
+    /// A batch that would be a single chunk — under 4 ciphertexts (every
+    /// scalar `SUM`/`AVG`), or any batch on a single-worker pool — is
+    /// decrypted inline and returned pre-resolved. Splitting it buys no
+    /// parallelism, and queueing it would make the caller's
+    /// [`PendingMap::wait_help`] run whatever other jobs are queued
+    /// ahead of it (another session's whole statement) on this thread.
     pub fn decrypt_i64_batch_pending(
         self: &Arc<Self>,
         pool: &WorkerPool,
         cts: Vec<Ciphertext>,
     ) -> PendingMap<Option<i64>> {
-        if pool.threads() <= 1 {
+        if pool.threads() <= 1 || cts.len() < 4 {
             let mut ws = PaillierScratch::new();
             return PendingMap::ready(
                 cts.iter()
@@ -388,9 +388,8 @@ impl PaillierPrivate {
                     .collect(),
             );
         }
-        let chunks = if cts.len() < 4 { 1 } else { pool.threads() };
         let key = self.clone();
-        pool.map_chunked(cts, chunks, move |part| {
+        pool.map_chunked(cts, pool.threads(), move |part| {
             let mut ws = PaillierScratch::new();
             part.iter()
                 .map(|c| key.decrypt_i64_with(c, &mut ws))
@@ -537,7 +536,7 @@ mod tests {
 
     #[test]
     fn batch_decrypt_matches_single() {
-        // Under 4 ciphertexts the batch goes to the pool as one job.
+        // Exactly 4 ciphertexts: the smallest batch split over the pool.
         let (sk, mut rng) = key();
         let sk = Arc::new(sk);
         let values = [3i64, -9, 1 << 40, 0];
@@ -594,6 +593,47 @@ mod tests {
         // Single-worker pools resolve inline (pre-resolved pending).
         let single = WorkerPool::new(1);
         assert_eq!(sk.decrypt_i64_batch_pending(&single, cts).wait(), scoped);
+    }
+
+    #[test]
+    fn single_chunk_batch_never_runs_queued_jobs_on_the_caller() {
+        // Every worker is held and a foreign job is queued: a batch that
+        // went to the pool would make wait_help run the foreign job here.
+        let (sk, mut rng) = key();
+        let sk = Arc::new(sk);
+        let pool = WorkerPool::new(2);
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
+        let gates: Vec<_> = (0..pool.threads())
+            .map(|_| {
+                let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
+                let started_tx = started_tx.clone();
+                pool.execute(move || {
+                    started_tx.send(()).expect("test alive");
+                    let _ = gate_rx.recv();
+                });
+                gate_tx
+            })
+            .collect();
+        for _ in 0..pool.threads() {
+            started_rx.recv().expect("worker picked up its gate job");
+        }
+        let caller = std::thread::current().id();
+        let (ran_tx, ran_rx) = std::sync::mpsc::channel();
+        pool.execute(move || {
+            let _ = ran_tx.send(std::thread::current().id());
+        });
+        for n in 1..4 {
+            let values: Vec<i64> = (0..n).map(|i| i * 7 - 3).collect();
+            let cts = values
+                .iter()
+                .map(|&v| sk.encrypt_i64(v, &mut rng))
+                .collect();
+            let out = sk.decrypt_i64_batch_pending(&pool, cts).wait_help(&pool);
+            assert_eq!(out, values.into_iter().map(Some).collect::<Vec<_>>());
+            assert!(ran_rx.try_recv().is_err(), "foreign job ran on the caller");
+        }
+        drop(gates);
+        assert_ne!(ran_rx.recv().expect("foreign job runs on a worker"), caller);
     }
 
     #[test]

@@ -200,6 +200,61 @@ fn joins_agree() {
         "SELECT COUNT(*) FROM inv, tags WHERE inv.name = tags.item_name AND inv.qty > 0",
         false,
     );
+    // Implicit comma join returning sensitive columns of both sides.
+    pair.check(
+        "SELECT inv.price, inv.note, tags.tag FROM inv, tags \
+         WHERE tags.item_name = inv.name AND inv.price > 300",
+        false,
+    );
+    // The TPC-C shape: one order joined to its customer.
+    let ddl = "CREATE TABLE orders (o_id int, o_c_id int, o_carrier int); \
+               CREATE INDEX ON orders (o_id); \
+               CREATE TABLE customer (c_id int, c_last text, c_balance int)";
+    pair.plain.execute_sql(ddl).unwrap();
+    pair.cryptdb.execute(ddl).unwrap();
+    for i in 0..30 {
+        let stmts = [
+            format!(
+                "INSERT INTO customer (c_id, c_last, c_balance) VALUES ({i}, 'last{}', {})",
+                i % 7,
+                i * 11
+            ),
+            format!(
+                "INSERT INTO orders (o_id, o_c_id, o_carrier) VALUES ({i}, {}, {})",
+                rng.gen_range(0..30),
+                i % 5
+            ),
+        ];
+        for stmt in &stmts {
+            pair.plain.execute_sql(stmt).unwrap();
+            pair.cryptdb.execute(stmt).unwrap();
+        }
+    }
+    for o_id in [0, 7, 29] {
+        pair.check(
+            &format!(
+                "SELECT c_last, c_balance, o_carrier FROM orders \
+                 JOIN customer ON o_c_id = c_id WHERE o_id = {o_id}"
+            ),
+            false,
+        );
+    }
+    // NULL join keys on both sides match nothing.
+    for stmt in [
+        "INSERT INTO orders (o_id, o_c_id, o_carrier) VALUES (100, NULL, 1)",
+        "INSERT INTO customer (c_id, c_last, c_balance) VALUES (NULL, 'nobody', 5)",
+    ] {
+        pair.plain.execute_sql(stmt).unwrap();
+        pair.cryptdb.execute(stmt).unwrap();
+    }
+    pair.check(
+        "SELECT o_id, c_last FROM orders JOIN customer ON o_c_id = c_id",
+        false,
+    );
+    pair.check(
+        "SELECT COUNT(*) FROM orders JOIN customer ON o_c_id = c_id WHERE o_id = 100",
+        false,
+    );
 }
 
 #[test]
