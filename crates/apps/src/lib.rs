@@ -18,7 +18,8 @@
 //!   per-class marginals (see DESIGN.md substitution table).
 //! * [`mixed`] — tpcc + phpbb + hotcrp interleaved into deterministic,
 //!   order-commutative per-session traces for the concurrent serving
-//!   harness (`crates/server`, `e2e_throughput`).
+//!   tests (`crates/server`, `crates/net`) and `BENCHMARK.json`'s
+//!   `apps_open` workload.
 
 #![forbid(unsafe_code)]
 

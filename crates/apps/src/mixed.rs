@@ -1,5 +1,5 @@
-//! Mixed multi-application serving workload for the concurrent e2e
-//! harness: tpcc + phpbb + hotcrp traces interleaved per client session.
+//! Mixed multi-application serving workload for the concurrent serving
+//! tests: tpcc + phpbb + hotcrp traces interleaved per client session.
 //!
 //! The paper evaluates CryptDB under *live* multi-user workloads (TPC-C
 //! throughput in Fig. 10, phpBB request latency in Fig. 15); this module
@@ -22,6 +22,7 @@
 use crate::{hotcrp, phpbb, tpcc};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 /// Scale of the pre-loaded mixed database.
 #[derive(Clone, Copy, Debug)]
@@ -57,6 +58,28 @@ impl Default for MixedScale {
 /// so concurrent sessions never insert the same primary id.
 pub const SESSION_ID_STRIDE: i64 = 100_000;
 const SESSION_ID_BASE: i64 = 1_000_000;
+
+/// The columns the mixed workload encrypts, by table: phpBB's sensitive
+/// fields (Fig. 14) plus the TPC-C and HotCRP columns that route its
+/// queries through DET, OPE, HOM sum and increment, and AVG — every
+/// onion class without encrypting every column.
+pub fn encrypted_columns() -> HashMap<String, Vec<String>> {
+    let mut map: HashMap<String, Vec<String>> = phpbb::sensitive_fields()
+        .into_iter()
+        .map(|(t, cols)| {
+            (
+                t.to_string(),
+                cols.into_iter().map(str::to_string).collect(),
+            )
+        })
+        .collect();
+    map.insert("order_line".into(), vec!["ol_amount".into()]);
+    map.insert("stock".into(), vec!["s_ytd".into(), "s_quantity".into()]);
+    map.insert("customer".into(), vec!["c_balance".into(), "c_last".into()]);
+    map.insert("history".into(), vec!["h_amount".into()]);
+    map.insert("paperreview".into(), vec!["overallmerit".into()]);
+    map
+}
 
 /// DDL + data load for all three applications (one shared database; the
 /// table-name sets are disjoint). Deterministic in `seed`.

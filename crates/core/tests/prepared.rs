@@ -1,12 +1,13 @@
 //! Prepared-statement API tests: parse-once planning, parameter
 //! encryption per onion slot, plan-cache behaviour, and epoch-based
 //! invalidation (a plan cached before DDL or an onion adjustment is
-//! never executed stale).
+//! never executed stale), and the throughput the parse-once path buys.
 
-use cryptdb_core::proxy::{ColumnType, Param, Proxy, ProxyConfig};
+use cryptdb_core::proxy::{ColumnType, Param, PreparedStatement, Proxy, ProxyConfig};
 use cryptdb_core::ProxyError;
 use cryptdb_engine::{Engine, QueryResult, Value};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn proxy() -> Proxy {
     let cfg = ProxyConfig {
@@ -26,6 +27,57 @@ fn seeded(p: &Proxy) {
            (4, 'Dave', 'eng', 75000)",
     )
     .unwrap();
+}
+
+/// Hot point-lookup shapes carrying the constant guard predicates an
+/// ORM stamps on every query (bounds check, tombstone filters): the
+/// simple path re-parses and re-rewrites them per statement, while a
+/// prepared plan encrypted their constants once. Creates and fills
+/// `kv`, then returns every (shape, key) call as its prepared handle,
+/// its bindings and the same statement with the bindings inlined.
+fn guarded_calls(p: &Proxy) -> Vec<(PreparedStatement, Vec<Param>, String)> {
+    const KV_ROWS: i64 = 32;
+    p.execute("CREATE TABLE kv (k int, v text, grp text)")
+        .unwrap();
+    for i in 0..KV_ROWS {
+        p.execute(&format!(
+            "INSERT INTO kv (k, v, grp) VALUES ({i}, 'value-{i}', 'g{}')",
+            i % 8
+        ))
+        .unwrap();
+    }
+    let shapes = [
+        "SELECT v, grp FROM kv WHERE k = $1 AND k >= 0 AND k <= 9999 \
+         AND k <> 99999 AND grp <> 'g-retired'",
+        "SELECT k FROM kv WHERE v = $1 AND grp = $2 AND k >= 0 \
+         AND k <= 9999 AND k <> 99999 AND v <> 'value-retired'",
+        "SELECT v FROM kv WHERE k > $1 AND k >= 0 AND k <= 9999 \
+         AND grp <> 'g-retired' ORDER BY k LIMIT 2",
+    ];
+    let mut calls = Vec::new();
+    for k in 0..KV_ROWS {
+        let bindings = [
+            vec![Param::Int(k)],
+            vec![
+                Param::Str(format!("value-{k}")),
+                Param::Str(format!("g{}", k % 8)),
+            ],
+            vec![Param::Int(k)],
+        ];
+        for (sql, params) in shapes.iter().zip(bindings) {
+            let mut simple = sql.to_string();
+            for (i, param) in params.iter().enumerate() {
+                let literal = match param {
+                    Param::Str(s) => format!("'{s}'"),
+                    Param::Int(n) => n.to_string(),
+                    other => panic!("unexpected binding {other:?}"),
+                };
+                simple = simple.replacen(&format!("${}", i + 1), &literal, 1);
+            }
+            calls.push((p.prepare(sql).unwrap(), params, simple));
+        }
+    }
+    calls
 }
 
 #[test]
@@ -51,6 +103,48 @@ fn prepared_matches_simple_equality() {
         .execute_prepared(&ps, &[Param::Str("Bob".into())])
         .unwrap();
     assert_eq!(r.rows(), &[vec![Value::Int(2)]]);
+
+    // The guarded shapes, on every binding.
+    for (ps, params, sql) in guarded_calls(&p) {
+        let prepared = p.execute_prepared(&ps, &params).unwrap();
+        let simple = p.execute(&sql).unwrap();
+        assert_eq!(prepared.canonical_text(), simple.canonical_text(), "{sql}");
+    }
+}
+
+/// The parse-once path must clear 1.3× the simple path's throughput on
+/// the guarded shapes. The two paths alternate in rounds so load from
+/// the binary's other tests falls on both; the bar is armed only in an
+/// optimised build (debug-mode crypto swamps the planning cost it
+/// isolates).
+#[test]
+fn prepared_path_outruns_the_simple_path() {
+    const ROUNDS: usize = 20;
+    let p = proxy();
+    let calls = guarded_calls(&p);
+    p.hom_pool_wait_ready();
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let (mut simple, mut prepared) = (Duration::ZERO, Duration::ZERO);
+    for _ in 0..ROUNDS {
+        let t0 = Instant::now();
+        for (_, _, sql) in &calls {
+            p.execute(sql).unwrap();
+        }
+        simple += t0.elapsed();
+        let t0 = Instant::now();
+        for (ps, params, _) in &calls {
+            p.execute_prepared(ps, params).unwrap();
+        }
+        prepared += t0.elapsed();
+    }
+    let ratio = simple.as_secs_f64() / prepared.as_secs_f64();
+    eprintln!("prepared_vs_simple = {ratio:.2}");
+    assert!(
+        ratio >= 1.3,
+        "prepared path only {ratio:.2}x the simple path"
+    );
 }
 
 #[test]

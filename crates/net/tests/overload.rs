@@ -15,8 +15,10 @@ use common::{
 use cryptdb_core::proxy::{EncryptionPolicy, Proxy, ProxyConfig};
 use cryptdb_engine::Engine;
 use cryptdb_net::{protocol, NetClient, NetLimits, NetServer, WireError};
+use cryptdb_server::percentile;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -721,6 +723,213 @@ fn rollback_is_never_shed_while_degraded() {
     c.terminate().unwrap();
     assert!(server.drain(Duration::from_secs(10)).wal_synced);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn disk_full_sheds_writes_cleanly_and_self_restores() {
+    // ENOSPC fires mid-trace under the wire front-end: writes shed as
+    // clean ERROR 53100 while reads keep answering on the same
+    // connection, service restores itself once space clears — same
+    // process, no restart — and no acknowledged statement is lost.
+    let dir = std::env::temp_dir().join(format!("cryptdb-net-diskfull-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ProxyConfig {
+        paillier_bits: 256,
+        ..Default::default()
+    };
+    let persist = cryptdb_server::PersistConfig {
+        dir: dir.clone(),
+        wal: cryptdb_engine::WalConfig {
+            fsync: cryptdb_engine::FsyncPolicy::Always,
+            snapshot_every: None,
+            // The disk "fills" ~4 KiB in and frees after three rejected
+            // appends; with probe-every-4 shedding, clearing takes a
+            // dozen-odd client writes.
+            fault: Some(cryptdb_engine::FaultPlan::enospc_clearing(4096, 3)),
+            ..cryptdb_engine::WalConfig::default()
+        },
+    };
+    let (server, _) = NetServer::spawn_persistent_with(
+        &persist,
+        [7u8; 32],
+        cfg.clone(),
+        "127.0.0.1:0",
+        NetLimits::default(),
+    )
+    .unwrap();
+    let mut c = NetClient::connect(server.local_addr(), "df", "").unwrap();
+    c.simple_query("CREATE TABLE acked (id int)").unwrap();
+    let mut acked = Vec::new();
+    let mut sheds = 0usize;
+    let mut last_write_ok = false;
+    for id in 0..60i64 {
+        match c.simple_query(&format!("INSERT INTO acked (id) VALUES ({id})")) {
+            Ok(_) => acked.push(id),
+            Err(WireError::Server { code, .. }) if code == "53100" => {
+                sheds += 1;
+                // Degraded means read-only, not down.
+                c.simple_query("SELECT COUNT(id) FROM acked")
+                    .unwrap_or_else(|e| panic!("read refused while degraded: {e}"));
+            }
+            Err(e) => panic!("insert {id}: expected success or ERROR 53100, got {e}"),
+        }
+        last_write_ok = acked.last() == Some(&id);
+    }
+    assert!(sheds > 0, "the injected ENOSPC must shed some writes");
+    let stats = server.stats();
+    assert!(
+        last_write_ok && !stats.degraded,
+        "service must self-restore once space clears"
+    );
+    c.terminate().unwrap();
+    assert!(server.drain(Duration::from_secs(10)).wal_synced);
+
+    let (proxy, recovery) =
+        cryptdb_server::open_persistent(&cryptdb_server::PersistConfig::new(&dir), [7u8; 32], cfg)
+            .unwrap();
+    assert!(!recovery.report.corruption_detected);
+    let r = proxy.execute("SELECT id FROM acked").unwrap();
+    let recovered: std::collections::HashSet<i64> = r
+        .rows()
+        .iter()
+        .map(|row| row[0].as_int().unwrap())
+        .collect();
+    for id in &acked {
+        assert!(recovered.contains(id), "acknowledged insert {id} was lost");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn admitted_p99_holds_under_a_reconnect_flood() {
+    // The cap is filled by admitted clients timing a HOM SUM while 2x
+    // the cap in paced reconnect loops hammer the accept edge: every
+    // over-cap attempt must shed as a clean FATAL 53300, admitted
+    // statements must stay error-free, and (in an optimised build)
+    // admitted p99 under the flood must stay within 5x of unloaded p99.
+    // Unloaded and flooded rounds alternate so load from the binary's
+    // other tests falls on both sides.
+    const CAP: usize = 4;
+    const FLOODERS: usize = 8;
+    const ROUNDS: usize = 5;
+    const REPS_PER_ROUND: usize = 10;
+    let mut policy = std::collections::HashMap::new();
+    policy.insert("ov".to_string(), vec!["val".to_string()]);
+    let cfg = ProxyConfig {
+        policy: EncryptionPolicy::Explicit(policy),
+        paillier_bits: 256,
+        ..Default::default()
+    };
+    let proxy = Arc::new(Proxy::new(Arc::new(Engine::new()), [7u8; 32], cfg));
+    proxy.execute("CREATE TABLE ov (id int, val int)").unwrap();
+    let values: Vec<String> = (0..128).map(|i| format!("({i}, {i})")).collect();
+    proxy
+        .execute(&format!(
+            "INSERT INTO ov (id, val) VALUES {}",
+            values.join(", ")
+        ))
+        .unwrap();
+    proxy.hom_pool_wait_ready();
+    let limits = NetLimits {
+        max_connections: CAP,
+        reader_threads: 2,
+        ..NetLimits::default()
+    };
+    let server = NetServer::spawn_with(proxy, "127.0.0.1:0", limits).unwrap();
+    let addr = server.local_addr();
+    let mut admitted: Vec<NetClient> = (0..CAP)
+        .map(|i| NetClient::connect(addr, &format!("adm{i}"), "").unwrap())
+        .collect();
+    // One round of the timed query on every admitted connection at once;
+    // returns the errors and appends the latencies to `lats`.
+    let timed = |conns: &mut Vec<NetClient>, lats: &mut Vec<u64>| -> usize {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = conns
+                .iter_mut()
+                .map(|c| {
+                    s.spawn(move || {
+                        (0..REPS_PER_ROUND)
+                            .map(|_| {
+                                let t = Instant::now();
+                                let err = c.simple_query("SELECT SUM(val) FROM ov WHERE id < 64");
+                                (t.elapsed().as_nanos() as u64, err.is_err())
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let mut errors = 0;
+            for h in handles {
+                for (ns, err) in h.join().unwrap() {
+                    lats.push(ns);
+                    errors += usize::from(err);
+                }
+            }
+            errors
+        })
+    };
+    let (mut unloaded, mut flooded) = (Vec::new(), Vec::new());
+    let (mut clean, mut dirty, mut errors) = (0usize, 0usize, 0usize);
+    for _ in 0..ROUNDS {
+        errors += timed(&mut admitted, &mut unloaded);
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let flooders: Vec<_> = (0..FLOODERS)
+                .map(|i| {
+                    let stop = &stop;
+                    s.spawn(move || {
+                        let (mut clean, mut dirty) = (0usize, 0usize);
+                        while !stop.load(Ordering::Relaxed) {
+                            match NetClient::connect(addr, &format!("fl{i}"), "") {
+                                Err(WireError::Server { code, .. }) if code == "53300" => {
+                                    clean += 1
+                                }
+                                Ok(c) => {
+                                    dirty += 1; // Admitted past a full cap.
+                                    let _ = c.terminate();
+                                }
+                                Err(_) => dirty += 1, // Reset/hang, not FATAL 53300.
+                            }
+                            // Paced, so on a small host the flood measures
+                            // the edge's shedding, not CPU theft by the
+                            // flooder threads.
+                            std::thread::sleep(Duration::from_millis(3));
+                        }
+                        (clean, dirty)
+                    })
+                })
+                .collect();
+            // Let the flood establish before timing admitted work.
+            std::thread::sleep(Duration::from_millis(100));
+            errors += timed(&mut admitted, &mut flooded);
+            stop.store(true, Ordering::Relaxed);
+            for f in flooders {
+                let (c, d) = f.join().unwrap();
+                clean += c;
+                dirty += d;
+            }
+        });
+    }
+    assert!(clean > 0, "the flood must reach the full cap");
+    assert_eq!(dirty, 0, "over-cap connections must shed as FATAL 53300");
+    assert_eq!(
+        errors, 0,
+        "admitted statements must not fail under the flood"
+    );
+    for c in admitted {
+        c.terminate().unwrap();
+    }
+    unloaded.sort_unstable();
+    flooded.sort_unstable();
+    let p99 = |sorted: &[u64]| percentile(sorted, 0.99).max(1) as f64;
+    let ratio = p99(&flooded) / p99(&unloaded);
+    eprintln!("overload_p99_ratio = {ratio:.2}");
+    if !cfg!(debug_assertions) {
+        assert!(
+            ratio <= 5.0,
+            "admitted p99 degraded {ratio:.2}x under the flood"
+        );
+    }
 }
 
 /// Which batches a mux thread runs itself: with the only worker held,

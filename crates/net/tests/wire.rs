@@ -3,12 +3,10 @@
 //! serial-oracle equality through real sockets.
 
 use cryptdb_apps::mixed::{self, MixedScale};
-use cryptdb_apps::phpbb;
 use cryptdb_core::proxy::{EncryptionPolicy, Proxy, ProxyConfig};
 use cryptdb_engine::Engine;
-use cryptdb_net::{wire_canonical_dump, NetClient, NetServer, WireError};
+use cryptdb_net::{wire_canonical_dump, NetClient, NetLimits, NetServer, WireError};
 use cryptdb_server::{canonical_dump, schema_tables};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 fn small_proxy() -> Arc<Proxy> {
@@ -19,27 +17,9 @@ fn small_proxy() -> Arc<Proxy> {
     Arc::new(Proxy::new(Arc::new(Engine::new()), [7u8; 32], cfg))
 }
 
-fn mixed_policy() -> EncryptionPolicy {
-    let mut map: HashMap<String, Vec<String>> = phpbb::sensitive_fields()
-        .into_iter()
-        .map(|(t, cols)| {
-            (
-                t.to_string(),
-                cols.into_iter().map(str::to_string).collect(),
-            )
-        })
-        .collect();
-    map.insert("order_line".into(), vec!["ol_amount".into()]);
-    map.insert("stock".into(), vec!["s_ytd".into(), "s_quantity".into()]);
-    map.insert("customer".into(), vec!["c_balance".into(), "c_last".into()]);
-    map.insert("history".into(), vec!["h_amount".into()]);
-    map.insert("paperreview".into(), vec!["overallmerit".into()]);
-    EncryptionPolicy::Explicit(map)
-}
-
 fn mixed_proxy() -> Arc<Proxy> {
     let cfg = ProxyConfig {
-        policy: mixed_policy(),
+        policy: EncryptionPolicy::Explicit(mixed::encrypted_columns()),
         paillier_bits: 256,
         ..Default::default()
     };
@@ -134,20 +114,35 @@ fn wire_dump_matches_in_process_dump() {
     c.terminate().unwrap();
 }
 
-#[test]
-fn four_wire_connections_match_serial_oracle() {
+/// `connections` real socket clients, each replaying a fresh
+/// `steps`-step `mixed` session trace, interleave on one server
+/// multiplexed on `reader_threads` mux threads (`None`: the default). The run must be error-free, and its
+/// database state byte-identical to a serial oracle of the same traces,
+/// both dumps read back through the socket path.
+fn wire_connections_match_serial_oracle(
+    connections: usize,
+    reader_threads: Option<usize>,
+    steps: usize,
+) {
     let scale = MixedScale::default();
-    let sessions = 4;
-    let steps = 6;
+    let traces: Vec<Vec<String>> = (0..connections)
+        .map(|i| mixed::session_trace(5, i, steps, &scale))
+        .collect();
+    let defaults = NetLimits::default();
+    let limits = NetLimits {
+        reader_threads: reader_threads.unwrap_or(defaults.reader_threads),
+        ..defaults
+    };
 
-    // Concurrent run: 4 real socket clients interleaving on one server.
     let concurrent = mixed_proxy();
     prepare(&concurrent, &scale);
-    let server = NetServer::spawn(concurrent.clone(), "127.0.0.1:0").unwrap();
+    let server = NetServer::spawn_with(concurrent.clone(), "127.0.0.1:0", limits).unwrap();
     let addr = server.local_addr();
-    let workers: Vec<_> = (0..sessions)
-        .map(|i| {
-            let trace = mixed::session_trace(5, i, steps, &scale);
+    let workers: Vec<_> = traces
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, trace)| {
             std::thread::spawn(move || {
                 let mut c = NetClient::connect(addr, &format!("s{i}"), "").unwrap();
                 let mut errors = 0;
@@ -164,7 +159,10 @@ fn four_wire_connections_match_serial_oracle() {
         })
         .collect();
     let errors: usize = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    assert_eq!(errors, 0, "concurrent wire run must be error-free");
+    assert_eq!(
+        errors, 0,
+        "{connections}-connection wire run must be error-free"
+    );
 
     // Serial oracle: the same traces, replayed one session at a time —
     // ALSO through a socket, so both dumps cross the same wire path.
@@ -172,10 +170,8 @@ fn four_wire_connections_match_serial_oracle() {
     prepare(&oracle, &scale);
     let oracle_server = NetServer::spawn(oracle.clone(), "127.0.0.1:0").unwrap();
     let mut oc = NetClient::connect(oracle_server.local_addr(), "oracle", "").unwrap();
-    for i in 0..sessions {
-        for stmt in mixed::session_trace(5, i, steps, &scale) {
-            oc.simple_query(&stmt).unwrap();
-        }
+    for stmt in traces.iter().flatten() {
+        oc.simple_query(stmt).unwrap();
     }
 
     let mut cc = NetClient::connect(addr, "dump", "").unwrap();
@@ -187,8 +183,15 @@ fn four_wire_connections_match_serial_oracle() {
     );
     assert_eq!(
         concurrent_dump, oracle_dump,
-        "wire-interleaved execution diverged from the serial oracle"
+        "{connections}-connection wire run diverged from the serial oracle"
     );
+}
+
+#[test]
+fn four_wire_connections_match_serial_oracle() {
+    wire_connections_match_serial_oracle(4, None, 6);
+    // Wide fan-out: 64 connections multiplexed on two reader threads.
+    wire_connections_match_serial_oracle(64, Some(2), 1);
 }
 
 #[test]

@@ -20,10 +20,12 @@
 //!   entire foreign session.
 //! * [`Server`] fans N pre-recorded session traces out over shared
 //!   [`StatementSession`] chains and aggregates a [`ServingReport`] of
-//!   per-session latency percentiles (p50/p99) and throughput — the
-//!   quantities the `e2e_throughput` bench gates. The `cryptdb-net`
-//!   wire front-end drives the same [`StatementSession`] machinery from
-//!   live TCP connections instead of pre-recorded traces.
+//!   per-session statement and error counts. The `cryptdb-net` wire
+//!   front-end drives the same [`StatementSession`] machinery from live
+//!   TCP connections instead of pre-recorded traces. Throughput is
+//!   measured end to end through that front-end by `BENCHMARK.json`'s
+//!   harness; `tests/same_table.rs` times `serve` itself for the
+//!   4-vs-1-session scaling bar.
 //!
 //! Correctness under concurrency is checked against a **serial
 //! oracle**: [`replay_serial`] runs the same per-session traces
@@ -108,7 +110,7 @@ impl SessionTrace {
     }
 }
 
-/// Latency/throughput summary for one served session.
+/// Outcome counts for one served session.
 #[derive(Clone, Debug)]
 pub struct SessionStats {
     /// The session's name (from its [`SessionTrace`]).
@@ -118,14 +120,6 @@ pub struct SessionStats {
     /// Statements that returned an error (the session keeps going; the
     /// harness traces are expected to be error-free and assert on this).
     pub errors: usize,
-    /// Per-statement median service time (queue wait excluded).
-    pub p50_ns: u64,
-    /// Per-statement 99th-percentile service time.
-    pub p99_ns: u64,
-    /// Worst single-statement service time.
-    pub max_ns: u64,
-    /// Sum of service times.
-    pub busy_ns: u64,
 }
 
 /// Aggregate result of one [`Server::serve`] run.
@@ -133,32 +127,18 @@ pub struct SessionStats {
 pub struct ServingReport {
     /// Per-session summaries, sorted by session name.
     pub sessions: Vec<SessionStats>,
-    /// Wall-clock for the whole fan-out (enqueue → last session done).
-    pub elapsed_ns: u64,
     /// Total statements across sessions.
     pub queries: usize,
     /// Total errored statements across sessions.
     pub errors: usize,
-    /// Aggregate per-statement median over every session's samples.
-    pub p50_ns: u64,
-    /// Aggregate per-statement 99th percentile over every session.
-    pub p99_ns: u64,
-}
-
-impl ServingReport {
-    /// End-to-end throughput in statements per second.
-    pub fn qps(&self) -> f64 {
-        self.queries as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
-    }
 }
 
 /// Percentile over an ascending-sorted sample by rounded linear index
 /// (`sorted[round(p · (N−1))]`; 0 when empty). Note this is *not* the
 /// textbook nearest-rank estimator (`sorted[ceil(p · N) − 1]`) — e.g.
 /// p50 of `[1, 2, 3, 4]` is 3 here, 2 by nearest rank. It is the one
-/// estimator every latency figure in the repo uses ([`SessionStats`],
-/// [`ServingReport`], the gated benches), exported so they cannot
-/// drift apart.
+/// estimator every latency figure in the repo uses (the benches and the
+/// latency-ratio tests), exported so they cannot drift apart.
 pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -544,81 +524,52 @@ impl Server {
     pub fn serve(&self, traces: Vec<SessionTrace>) -> ServingReport {
         let n = traces.len();
         let (tx, rx) = channel();
-        let t0 = Instant::now();
         for trace in traces {
             let total = trace.statements.len();
             if total == 0 {
-                let _ = tx.send((
-                    SessionStats {
-                        name: trace.name,
-                        queries: 0,
-                        errors: 0,
-                        p50_ns: 0,
-                        p99_ns: 0,
-                        max_ns: 0,
-                        busy_ns: 0,
-                    },
-                    Vec::new(),
-                ));
+                let _ = tx.send(SessionStats {
+                    name: trace.name,
+                    queries: 0,
+                    errors: 0,
+                });
                 continue;
             }
             let session = StatementSession::new(self.proxy.clone());
-            // (latencies so far, errors so far) — responders run in
+            // (statements answered, errors) so far — responders run in
             // order on pool workers; the last one reports the session.
-            let acc = Arc::new(Mutex::new((Vec::with_capacity(total), 0usize)));
+            let acc = Arc::new(Mutex::new((0usize, 0usize)));
             for sql in trace.statements {
                 let acc = acc.clone();
                 let tx = tx.clone();
                 let name = trace.name.clone();
-                session.submit(sql, move |result, service_ns| {
+                session.submit(sql, move |result, _service_ns| {
                     let mut g = acc.lock();
-                    if result.is_err() {
-                        g.1 += 1;
+                    g.0 += 1;
+                    g.1 += usize::from(result.is_err());
+                    if g.0 == total {
+                        let _ = tx.send(SessionStats {
+                            name,
+                            queries: total,
+                            errors: g.1,
+                        });
                     }
-                    g.0.push(service_ns);
-                    if g.0.len() < total {
-                        return;
-                    }
-                    let lat_ns = std::mem::take(&mut g.0);
-                    let errors = g.1;
-                    drop(g);
-                    let mut sorted = lat_ns.clone();
-                    sorted.sort_unstable();
-                    let stats = SessionStats {
-                        name,
-                        queries: lat_ns.len(),
-                        errors,
-                        p50_ns: percentile(&sorted, 0.50),
-                        p99_ns: percentile(&sorted, 0.99),
-                        max_ns: sorted.last().copied().unwrap_or(0),
-                        busy_ns: sorted.iter().sum(),
-                    };
-                    let _ = tx.send((stats, lat_ns));
                 });
             }
             // The session handle drops here; the chain keeps running on
             // its own Arc clones until the final responder reports.
         }
         drop(tx); // A disconnected channel now means a lost session.
-        let mut sessions = Vec::with_capacity(n);
-        let mut all_lat: Vec<u64> = Vec::new();
-        for _ in 0..n {
-            let (stats, lat) = rx
-                .recv()
-                .expect("session chain died (worker panicked mid-statement)");
-            all_lat.extend(lat);
-            sessions.push(stats);
-        }
-        let elapsed_ns = t0.elapsed().as_nanos() as u64;
+        let mut sessions: Vec<SessionStats> = (0..n)
+            .map(|_| {
+                rx.recv()
+                    .expect("session chain died (worker panicked mid-statement)")
+            })
+            .collect();
         sessions.sort_by(|a, b| a.name.cmp(&b.name));
-        all_lat.sort_unstable();
         ServingReport {
             queries: sessions.iter().map(|s| s.queries).sum(),
             errors: sessions.iter().map(|s| s.errors).sum(),
-            p50_ns: percentile(&all_lat, 0.50),
-            p99_ns: percentile(&all_lat, 0.99),
             sessions,
-            elapsed_ns,
         }
     }
 }

@@ -66,29 +66,9 @@ fn scale() -> MixedScale {
     }
 }
 
-/// Same onion coverage as the serving tests: all four onion classes
-/// across the three apps without encrypting every TPC-C column.
-fn mixed_policy() -> EncryptionPolicy {
-    let mut map: HashMap<String, Vec<String>> = phpbb::sensitive_fields()
-        .into_iter()
-        .map(|(t, cols)| {
-            (
-                t.to_string(),
-                cols.into_iter().map(str::to_string).collect(),
-            )
-        })
-        .collect();
-    map.insert("order_line".into(), vec!["ol_amount".into()]);
-    map.insert("stock".into(), vec!["s_ytd".into(), "s_quantity".into()]);
-    map.insert("customer".into(), vec!["c_balance".into(), "c_last".into()]);
-    map.insert("history".into(), vec!["h_amount".into()]);
-    map.insert("paperreview".into(), vec!["overallmerit".into()]);
-    EncryptionPolicy::Explicit(map)
-}
-
 fn cfg() -> ProxyConfig {
     ProxyConfig {
-        policy: mixed_policy(),
+        policy: EncryptionPolicy::Explicit(mixed::encrypted_columns()),
         paillier_bits: 256,
         runtime_threads: 1,
         ..Default::default()

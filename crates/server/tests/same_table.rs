@@ -4,15 +4,22 @@
 //! byte-compared against a serial oracle replay of the identical
 //! traces. The per-session traces commute (each session owns an id
 //! partition), so any divergence is a real bug in the engine's sharded
-//! row locking or the proxy's shared state — this is the correctness
-//! side of the `same_table_write_scaling` bench gate.
+//! row locking or the proxy's shared state.
+//!
+//! The scaling bars live here too: four sessions must serve the mixed
+//! trace at twice one session's throughput, and four raw threads must
+//! write one engine table at twice one thread's rate. Both are timed in
+//! one test body, so they never compete with each other for cores.
 
-use cryptdb_core::proxy::{Proxy, ProxyConfig};
+use cryptdb_apps::mixed::{self, MixedScale};
+use cryptdb_core::proxy::{EncryptionPolicy, Proxy, ProxyConfig};
 use cryptdb_engine::{Engine, Value};
 use cryptdb_server::{canonical_dump, replay_serial, Server, SessionTrace};
+use cryptdb_sqlparser::Stmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const SESSIONS: usize = 4;
 const OPS_PER_SESSION: usize = 48;
@@ -123,6 +130,163 @@ fn same_table_sessions_match_serial_oracle() {
             a.scalar().and_then(Value::as_int),
             b.scalar().and_then(Value::as_int),
             "session {s} balance"
+        );
+    }
+}
+
+/// A fresh proxy over the mixed tpcc + phpbb + hotcrp database, loaded,
+/// trained and with its blinding pool full.
+fn mixed_proxy() -> Arc<Proxy> {
+    let cfg = ProxyConfig {
+        policy: EncryptionPolicy::Explicit(mixed::encrypted_columns()),
+        paillier_bits: 256,
+        ..Default::default()
+    };
+    let proxy = Arc::new(Proxy::new(Arc::new(Engine::new()), [7u8; 32], cfg));
+    let scale = MixedScale::default();
+    for stmt in mixed::setup_statements(17, &scale)
+        .into_iter()
+        .chain(mixed::training_statements(&scale))
+    {
+        proxy
+            .execute(&stmt)
+            .unwrap_or_else(|e| panic!("setup: {e}: {stmt}"));
+    }
+    proxy.hom_pool_wait_ready();
+    proxy
+}
+
+/// Serves eight fixed mixed traces split round-robin over `sessions`
+/// sessions (each trace keeps its order; traces commute), so every
+/// level runs identical work. Returns the time `serve` took and the
+/// proxy's worker count.
+fn serve_mixed(sessions: usize) -> (Duration, usize) {
+    let scale = MixedScale::default();
+    let base: Vec<Vec<String>> = (0..8)
+        .map(|i| mixed::session_trace(2026, i, 10, &scale))
+        .collect();
+    let traces = (0..sessions)
+        .map(|j| {
+            let stmts = base.iter().skip(j).step_by(sessions).flatten().cloned();
+            SessionTrace::new(format!("s{j}"), stmts.collect())
+        })
+        .collect();
+    let server = Server::new(mixed_proxy());
+    let t0 = Instant::now();
+    let report = server.serve(traces);
+    let elapsed = t0.elapsed();
+    assert_eq!(
+        report.errors, 0,
+        "{sessions}-session run must be error-free"
+    );
+    (elapsed, server.proxy().runtime().threads())
+}
+
+/// Pre-parsed plaintext INSERT / point-UPDATE traces against one table,
+/// one per writer thread; each thread owns an id partition, so the
+/// traces commute.
+fn contend_traces(threads: usize, ops: usize) -> Vec<Vec<Stmt>> {
+    (0..threads)
+        .map(|t| {
+            let base = 100_000 * (t as i64 + 1);
+            let mut next = 0i64;
+            (0..ops)
+                .map(|i| {
+                    let sql = if i % 4 == 3 {
+                        let id = base + (i as i64 % next.max(1));
+                        format!("UPDATE contend SET v = v + {} WHERE id = {id}", i % 7 + 1)
+                    } else {
+                        next += 1;
+                        format!(
+                            "INSERT INTO contend (id, v, tag) VALUES ({}, {}, 'w{t}-{i}')",
+                            base + next - 1,
+                            (i as i64 * 3) % 97
+                        )
+                    };
+                    cryptdb_sqlparser::parse_statement(&sql).unwrap()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs every trace against a fresh engine, on one thread in trace
+/// order or one raw thread per trace. Returns the time taken and the
+/// ordered dump.
+fn write_contend(traces: &[Vec<Stmt>], threaded: bool) -> (Duration, String) {
+    let engine = Engine::new();
+    engine
+        .execute_sql("CREATE TABLE contend (id int, v int, tag text)")
+        .unwrap();
+    engine.execute_sql("CREATE INDEX ON contend (id)").unwrap();
+    let run = |trace: &Vec<Stmt>| {
+        for stmt in trace {
+            engine.execute(stmt).expect("same-table write");
+        }
+    };
+    let t0 = Instant::now();
+    if threaded {
+        std::thread::scope(|s| {
+            for trace in traces {
+                s.spawn(|| run(trace));
+            }
+        });
+    } else {
+        traces.iter().for_each(run);
+    }
+    let elapsed = t0.elapsed();
+    // Rowids interleave differently across schedules; ORDER BY id
+    // canonicalizes the dump.
+    let dump = engine
+        .execute_sql("SELECT id, v, tag FROM contend ORDER BY id")
+        .unwrap()
+        .canonical_text();
+    (elapsed, dump)
+}
+
+#[test]
+fn four_sessions_and_four_writers_scale() {
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    // The 2x bars need an optimised build and real parallelism; the
+    // error and parity bars hold everywhere.
+    let optimised = !cfg!(debug_assertions);
+
+    // Both levels alternate in rounds, summed, so load from the
+    // binary's other test falls on both.
+    let rounds = if optimised { 3 } else { 1 };
+    let (mut one, mut four, mut workers) = (Duration::ZERO, Duration::ZERO, 0);
+    for _ in 0..rounds {
+        one += serve_mixed(1).0;
+        let (elapsed, threads) = serve_mixed(4);
+        four += elapsed;
+        workers = threads;
+    }
+    let scaling_4_vs_1 = one.as_secs_f64() / four.as_secs_f64();
+    eprintln!("scaling_4_vs_1 = {scaling_4_vs_1:.2} ({host} hardware threads, {workers} workers)");
+    if optimised && host >= 4 && workers >= 4 {
+        assert!(
+            scaling_4_vs_1 >= 2.0,
+            "4 sessions served only {scaling_4_vs_1:.2}x one session's throughput"
+        );
+    }
+
+    // Same-table writers: the hash-sharded row store must let them run
+    // on separate cores. Serial and threaded runs alternate likewise.
+    let traces = contend_traces(4, 5_000);
+    let (mut serial, mut threaded) = (Duration::ZERO, Duration::ZERO);
+    for _ in 0..rounds + 2 {
+        let (t1, want) = write_contend(&traces, false);
+        let (t4, got) = write_contend(&traces, true);
+        assert_eq!(got, want, "same-table writers diverged from the serial run");
+        serial += t1;
+        threaded += t4;
+    }
+    let write_scaling = serial.as_secs_f64() / threaded.as_secs_f64();
+    eprintln!("same_table_write_scaling = {write_scaling:.2}");
+    if optimised && host >= 4 {
+        assert!(
+            write_scaling >= 2.0,
+            "4 same-table writers ran only {write_scaling:.2}x one writer"
         );
     }
 }

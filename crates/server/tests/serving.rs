@@ -1,45 +1,16 @@
-//! End-to-end serving-layer tests: stats plumbing, fan-out liveness on
+//! End-to-end serving-layer tests: per-session counts, fan-out liveness on
 //! the shared worker pool, and concurrent-vs-serial-oracle consistency
 //! on the mixed multi-app trace.
 
 use cryptdb_apps::mixed::{self, MixedScale};
-use cryptdb_apps::phpbb;
 use cryptdb_core::proxy::{EncryptionPolicy, Proxy, ProxyConfig};
 use cryptdb_engine::Engine;
 use cryptdb_server::{canonical_dump, replay_serial, Server, SessionTrace};
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Policy covering all four onion classes across the three apps without
-/// encrypting every TPC-C column (test-speed tradeoff; the bench scales
-/// this up).
-fn mixed_policy() -> EncryptionPolicy {
-    let mut map: HashMap<String, Vec<String>> = phpbb::sensitive_fields()
-        .into_iter()
-        .map(|(t, cols)| {
-            (
-                t.to_string(),
-                cols.into_iter().map(str::to_string).collect(),
-            )
-        })
-        .collect();
-    map.insert(
-        "order_line".into(),
-        vec!["ol_amount".into()], // HOM SUM target.
-    );
-    map.insert(
-        "stock".into(),
-        vec!["s_ytd".into(), "s_quantity".into()], // HOM increment + OPE range.
-    );
-    map.insert("customer".into(), vec!["c_balance".into(), "c_last".into()]);
-    map.insert("history".into(), vec!["h_amount".into()]); // HOM on the INSERT path.
-    map.insert("paperreview".into(), vec!["overallmerit".into()]);
-    EncryptionPolicy::Explicit(map)
-}
 
 fn mixed_proxy() -> Arc<Proxy> {
     let cfg = ProxyConfig {
-        policy: mixed_policy(),
+        policy: EncryptionPolicy::Explicit(mixed::encrypted_columns()),
         paillier_bits: 256,
         ..Default::default()
     };
@@ -89,13 +60,11 @@ fn serve_reports_per_session_stats() {
     assert_eq!(report.sessions.len(), 3);
     assert_eq!(report.queries, 3 * 16);
     assert_eq!(report.errors, 0);
-    assert!(report.qps() > 0.0);
-    assert!(report.p50_ns <= report.p99_ns);
+    let names: Vec<&str> = report.sessions.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["session-0", "session-1", "session-2"]);
     for s in &report.sessions {
         assert_eq!(s.queries, 16, "{}: wrong count", s.name);
         assert_eq!(s.errors, 0);
-        assert!(s.p50_ns <= s.p99_ns && s.p99_ns <= s.max_ns);
-        assert!(s.busy_ns > 0);
     }
     // Every row must have landed exactly once.
     let r = server.proxy().execute("SELECT COUNT(*) FROM kv").unwrap();
@@ -157,7 +126,7 @@ fn sessions_outnumbering_workers_complete() {
     // queue without wedging (runtime_threads = 1 forces the worst case,
     // and SUM queries exercise decrypt on the same pool).
     let cfg = ProxyConfig {
-        policy: mixed_policy(),
+        policy: EncryptionPolicy::Explicit(mixed::encrypted_columns()),
         paillier_bits: 256,
         runtime_threads: 1,
         ..Default::default()
