@@ -5,7 +5,7 @@
 use cryptdb_apps::mixed::{self, MixedScale};
 use cryptdb_core::proxy::{EncryptionPolicy, Proxy, ProxyConfig};
 use cryptdb_engine::Engine;
-use cryptdb_net::{wire_canonical_dump, NetClient, NetLimits, NetServer, WireError};
+use cryptdb_net::{wire_canonical_dump, NetClient, NetServer, WireError};
 use cryptdb_server::{canonical_dump, schema_tables};
 use std::sync::Arc;
 
@@ -115,28 +115,20 @@ fn wire_dump_matches_in_process_dump() {
 }
 
 /// `connections` real socket clients, each replaying a fresh
-/// `steps`-step `mixed` session trace, interleave on one server
-/// multiplexed on `reader_threads` mux threads (`None`: the default). The run must be error-free, and its
-/// database state byte-identical to a serial oracle of the same traces,
-/// both dumps read back through the socket path.
-fn wire_connections_match_serial_oracle(
-    connections: usize,
-    reader_threads: Option<usize>,
-    steps: usize,
-) {
+/// `steps`-step `mixed` session trace, interleave on one server with the
+/// default limits, which multiplex every connection on two reader
+/// threads. The run must be error-free, and its database state
+/// byte-identical to a serial oracle of the same traces, both dumps read
+/// back through the socket path.
+fn wire_connections_match_serial_oracle(connections: usize, steps: usize) {
     let scale = MixedScale::default();
     let traces: Vec<Vec<String>> = (0..connections)
         .map(|i| mixed::session_trace(5, i, steps, &scale))
         .collect();
-    let defaults = NetLimits::default();
-    let limits = NetLimits {
-        reader_threads: reader_threads.unwrap_or(defaults.reader_threads),
-        ..defaults
-    };
 
     let concurrent = mixed_proxy();
     prepare(&concurrent, &scale);
-    let server = NetServer::spawn_with(concurrent.clone(), "127.0.0.1:0", limits).unwrap();
+    let server = NetServer::spawn(concurrent.clone(), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let workers: Vec<_> = traces
         .iter()
@@ -189,9 +181,9 @@ fn wire_connections_match_serial_oracle(
 
 #[test]
 fn four_wire_connections_match_serial_oracle() {
-    wire_connections_match_serial_oracle(4, None, 6);
-    // Wide fan-out: 64 connections multiplexed on two reader threads.
-    wire_connections_match_serial_oracle(64, Some(2), 1);
+    wire_connections_match_serial_oracle(4, 6);
+    // Wide fan-out: 64 connections on the same two reader threads.
+    wire_connections_match_serial_oracle(64, 1);
 }
 
 #[test]
