@@ -3,6 +3,7 @@
 //! adjust), per unit of data.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use cryptdb_core::proxy::ProxyConfig;
 use cryptdb_crypto::blowfish::Blowfish;
 use cryptdb_crypto::modes::{cbc_decrypt, cbc_encrypt, cmc_decrypt, cmc_encrypt};
 use cryptdb_crypto::Aes;
@@ -106,7 +107,7 @@ fn bench_search(c: &mut Criterion) {
 fn bench_hom(c: &mut Criterion) {
     // Paper: HOM (1 int) 9.7 ms encrypt / 0.7 ms decrypt / add 0.005 ms.
     let mut rng = StdRng::seed_from_u64(4);
-    let sk = PaillierPrivate::keygen(&mut rng, cryptdb_bench::bench_paillier_bits());
+    let sk = PaillierPrivate::keygen(&mut rng, ProxyConfig::default().paillier_bits);
     c.bench_function("hom_encrypt_1int", |b| {
         b.iter(|| black_box(sk.encrypt_i64(black_box(42), &mut rng)))
     });

@@ -6,7 +6,7 @@
 
 use cryptdb_apps::{phpbb, tpcc};
 use cryptdb_bench::{banner, cryptdb_stack, mysql_stack, sensitive_policy, Stack, TablePrinter};
-use cryptdb_core::proxy::EncryptionPolicy;
+use cryptdb_core::proxy::{EncryptionPolicy, ProxyConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -98,6 +98,6 @@ fn main() {
          tag (the paper packs neither); the *source* of the expansion — the\n\
          HOM onion — is the same. phpBB stays small because only the\n\
          sensitive fields are encrypted (§3.5.2).",
-        2 * cryptdb_bench::bench_paillier_bits()
+        2 * ProxyConfig::default().paillier_bits
     );
 }

@@ -4,7 +4,7 @@
 //! paper's evaluation (§8), printing paper-reported values next to the
 //! measured ones. Absolute numbers differ (different decade, language,
 //! and DBMS substrate); the *shape* — who wins and by roughly what factor
-//! — is the reproduction target (see EXPERIMENTS.md).
+//! — is the reproduction target.
 
 use cryptdb_core::proxy::{EncryptionPolicy, Proxy, ProxyConfig, ProxyMode};
 use cryptdb_core::strawman::Strawman;
@@ -61,12 +61,11 @@ pub fn mysql_stack() -> Stack {
     Stack::MySql(Arc::new(Engine::new()))
 }
 
-/// Builds a CryptDB stack with the given policy (and default Paillier
-/// size scaled down for bench turnaround — see EXPERIMENTS.md).
+/// Builds a CryptDB stack with the given policy and the paper's
+/// 1024-bit Paillier key.
 pub fn cryptdb_stack(policy: EncryptionPolicy) -> Stack {
     let cfg = ProxyConfig {
         policy,
-        paillier_bits: bench_paillier_bits(),
         ..Default::default()
     };
     Stack::CryptDb(Arc::new(Proxy::new(
@@ -80,7 +79,6 @@ pub fn cryptdb_stack(policy: EncryptionPolicy) -> Stack {
 pub fn cryptdb_stack_no_precompute(policy: EncryptionPolicy) -> Stack {
     let cfg = ProxyConfig {
         policy,
-        paillier_bits: bench_paillier_bits(),
         precompute: false,
         ..Default::default()
     };
@@ -108,15 +106,6 @@ pub fn passthrough_stack() -> Stack {
 /// Builds a strawman stack.
 pub fn strawman_stack() -> Stack {
     Stack::Strawman(Arc::new(Strawman::new(Arc::new(Engine::new()), [7u8; 32])))
-}
-
-/// Paillier modulus bits for benches: 1024 matches the paper; override
-/// with `CRYPTDB_BENCH_PAILLIER_BITS` for quick runs.
-pub fn bench_paillier_bits() -> usize {
-    std::env::var("CRYPTDB_BENCH_PAILLIER_BITS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1024)
 }
 
 /// Global scale knob: `CRYPTDB_BENCH_SCALE` in (0, 1] scales iteration

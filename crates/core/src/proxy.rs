@@ -66,32 +66,10 @@ pub struct ProxyConfig {
     pub policy: EncryptionPolicy,
     /// Paillier modulus bits (the paper uses 1024 → 2048-bit ciphertexts).
     pub paillier_bits: usize,
-    /// §3.5.1 in-proxy processing: sort un-LIMITed ORDER BY at the proxy
-    /// instead of exposing OPE.
-    pub in_proxy_processing: bool,
     /// §3.5.2 ciphertext pre-computing (HOM) and caching (OPE).
     pub precompute: bool,
     /// Crypto-runtime worker threads (0 = size to the machine, capped).
     pub runtime_threads: usize,
-    /// Blinding pool low-water mark: a background refill is scheduled as
-    /// soon as the pool drops below this many factors. With
-    /// [`Self::hom_adaptive`] on, this is the *floor* of the adaptive
-    /// trigger level.
-    pub hom_low_water: usize,
-    /// Blinding pool high-water mark: refills top back up to this level
-    /// (raised by [`Proxy::precompute_hom`]). With
-    /// [`Self::hom_adaptive`] on, this is the *floor* of the adaptive
-    /// refill target.
-    pub hom_high_water: usize,
-    /// Adaptive blinding-pool watermarks: size the trigger/target from
-    /// the observed INSERT take-rate EWMA × refill lead time plus a
-    /// safety margin, between the configured floors and
-    /// [`Self::hom_water_ceiling`] — a demand surge grows the pool
-    /// before it can run dry, without permanently over-provisioning.
-    pub hom_adaptive: bool,
-    /// Upper bound for the adaptive watermarks (ignored when
-    /// [`Self::hom_adaptive`] is off).
-    pub hom_water_ceiling: usize,
 }
 
 impl Default for ProxyConfig {
@@ -100,13 +78,8 @@ impl Default for ProxyConfig {
             mode: ProxyMode::CryptDb,
             policy: EncryptionPolicy::All,
             paillier_bits: 1024,
-            in_proxy_processing: true,
             precompute: true,
             runtime_threads: 0,
-            hom_low_water: 32,
-            hom_high_water: 128,
-            hom_adaptive: true,
-            hom_water_ceiling: 1024,
         }
     }
 }
@@ -179,6 +152,17 @@ type EqMemoKey = (String, String, String, String, Value);
 /// default result cap.
 const EQ_MEMO_CAP: usize = 30_000;
 
+/// Blinding-pool watermark floors: a background refill is scheduled as
+/// soon as the pool drops below the low mark and tops it back up to the
+/// high mark (raised by [`Proxy::precompute_hom`]). The pool sizes both
+/// from the observed INSERT take rate × refill lead time, so a demand
+/// surge grows them toward the ceiling before the pool can run dry and
+/// calm periods settle back to the floors.
+const HOM_LOW_WATER: usize = 32;
+const HOM_HIGH_WATER: usize = 128;
+/// Upper bound on the demand-sized blinding-pool watermarks.
+const HOM_WATER_CEILING: usize = 1024;
+
 /// Bound on cached prepared plans. An application's set of distinct
 /// statement *shapes* is small (the literals are parameters), so this
 /// comfortably covers real workloads while capping memory for an
@@ -202,26 +186,16 @@ impl Proxy {
         };
         let hom_pool = {
             let paillier = paillier.clone();
-            let generate = move |n| {
-                let mut rng = rand::thread_rng();
-                paillier.precompute_blinding_batch(&mut rng, n)
-            };
-            if config.hom_adaptive {
-                BlindingPool::new_adaptive(
-                    &runtime,
-                    config.hom_low_water,
-                    config.hom_high_water,
-                    config.hom_water_ceiling.max(config.hom_high_water),
-                    generate,
-                )
-            } else {
-                BlindingPool::new(
-                    &runtime,
-                    config.hom_low_water,
-                    config.hom_high_water,
-                    generate,
-                )
-            }
+            BlindingPool::new(
+                &runtime,
+                HOM_LOW_WATER,
+                HOM_HIGH_WATER,
+                HOM_WATER_CEILING,
+                move |n| {
+                    let mut rng = rand::thread_rng();
+                    paillier.precompute_blinding_batch(&mut rng, n)
+                },
+            )
         };
         Proxy {
             engine,

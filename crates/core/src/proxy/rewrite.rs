@@ -562,8 +562,7 @@ impl Proxy {
     }
 
     fn proxy_sorts(&self, sel: &Select) -> bool {
-        self.config.in_proxy_processing
-            && !sel.order_by.is_empty()
+        !sel.order_by.is_empty()
             && sel.limit.is_none()
             && sel
                 .order_by

@@ -23,7 +23,6 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap};
 use std::iter::Peekable;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Column metadata.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,19 +31,8 @@ pub struct ColumnMeta {
     pub ty: ColumnType,
 }
 
-/// Shard count used by [`Table::new`]: `CRYPTDB_TABLE_SHARDS` rounded
-/// up to a power of two (clamped to 1..=1024), default 16.
-fn default_shard_count() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("CRYPTDB_TABLE_SHARDS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(16)
-            .clamp(1, 1024)
-            .next_power_of_two()
-    })
-}
+/// Shard count used by [`Table::new`] (a power of two).
+const DEFAULT_SHARDS: usize = 16;
 
 /// One hash shard: a rowid-keyed row map plus this shard's fragment of
 /// every secondary index (column position → value → rowids).
@@ -111,9 +99,9 @@ pub struct Table {
 }
 
 impl Table {
-    /// Creates an empty table with the process-default shard count.
+    /// Creates an empty table with the default 16 shards.
     pub fn new(name: &str, columns: Vec<ColumnMeta>) -> Self {
-        Self::with_shard_count(name, columns, default_shard_count())
+        Self::with_shard_count(name, columns, DEFAULT_SHARDS)
     }
 
     /// Creates an empty table with an explicit shard count (rounded up

@@ -29,7 +29,7 @@
 //!     each half costs one quarter-width exponentiation plus one
 //!     half-width exponentiation by a half-width exponent — ~3× over the
 //!     full-width path, kept as
-//!     [`PaillierPrivate::precompute_blinding_noncrt`].
+//!     [`PaillierPrivate::blinding_from_r_noncrt`].
 //!
 //!   Batch SUM decryption rides the same CRT path:
 //!   [`PaillierPrivate::decrypt_i64_batch_pending`] fans the cells out
@@ -297,15 +297,9 @@ impl PaillierPrivate {
     }
 
     /// `rⁿ mod n²` by the direct full-width exponentiation (the pre-CRT
-    /// path, kept as a cross-check and benchmark baseline).
+    /// path, kept as a cross-check and the `crt_gates` speed baseline).
     pub fn blinding_from_r_noncrt(&self, r: &Ubig) -> Ubig {
         self.mont_n2.pow(r, &self.public.n)
-    }
-
-    /// [`Self::precompute_blinding`] without CRT (benchmark baseline).
-    pub fn precompute_blinding_noncrt<R: rand::RngCore + ?Sized>(&self, rng: &mut R) -> Ubig {
-        let r = self.sample_r(rng);
-        self.blinding_from_r_noncrt(&r)
     }
 
     /// Encrypts `m ∈ Z_n`, drawing fresh randomness.
@@ -343,7 +337,7 @@ impl PaillierPrivate {
     }
 
     /// Decrypts via the full-width `L(c^λ mod n²)·μ mod n` (the pre-CRT
-    /// path, kept as a cross-check and benchmark baseline).
+    /// path, kept as a cross-check and the `crt_gates` speed baseline).
     pub fn decrypt_noncrt(&self, c: &Ciphertext) -> Ubig {
         let clambda = self.mont_n2.pow(&c.0, &self.lambda);
         let l = clambda.sub(&Ubig::one()).div_rem(&self.public.n).0;

@@ -28,14 +28,14 @@
 //!   refill job is scheduled on the [`WorkerPool`]'s priority lane as
 //!   soon as the pool drops below its low-water mark, generating in
 //!   small batches *outside* the pool lock, so a steady-state INSERT
-//!   never generates a blinding factor inline (p99 ≈ p50; see
-//!   `BENCH_runtime.json`). An empty pool falls back to synchronous
-//!   generation — counted in [`BlindingStats::sync_refills`] so benches
-//!   can assert the fallback never fires after warmup.
-//!   [`BlindingPool::new_adaptive`] additionally *sizes* the watermarks
+//!   never generates a blinding factor inline (p99 ≈ p50; the
+//!   paillier crate's `crt_gates` test holds that bar). An empty pool
+//!   falls back to synchronous generation — counted in
+//!   [`BlindingStats::sync_refills`] so tests and benchmarks can assert
+//!   the fallback never fires after warmup. The watermarks are *sized*
 //!   from observed demand — take-rate EWMA × refill lead time plus a
-//!   safety margin, clamped between the configured floors and a ceiling
-//!   — so a demand surge (e.g. a 10× INSERT step) grows the pool before
+//!   safety margin, clamped between configured floors and a ceiling —
+//!   so a demand surge (e.g. a 10× INSERT step) grows the pool before
 //!   it can run dry while calm periods settle back to the floors.
 //!
 //! The pool item type is generic (`BlindingPool<T>`): production wires
@@ -554,15 +554,15 @@ const REFILL_CHUNK: usize = 16;
 /// seed's dry-pool refill batch).
 const SYNC_BATCH: usize = 8;
 
-/// Extra pooled items the adaptive sizing keeps beyond the projected
+/// Extra pooled items the watermark sizing keeps beyond the projected
 /// drain (absorbs scheduling jitter and the first-chunk generation
 /// latency of a refill).
-const ADAPTIVE_HEADROOM: usize = 8;
+const HEADROOM: usize = 8;
 
-/// Floor/ceiling clamps for adaptive watermark sizing
-/// ([`BlindingPool::new_adaptive`]). The configured static watermarks
-/// become the floors; `ceiling` bounds how far demand can grow them.
-struct AdaptiveCfg {
+/// Floor/ceiling clamps for demand-sized watermarks
+/// ([`BlindingPool::new`]): `ceiling` bounds how far demand can grow
+/// them.
+struct Watermarks {
     floor_low: usize,
     floor_high: usize,
     ceiling: usize,
@@ -570,18 +570,18 @@ struct AdaptiveCfg {
 
 struct BlindState<T> {
     items: VecDeque<T>,
-    /// Refill-to level; raised by [`BlindingPool::warm`] and, in
-    /// adaptive mode, resized from the demand estimate.
+    /// Refill-to level; raised by [`BlindingPool::warm`] and resized
+    /// from the demand estimate.
     target: usize,
-    /// Refill trigger level (dynamic in adaptive mode).
+    /// Refill trigger level, resized from the demand estimate.
     low_water: usize,
-    /// `warm()`-requested level: adaptive sizing never drops `target`
+    /// `warm()`-requested level: watermark sizing never drops `target`
     /// below this.
     warm_floor: usize,
     refilling: bool,
     sync_refills: u64,
     async_refills: u64,
-    // Demand telemetry (adaptive mode only).
+    // Demand telemetry.
     last_take: Option<Instant>,
     /// EWMA of take inter-arrival time.
     interarrival_ns: Option<f64>,
@@ -592,16 +592,16 @@ struct BlindState<T> {
 }
 
 impl<T> BlindState<T> {
-    /// Adaptive watermark sizing: the pool must carry enough items to
+    /// Watermark sizing: the pool must carry enough items to
     /// absorb the takes that arrive while a refill is in flight —
     /// take-rate EWMA × refill lead time, doubled for safety, plus fixed
     /// headroom — clamped to the configured floor/ceiling.
-    fn resize_watermarks(&mut self, cfg: &AdaptiveCfg) {
+    fn resize_watermarks(&mut self, cfg: &Watermarks) {
         let (Some(ia), Some(lead)) = (self.interarrival_ns, self.lead_ns) else {
             return;
         };
         let expected = (lead / ia.max(1.0)).ceil() as usize;
-        let low = (2 * expected + ADAPTIVE_HEADROOM).clamp(cfg.floor_low, cfg.ceiling);
+        let low = (2 * expected + HEADROOM).clamp(cfg.floor_low, cfg.ceiling);
         let target = (2 * low)
             .max(cfg.floor_high)
             .min(cfg.ceiling)
@@ -640,8 +640,7 @@ struct BlindShared<T> {
     /// Generates `n` fresh items. Runs outside the state lock, possibly
     /// concurrently from several threads.
     generate: Box<dyn Fn(usize) -> Vec<T> + Send + Sync>,
-    /// `Some` = adaptive watermark mode.
-    adaptive: Option<AdaptiveCfg>,
+    watermarks: Watermarks,
 }
 
 /// Watermark-managed pre-compute pool (§3.5.2 ciphertext pre-computing).
@@ -663,7 +662,7 @@ pub struct BlindingStats {
     pub len: usize,
     /// Current refill-to level.
     pub target: usize,
-    /// Current refill trigger level (dynamic in adaptive mode).
+    /// Current refill trigger level (sized from demand).
     pub low_water: usize,
     /// Times a taker found the pool dry and generated inline.
     pub sync_refills: u64,
@@ -672,36 +671,22 @@ pub struct BlindingStats {
 }
 
 impl<T: Send + 'static> BlindingPool<T> {
-    /// Creates a pool over `worker_pool` with static watermarks.
+    /// Creates a pool over `worker_pool` whose refill trigger and target
+    /// are sized from the observed take-rate EWMA × refill lead time
+    /// plus a safety margin, clamped between the floors (`floor_low` /
+    /// `floor_high`, the levels before any demand is observed) and
+    /// `ceiling`. A demand surge grows the pool toward the ceiling before
+    /// it can run dry; when demand subsides the watermarks settle back to
+    /// the floors. `ceiling == floor_high` pins the target at
+    /// `floor_high` (or a higher [`Self::warm`] level).
     ///
     /// `generate(n)` must return `n` fresh items; it is called outside
     /// every lock and must be safe to run concurrently.
     ///
     /// # Panics
     ///
-    /// Panics if `low_water > high_water`.
-    pub fn new(
-        worker_pool: &WorkerPool,
-        low_water: usize,
-        high_water: usize,
-        generate: impl Fn(usize) -> Vec<T> + Send + Sync + 'static,
-    ) -> Self {
-        assert!(low_water <= high_water, "low water above high water");
-        Self::build(worker_pool, low_water, high_water, None, generate)
-    }
-
-    /// Creates a pool with *adaptive* watermarks: the refill trigger and
-    /// target are sized from the observed take-rate EWMA × refill lead
-    /// time plus a safety margin, clamped between the configured floors
-    /// (`floor_low` / `floor_high` — the static values a non-adaptive
-    /// pool would use) and `ceiling`. A demand surge grows the pool
-    /// toward the ceiling before it can run dry; when demand subsides
-    /// the watermarks settle back to the floors.
-    ///
-    /// # Panics
-    ///
     /// Panics unless `floor_low ≤ floor_high ≤ ceiling`.
-    pub fn new_adaptive(
+    pub fn new(
         worker_pool: &WorkerPool,
         floor_low: usize,
         floor_high: usize,
@@ -710,34 +695,14 @@ impl<T: Send + 'static> BlindingPool<T> {
     ) -> Self {
         assert!(
             floor_low <= floor_high && floor_high <= ceiling,
-            "adaptive watermarks need floor_low <= floor_high <= ceiling"
+            "watermarks need floor_low <= floor_high <= ceiling"
         );
-        Self::build(
-            worker_pool,
-            floor_low,
-            floor_high,
-            Some(AdaptiveCfg {
-                floor_low,
-                floor_high,
-                ceiling,
-            }),
-            generate,
-        )
-    }
-
-    fn build(
-        worker_pool: &WorkerPool,
-        low_water: usize,
-        high_water: usize,
-        adaptive: Option<AdaptiveCfg>,
-        generate: impl Fn(usize) -> Vec<T> + Send + Sync + 'static,
-    ) -> Self {
         BlindingPool {
             shared: Arc::new(BlindShared {
                 state: Mutex::new(BlindState {
                     items: VecDeque::new(),
-                    target: high_water,
-                    low_water,
+                    target: floor_high,
+                    low_water: floor_low,
                     warm_floor: 0,
                     refilling: false,
                     sync_refills: 0,
@@ -749,7 +714,11 @@ impl<T: Send + 'static> BlindingPool<T> {
                 }),
                 cond: Condvar::new(),
                 generate: Box::new(generate),
-                adaptive,
+                watermarks: Watermarks {
+                    floor_low,
+                    floor_high,
+                    ceiling,
+                },
             }),
             pool: worker_pool.clone(),
         }
@@ -761,10 +730,8 @@ impl<T: Send + 'static> BlindingPool<T> {
     pub fn take(&self) -> T {
         let (item, schedule) = {
             let mut st = lock(&self.shared.state);
-            if let Some(cfg) = &self.shared.adaptive {
-                st.note_take();
-                st.resize_watermarks(cfg);
-            }
+            st.note_take();
+            st.resize_watermarks(&self.shared.watermarks);
             let item = st.items.pop_front();
             let schedule =
                 !st.refilling && st.target > 0 && (st.items.len() < st.low_water || item.is_none());
@@ -818,9 +785,7 @@ impl<T: Send + 'static> BlindingPool<T> {
                             Some(e) => 0.7 * e + 0.3 * lead,
                             None => lead,
                         });
-                        if let Some(cfg) = &shared.adaptive {
-                            st.resize_watermarks(cfg);
-                        }
+                        st.resize_watermarks(&shared.watermarks);
                     }
                     d = st.target.saturating_sub(st.items.len());
                     if d == 0 {
@@ -841,8 +806,7 @@ impl<T: Send + 'static> BlindingPool<T> {
 
     /// Synchronously fills the pool to at least `n` items and raises the
     /// refill target to `max(target, n)` (the proxy's `precompute_hom`).
-    /// In adaptive mode the demand-derived target never drops below `n`
-    /// afterwards.
+    /// The demand-derived target never drops below `n` afterwards.
     pub fn warm(&self, n: usize) {
         let deficit = {
             let mut st = lock(&self.shared.state);
@@ -1038,7 +1002,7 @@ mod tests {
     ) -> (BlindingPool<u64>, Arc<AtomicUsize>) {
         let generated = Arc::new(AtomicUsize::new(0));
         let g = generated.clone();
-        let bp = BlindingPool::new(workers, low, high, move |n| {
+        let bp = BlindingPool::new(workers, low, high, high, move |n| {
             // Simulate a multi-ms exponentiation batch.
             std::thread::sleep(Duration::from_micros(50 * n as u64));
             (0..n)
@@ -1129,7 +1093,7 @@ mod tests {
         let (sized_tx, sized_rx) = std::sync::mpsc::channel::<()>();
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
         let (sized_rx, gate_rx) = (Mutex::new(sized_rx), Mutex::new(gate_rx));
-        let bp = BlindingPool::new(&workers, 2, 8, move |n| {
+        let bp = BlindingPool::new(&workers, 2, 8, 8, move |n| {
             if std::thread::current().id() == taker {
                 lock(&sized_rx).recv().expect("refill sized its batch");
             } else {
@@ -1320,7 +1284,7 @@ mod tests {
         // demand step must never hit the dry-pool synchronous fallback,
         // and the target must grow from its floor to absorb the new rate.
         let workers = WorkerPool::new(2);
-        let bp = BlindingPool::new_adaptive(&workers, 4, 32, 1024, move |n| {
+        let bp = BlindingPool::new(&workers, 4, 32, 1024, move |n| {
             // ~20 µs per item, far faster than either take rate below.
             std::thread::sleep(Duration::from_micros(20 * n as u64));
             (0..n as u64).collect::<Vec<u64>>()
@@ -1361,7 +1325,7 @@ mod tests {
     #[test]
     fn adaptive_watermarks_respect_warm_floor() {
         let workers = WorkerPool::new(1);
-        let bp = BlindingPool::new_adaptive(&workers, 2, 8, 256, |n| (0..n as u64).collect());
+        let bp = BlindingPool::new(&workers, 2, 8, 256, |n| (0..n as u64).collect());
         bp.warm(64);
         // Take a few (fast arrivals) so the resize logic runs.
         for _ in 0..16 {
