@@ -10,8 +10,8 @@
 //!   for the Montgomery kernels.
 //! * [`Montgomery`] — Montgomery-form modular multiplication and
 //!   exponentiation for odd moduli (Paillier's hot path): one CIOS
-//!   product and one SOS squaring, both allocation-free on
-//!   caller-provided limb slices. [`MontScratch`] carries every working
+//!   product (squares included), allocation-free on caller-provided
+//!   limb slices. [`MontScratch`] carries every working
 //!   buffer across repeated exponentiations.
 //! * `prime` (internal) — Miller–Rabin probable-prime testing and random prime
 //!   generation (Paillier key generation).

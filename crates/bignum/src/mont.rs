@@ -1,18 +1,18 @@
-//! Montgomery-form modular arithmetic: one CIOS multiply, one SOS square.
+//! Montgomery-form modular arithmetic: one CIOS multiply kernel.
 //!
 //! This is the bignum hot path of the whole system: every Paillier
 //! decryption and blinding pre-computation (§3.5.2 of the paper), and
-//! every Miller–Rabin round of key generation, bottoms out in the kernels
+//! every Miller–Rabin round of key generation, bottoms out in the kernel
 //! here. The design rules:
 //!
-//! * **One kernel per operation.** [`Montgomery::mont_mul`] is the
-//!   interleaved CIOS (coarsely integrated operand scanning) product:
-//!   each row of `a·b` is folded by one quotient digit as soon as it is
-//!   formed, so the working set is `width() + 2` limbs.
-//!   [`Montgomery::mont_sqr`] is SOS: the off-diagonal half-product is
-//!   computed once and doubled, the diagonal added, and the double-width
-//!   square reduced word by word.
-//! * **No heap allocation per multiply.** Both kernels operate on
+//! * **One kernel.** [`Montgomery::mont_mul`] is the interleaved CIOS
+//!   (coarsely integrated operand scanning) product: each row of `a·b`
+//!   is folded by one quotient digit as soon as it is formed, so the
+//!   working set is `width() + 2` limbs. Squares are `mont_mul(a, a)`:
+//!   a dedicated SOS square took 1.07–1.12× the product's time at 8
+//!   limbs, 0.97–1.08× at 16 and 0.86–0.89× at 32 (release, 2 shared
+//!   vCPUs), and only the non-CRT reference paths run at 32.
+//! * **No heap allocation per multiply.** The kernel operates on
 //!   caller-provided limb slices; an exponentiation reuses one
 //!   [`MontScratch`] for every window step, and batch callers
 //!   ([`Montgomery::pow_with`]) carry the same scratch across calls.
@@ -25,8 +25,8 @@
 //! `p`/`q` contexts and Miller–Rabin) or 16 limbs (the CRT `p²`/`q²`
 //! contexts), where such a kernel measured 1.00× CIOS on an isolated
 //! multiply and 0.99× on CRT decrypt (single-core 2.1 GHz Xeon, safe
-//! scalar Rust). Its one win, ≈1.2× at the 32-limb `n²` width, reached
-//! only key generation's single `g^λ` and the non-CRT reference paths.
+//! scalar Rust). Its one win, ≈1.2× at the 32-limb `n²` width, would
+//! reach only the non-CRT reference paths.
 
 use crate::Ubig;
 
@@ -130,13 +130,13 @@ impl Montgomery {
         self.n_limbs.len()
     }
 
-    /// Scratch limbs the kernels need at this width: the SOS square's
-    /// double-width product plus a carry limb (CIOS uses a prefix).
+    /// Scratch limbs the kernel needs at this width: one row of the
+    /// CIOS product plus two carry limbs.
     pub fn scratch_len(&self) -> usize {
-        2 * self.n_limbs.len() + 2
+        self.n_limbs.len() + 2
     }
 
-    /// Allocates a scratch buffer large enough for either kernel.
+    /// Allocates a scratch buffer for [`Self::mont_mul`].
     pub fn scratch(&self) -> Vec<u64> {
         vec![0u64; self.scratch_len()]
     }
@@ -186,66 +186,6 @@ impl Montgomery {
         reduce_once(&t[..=s], n, out);
     }
 
-    /// Montgomery square `out = a²·R⁻¹ mod n` by SOS. `scratch` as in
-    /// [`Self::mont_mul`].
-    pub fn mont_sqr(&self, a: &[u64], out: &mut [u64], scratch: &mut [u64]) {
-        let s = self.n_limbs.len();
-        debug_assert!(a.len() == s && out.len() == s);
-        debug_assert!(scratch.len() >= 2 * s + 2);
-        let n = &self.n_limbs[..];
-        let t = &mut scratch[..2 * s + 1];
-        t.fill(0);
-        // Off-diagonal half: t += Σ_{i<j} a[i]·a[j]·2^(64(i+j)).
-        for i in 0..s {
-            let ai = a[i] as u128;
-            let mut carry: u128 = 0;
-            for j in i + 1..s {
-                let sum = t[i + j] as u128 + ai * a[j] as u128 + carry;
-                t[i + j] = sum as u64;
-                carry = sum >> 64;
-            }
-            t[i + s] = carry as u64; // i+s ≤ 2s-1, and this slot is untouched.
-        }
-        // Double the off-diagonal half.
-        let mut top = 0u64;
-        for limb in t.iter_mut() {
-            let new_top = *limb >> 63;
-            *limb = (*limb << 1) | top;
-            top = new_top;
-        }
-        // Add the diagonal a[i]².
-        let mut carry: u128 = 0;
-        for i in 0..s {
-            let sq = a[i] as u128 * a[i] as u128;
-            let sum = t[2 * i] as u128 + (sq as u64) as u128 + carry;
-            t[2 * i] = sum as u64;
-            let sum_hi = t[2 * i + 1] as u128 + (sq >> 64) + (sum >> 64);
-            t[2 * i + 1] = sum_hi as u64;
-            carry = sum_hi >> 64;
-        }
-        if carry != 0 {
-            t[2 * s] = t[2 * s].wrapping_add(carry as u64);
-        }
-        // Montgomery reduction (SOS): fold s limbs from the bottom.
-        for i in 0..s {
-            let m = t[i].wrapping_mul(self.n0inv) as u128;
-            let mut carry: u128 = 0;
-            for j in 0..s {
-                let sum = t[i + j] as u128 + m * n[j] as u128 + carry;
-                t[i + j] = sum as u64;
-                carry = sum >> 64;
-            }
-            let mut k = i + s;
-            while carry != 0 {
-                let sum = t[k] as u128 + carry;
-                t[k] = sum as u64;
-                carry = sum >> 64;
-                k += 1;
-            }
-        }
-        reduce_once(&t[s..=2 * s], n, out);
-    }
-
     /// Converts into Montgomery form (allocates the result buffer; this is
     /// a conversion boundary, not a hot-loop kernel).
     pub fn to_mont(&self, v: &Ubig) -> Vec<u64> {
@@ -286,9 +226,9 @@ impl Montgomery {
 
     /// Modular exponentiation `base^exp mod n`.
     ///
-    /// Uses a 4-bit fixed window with a dedicated squaring kernel; for
-    /// exponents of at most `SHORT_EXP_BITS` (32) bits the window table is
-    /// skipped entirely in favour of square-and-multiply. Allocates one
+    /// Uses a 4-bit fixed window; for exponents of at most
+    /// `SHORT_EXP_BITS` (32) bits the window table is skipped entirely in
+    /// favour of square-and-multiply. Allocates one
     /// [`MontScratch`] — batch callers should hold their own and use
     /// [`Self::pow_with`].
     pub fn pow(&self, base: &Ubig, exp: &Ubig) -> Ubig {
@@ -322,7 +262,7 @@ impl Montgomery {
             for i in (0..bits - 1).rev() {
                 {
                     let (acc, tmp) = (&ws.acc[..s], &mut ws.tmp[..s]);
-                    self.mont_sqr(acc, tmp, &mut ws.kernel);
+                    self.mont_mul(acc, acc, tmp, &mut ws.kernel);
                 }
                 if exp.bit(i) {
                     let (tmp, base_buf, acc) = (&ws.tmp[..s], &ws.base[..s], &mut ws.acc[..s]);
@@ -367,7 +307,8 @@ impl Montgomery {
             let (lo, hi) = table.split_at_mut(i * s);
             let row = &mut hi[..s];
             if i % 2 == 0 {
-                self.mont_sqr(&lo[(i / 2) * s..(i / 2 + 1) * s], row, scratch);
+                let half = &lo[(i / 2) * s..(i / 2 + 1) * s];
+                self.mont_mul(half, half, row, scratch);
             } else {
                 self.mont_mul(&lo[(i - 1) * s..i * s], base_m, row, scratch);
             }
@@ -397,7 +338,7 @@ impl Montgomery {
             }
             if started {
                 for _ in 0..4 {
-                    self.mont_sqr(&acc[..s], &mut tmp[..s], scratch);
+                    self.mont_mul(&acc[..s], &acc[..s], &mut tmp[..s], scratch);
                     std::mem::swap(acc, tmp);
                 }
             }
@@ -522,42 +463,6 @@ mod tests {
             v = v.add(&Ubig::from_u64(x).shl(64 * i));
         }
         v.rem(n)
-    }
-
-    #[test]
-    fn sqr_matches_mul() {
-        let n = Ubig::from_hex("f123456789abcdef0123456789abcdef0123456789abcdef1").unwrap();
-        let m = Montgomery::new(n.clone());
-        let mut scratch = m.scratch();
-        for seed in 1u64..50 {
-            let a = Ubig::from_u64(seed)
-                .mul(&Ubig::from_hex("deadbeefcafebabe1234567").unwrap())
-                .rem(&n);
-            let am = m.to_mont(&a);
-            let mut sq = vec![0u64; m.width()];
-            let mut mu = vec![0u64; m.width()];
-            m.mont_sqr(&am, &mut sq, &mut scratch);
-            m.mont_mul(&am, &am, &mut mu, &mut scratch);
-            assert_eq!(sq, mu, "seed {seed}");
-            assert_eq!(m.from_mont(&sq), a.mod_mul(&a, &n));
-        }
-    }
-
-    #[test]
-    fn sqr_matches_mul_wide() {
-        let n = wide_modulus(32); // The Paillier n² width.
-        let m = Montgomery::new(n.clone());
-        let mut scratch = m.scratch();
-        for seed in 1u64..20 {
-            let a = wide_value(&n, seed);
-            let am = m.to_mont(&a);
-            let mut sq = vec![0u64; m.width()];
-            let mut mu = vec![0u64; m.width()];
-            m.mont_sqr(&am, &mut sq, &mut scratch);
-            m.mont_mul(&am, &am, &mut mu, &mut scratch);
-            assert_eq!(sq, mu, "seed {seed}");
-            assert_eq!(m.from_mont(&sq), a.mod_mul(&a, &n));
-        }
     }
 
     #[test]

@@ -140,23 +140,6 @@ proptest! {
     }
 
     #[test]
-    fn mont_sqr_matches_mont_mul(a_hex in "[0-9a-f]{1,160}",
-                                 m_hex in "[1-9a-f][0-9a-f]{80,160}") {
-        let m = Ubig::from_hex(&m_hex).unwrap().add(&Ubig::one());
-        let m = if m.is_even() { m.add(&Ubig::one()) } else { m };
-        let mont = Montgomery::new(m.clone());
-        let a = Ubig::from_hex(&a_hex).unwrap().rem(&m);
-        let am = mont.to_mont(&a);
-        let mut scratch = mont.scratch();
-        let mut sq = vec![0u64; mont.width()];
-        let mut mu = vec![0u64; mont.width()];
-        mont.mont_sqr(&am, &mut sq, &mut scratch);
-        mont.mont_mul(&am, &am, &mut mu, &mut scratch);
-        prop_assert_eq!(&sq, &mu);
-        prop_assert_eq!(mont.from_mont(&sq), a.mod_mul(&a, &m));
-    }
-
-    #[test]
     fn mont_mul_matches_ubig_oracle_wide(a_hex in "[0-9a-f]{1,520}",
                                          b_hex in "[0-9a-f]{1,520}",
                                          m_hex in "[1-9a-f][0-9a-f]{260,520}") {
@@ -179,6 +162,7 @@ proptest! {
     #[test]
     fn mont_sqr_matches_ubig_oracle_wide(a_hex in "[0-9a-f]{1,520}",
                                          m_hex in "[1-9a-f][0-9a-f]{260,520}") {
+        // Squares are `mont_mul(a, a)`: both operands alias one slice.
         let m = Ubig::from_hex(&m_hex).unwrap().add(&Ubig::one());
         let m = if m.is_even() { m.add(&Ubig::one()) } else { m };
         let mont = Montgomery::new(m.clone());
@@ -186,7 +170,7 @@ proptest! {
         let mut scratch = mont.scratch();
         let am = mont.to_mont(&a);
         let mut sq = vec![0u64; mont.width()];
-        mont.mont_sqr(&am, &mut sq, &mut scratch);
+        mont.mont_mul(&am, &am, &mut sq, &mut scratch);
         prop_assert_eq!(mont.from_mont(&sq), a.mul(&a).rem(&m));
     }
 

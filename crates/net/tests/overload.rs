@@ -419,19 +419,15 @@ fn inflight_budget_sheds_excess_statements_with_53400() {
         max_inflight_statements: 1,
         ..NetLimits::default()
     };
-    let cfg = ProxyConfig {
-        paillier_bits: 256,
-        runtime_threads: 1,
-        ..Default::default()
-    };
-    let proxy = Arc::new(Proxy::new(Arc::new(Engine::new()), [3u8; 32], cfg));
-    let server = NetServer::spawn_with(proxy, "127.0.0.1:0", limits).unwrap();
+    let proxy = one_worker_proxy();
+    let server = NetServer::spawn_with(proxy.clone(), "127.0.0.1:0", limits).unwrap();
     let mut c = NetClient::connect(server.local_addr(), "burst", "").unwrap();
     c.simple_query("CREATE TABLE q (a int)").unwrap();
 
-    // Pipeline one slow statement and five fast ones in a single write.
-    // While the bulky INSERT holds the only budget slot, the trailing
-    // statements are rejected in pipeline order with ERROR 53400.
+    // Pipeline one bulky statement and five fast ones in a single write.
+    // The only worker is held, so the INSERT keeps the only budget slot
+    // until the mux has read every trailing statement and rejected it in
+    // pipeline order with ERROR 53400; only then does the INSERT run.
     let values: Vec<String> = (0..800).map(|i| format!("({i})")).collect();
     let big = format!("INSERT INTO q (a) VALUES {}\0", values.join(", "));
     let mut burst = Vec::new();
@@ -439,7 +435,16 @@ fn inflight_budget_sheds_excess_statements_with_53400() {
     for _ in 0..5 {
         protocol::push_frame(&mut burst, b'Q', b"SELECT COUNT(*) FROM q\0");
     }
+    let gate = hold_worker(&proxy);
     c.send_raw(&burst).unwrap();
+    assert!(
+        wait_for(Duration::from_secs(10), || server
+            .stats()
+            .rejected_statements
+            >= 5),
+        "the five statements behind the held INSERT were not all shed"
+    );
+    gate.send(()).unwrap();
 
     let mut ok = 0usize;
     let mut rejected = 0usize;

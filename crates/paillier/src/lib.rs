@@ -35,8 +35,15 @@
 //!   [`PaillierPrivate::decrypt_i64_batch_pending`] fans the cells out
 //!   over the proxy's persistent [`WorkerPool`] (no per-query thread
 //!   spawns) and lets the caller overlap row post-processing.
-//! * Signed 64-bit values are encoded as residues: `v < 0` maps to
-//!   `n + v`; decode folds values above `n/2` back to negatives.
+//! * **Short-plaintext decryption (proxy-side).** Signed 64-bit values
+//!   are encoded as residues (`v < 0` maps to `n + v`), and a cell or a
+//!   `HOM_SUM` of `k` cells carries `|V| ≤ k·2⁶³`, below `p/2` for any
+//!   `k < 2⁴⁴⁷` (`p ≥ 2⁵¹¹` at the paper's 1024-bit `n`). In that range
+//!   `V mod p` determines `V`, so [`PaillierPrivate::decrypt_i64`]
+//!   computes only `m mod p` — the `p²` half of the CRT decryption, one
+//!   16-limb exponentiation instead of two — and reads it as `m_p` or
+//!   `m_p − p`; the full residue [`PaillierPrivate::decrypt`] stays the
+//!   reference.
 //!
 //! The DBMS-server half ([`PaillierPublic`]) never sees `p`, `q`, or the
 //! CRT tables — it can only multiply ciphertexts.
@@ -64,7 +71,7 @@ impl PaillierScratch {
     }
 }
 
-/// Public Paillier parameters: the modulus and derived constants.
+/// Public Paillier parameters: the modulus and its square.
 ///
 /// Cloneable so the DBMS server side (UDFs) can hold the public half —
 /// the server multiplies ciphertexts but can never decrypt them.
@@ -72,14 +79,12 @@ impl PaillierScratch {
 pub struct PaillierPublic {
     n: Ubig,
     n_squared: Ubig,
-    half_n: Ubig,
 }
 
 /// Private Paillier key (proxy side only).
 pub struct PaillierPrivate {
     public: PaillierPublic,
-    /// `mod n²` context — key generation's `g^λ` and the non-CRT
-    /// reference paths.
+    /// `mod n²` context — the non-CRT reference paths.
     mont_n2: Montgomery,
     /// λ = lcm(p−1, q−1) — non-CRT reference path.
     lambda: Ubig,
@@ -140,23 +145,6 @@ impl PaillierPublic {
         }
     }
 
-    /// Decodes a Z_n residue back to a signed 64-bit integer.
-    ///
-    /// Returns `None` if the magnitude exceeds `i64` range.
-    pub fn decode_i64(&self, m: &Ubig) -> Option<i64> {
-        if m > &self.half_n {
-            let neg = self.n.sub(m);
-            let v = neg.to_u64()?;
-            if v > i64::MAX as u64 + 1 {
-                return None;
-            }
-            Some((v as i128).wrapping_neg() as i64)
-        } else {
-            let v = m.to_u64()?;
-            i64::try_from(v).ok()
-        }
-    }
-
     /// Encrypts `m ∈ Z_n` with a pre-computed blinding factor `r^n mod n²`.
     ///
     /// This is the §3.5.2 fast path: `c = (1 + m·n) · rⁿ mod n²`.
@@ -199,9 +187,10 @@ impl PaillierPrivate {
     ///
     /// # Panics
     ///
-    /// Panics if `bits < 16`.
+    /// Panics if `bits < 256`: [`Self::decrypt_i64`] decodes from
+    /// `m mod p` and needs `p ≥ 2¹²⁷` to stay exact.
     pub fn keygen<R: rand::RngCore + ?Sized>(rng: &mut R, bits: usize) -> Self {
-        assert!(bits >= 16, "modulus too small");
+        assert!(bits >= 256, "modulus too small for exact i64 decryption");
         let (p, q, n) = loop {
             let p = gen_prime(rng, bits / 2);
             let q = gen_prime(rng, bits - bits / 2);
@@ -216,21 +205,16 @@ impl PaillierPrivate {
         let n_squared = n.mul(&n);
         let one = Ubig::one();
         let lambda = p.sub(&one).lcm(&q.sub(&one));
-        let mont_n2 = Montgomery::new(n_squared.clone());
-        // μ = L(g^λ mod n²)⁻¹ mod n, with g = n + 1.
-        let g = n.add(&one);
-        let glambda = mont_n2.pow(&g, &lambda);
-        let l = glambda.sub(&one).div_rem(&n).0;
-        let mu = l.mod_inv(&n).expect("λ invertible for valid p, q");
-        let half_n = n.shr(1);
+        // μ = L(g^λ mod n²)⁻¹ mod n; with g = n + 1, g^λ ≡ 1 + λ·n
+        // (mod n²), so L(g^λ mod n²) = λ mod n.
+        let mu = lambda
+            .rem(&n)
+            .mod_inv(&n)
+            .expect("λ invertible for valid p, q");
         let crt = CrtKey::new(p, q);
         PaillierPrivate {
-            public: PaillierPublic {
-                n,
-                n_squared,
-                half_n,
-            },
-            mont_n2,
+            mont_n2: Montgomery::new(n_squared.clone()),
+            public: PaillierPublic { n, n_squared },
             lambda,
             mu,
             crt,
@@ -324,9 +308,7 @@ impl PaillierPrivate {
     /// decrypt paths reuse one scratch across every cell of a chunk.
     pub fn decrypt_with(&self, c: &Ciphertext, ws: &mut PaillierScratch) -> Ubig {
         let k = &self.crt;
-        let cp = k.mont_p2.pow_with(&c.0, &k.pm1, &mut ws.ws);
-        let lp = cp.sub(&Ubig::one()).div_rem(&k.p).0;
-        let mp = lp.mod_mul(&k.hp, &k.p);
+        let mp = self.decrypt_mod_p(c, ws);
         let cq = k.mont_q2.pow_with(&c.0, &k.qm1, &mut ws.ws);
         let lq = cq.sub(&Ubig::one()).div_rem(&k.q).0;
         let mq = lq.mod_mul(&k.hq, &k.q);
@@ -344,16 +326,45 @@ impl PaillierPrivate {
         l.mod_mul(&self.mu, &self.public.n)
     }
 
-    /// Decrypts to a signed 64-bit integer.
+    /// The `p²` half of the CRT decryption: `m mod p = L_p(c^{p−1} mod
+    /// p²)·h_p mod p`.
+    fn decrypt_mod_p(&self, c: &Ciphertext, ws: &mut PaillierScratch) -> Ubig {
+        let k = &self.crt;
+        let cp = k.mont_p2.pow_with(&c.0, &k.pm1, &mut ws.ws);
+        let lp = cp.sub(&Ubig::one()).div_rem(&k.p).0;
+        lp.mod_mul(&k.hp, &k.p)
+    }
+
+    /// Decrypts to a signed 64-bit integer from `m_p = m mod p` alone:
+    /// one half-width exponentiation, half the cost of [`Self::decrypt`].
     ///
     /// Returns `None` on magnitude overflow (e.g. a sum that left i64).
+    ///
+    /// **Why `m mod p` suffices.** The decode is `m_p` if `m_p ≤ p/2`,
+    /// otherwise `m_p − p`, then the i64 range check. It recovers `V`
+    /// exactly whenever `|V| < p/2`. An i64 cell has `|V| ≤ 2⁶³`, and a
+    /// `HOM_SUM` of `k` cells `|V| ≤ k·2⁶³`, which is below `p/2` for
+    /// every `k < 2⁴⁴⁷` at the paper's 1024-bit `n` (`p ≥ 2⁵¹¹`;
+    /// [`Self::keygen`] refuses keys with `p < 2¹²⁷`). A sum that leaves
+    /// i64 but stays below `p/2` decodes to its true value and fails the
+    /// range check, so it is `None` as before. A residue that decodes
+    /// differently from the full CRT `decrypt` would have to be ≡ a small
+    /// value (mod p) yet at least `p/2` in magnitude — an offset by a
+    /// multiple of `p`, which only someone who can factor `n` can build;
+    /// and the server is passive (§2), it only multiplies ciphertexts.
     pub fn decrypt_i64(&self, c: &Ciphertext) -> Option<i64> {
-        self.public.decode_i64(&self.decrypt(c))
+        self.decrypt_i64_with(c, &mut PaillierScratch::new())
     }
 
     /// [`Self::decrypt_i64`] with caller-held working memory.
     pub fn decrypt_i64_with(&self, c: &Ciphertext, ws: &mut PaillierScratch) -> Option<i64> {
-        self.public.decode_i64(&self.decrypt_with(c, ws))
+        let p = &self.crt.p;
+        let mp = self.decrypt_mod_p(c, ws);
+        if mp <= p.shr(1) {
+            i64::try_from(mp.to_u64()?).ok()
+        } else {
+            i64::try_from(-i128::from(p.sub(&mp).to_u64()?)).ok()
+        }
     }
 
     /// Starts decrypting a batch of ciphertexts on a persistent

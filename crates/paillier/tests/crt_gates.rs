@@ -1,9 +1,11 @@
 //! Speed gates on the proxy's private-key paths at the paper's 1024-bit
 //! key size: CRT decryption and CRT blinding each at least 2× their
 //! full-width references (`decrypt_noncrt`, `blinding_from_r_noncrt`),
-//! and a warm blinding pool's take latency free of synchronous-refill
-//! spikes (§3.5.2 pre-computing). The bars are armed only in an
-//! optimised build: debug-mode bignum arithmetic distorts every ratio.
+//! the SUM read path `decrypt_i64` (one `mod p²` exponentiation) at
+//! least [`DECRYPT_I64_BAR`]× the full CRT `decrypt` (two), and a warm
+//! blinding pool's take latency free of synchronous-refill spikes
+//! (§3.5.2 pre-computing). The bars are armed only in an optimised
+//! build: debug-mode bignum arithmetic distorts every ratio.
 //! `--nocapture` prints the measured figures.
 
 use cryptdb_bignum::Ubig;
@@ -24,25 +26,25 @@ fn key() -> &'static Arc<PaillierPrivate> {
     })
 }
 
-/// Total time of `crt` over total time of `noncrt`, alternating the two
+/// Total time of `slow` over total time of `fast`, alternating the two
 /// in rounds so load from the binary's other tests falls on both.
-fn noncrt_over_crt<A, B>(mut crt: impl FnMut() -> A, mut noncrt: impl FnMut() -> B) -> f64 {
+fn speedup<A, B>(mut fast: impl FnMut() -> A, mut slow: impl FnMut() -> B) -> f64 {
     const ROUNDS: usize = 10;
     const OPS: usize = 10;
-    let (mut t_crt, mut t_noncrt) = (Duration::ZERO, Duration::ZERO);
+    let (mut t_fast, mut t_slow) = (Duration::ZERO, Duration::ZERO);
     for _ in 0..ROUNDS {
         let t0 = Instant::now();
         for _ in 0..OPS {
-            black_box(crt());
+            black_box(fast());
         }
-        t_crt += t0.elapsed();
+        t_fast += t0.elapsed();
         let t0 = Instant::now();
         for _ in 0..OPS {
-            black_box(noncrt());
+            black_box(slow());
         }
-        t_noncrt += t0.elapsed();
+        t_slow += t0.elapsed();
     }
-    t_noncrt.as_secs_f64() / t_crt.as_secs_f64()
+    t_slow.as_secs_f64() / t_fast.as_secs_f64()
 }
 
 #[test]
@@ -54,7 +56,7 @@ fn decrypt_crt_at_least_2x_noncrt() {
     let mut rng = StdRng::seed_from_u64(1);
     let ct = sk.encrypt_i64(123_456_789, &mut rng);
     assert_eq!(sk.decrypt(&ct), sk.decrypt_noncrt(&ct));
-    let ratio = noncrt_over_crt(|| sk.decrypt(&ct), || sk.decrypt_noncrt(&ct));
+    let ratio = speedup(|| sk.decrypt(&ct), || sk.decrypt_noncrt(&ct));
     eprintln!("decrypt_crt_vs_noncrt = {ratio:.2}");
     assert!(
         ratio >= 2.0,
@@ -71,11 +73,32 @@ fn blinding_crt_at_least_2x_noncrt() {
     let mut rng = StdRng::seed_from_u64(2);
     let r = Ubig::rand_below(&mut rng, sk.public().modulus());
     assert_eq!(sk.blinding_from_r(&r), sk.blinding_from_r_noncrt(&r));
-    let ratio = noncrt_over_crt(|| sk.blinding_from_r(&r), || sk.blinding_from_r_noncrt(&r));
+    let ratio = speedup(|| sk.blinding_from_r(&r), || sk.blinding_from_r_noncrt(&r));
     eprintln!("blinding_crt_vs_noncrt = {ratio:.2}");
     assert!(
         ratio >= 2.0,
         "CRT blinding only {ratio:.2}x the full-width path"
+    );
+}
+
+/// Floor for `decrypt_i64` over the full CRT `decrypt`: half the
+/// exponentiations, so ≈ 2× at best.
+const DECRYPT_I64_BAR: f64 = 1.6;
+
+#[test]
+fn decrypt_i64_beats_full_crt_decrypt() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let sk = key();
+    let mut rng = StdRng::seed_from_u64(3);
+    let ct = sk.encrypt_i64(-123_456_789, &mut rng);
+    assert_eq!(sk.decrypt_i64(&ct), Some(-123_456_789));
+    let ratio = speedup(|| sk.decrypt_i64(&ct), || sk.decrypt(&ct));
+    eprintln!("decrypt_i64_vs_full_crt = {ratio:.2}");
+    assert!(
+        ratio >= DECRYPT_I64_BAR,
+        "decrypt_i64 only {ratio:.2}x the full CRT decrypt (bar {DECRYPT_I64_BAR})"
     );
 }
 

@@ -1,7 +1,7 @@
 //! Property tests: Paillier's homomorphic laws.
 
 use cryptdb_bignum::Ubig;
-use cryptdb_paillier::{PaillierPrivate, PaillierScratch};
+use cryptdb_paillier::{Ciphertext, PaillierPrivate, PaillierScratch};
 use cryptdb_runtime::WorkerPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,10 +17,89 @@ fn key() -> &'static Arc<PaillierPrivate> {
     })
 }
 
-/// Shared 1- and 4-worker pools for the batch-decrypt property.
-fn pools() -> &'static [WorkerPool; 2] {
-    static POOLS: OnceLock<[WorkerPool; 2]> = OnceLock::new();
-    POOLS.get_or_init(|| [WorkerPool::new(1), WorkerPool::new(4)])
+/// Shared 1-, 2- and 4-worker pools for the batch-decrypt properties.
+fn pools() -> &'static [WorkerPool; 3] {
+    static POOLS: OnceLock<[WorkerPool; 3]> = OnceLock::new();
+    POOLS.get_or_init(|| [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(4)])
+}
+
+/// The reference signed decode: the full Z_n residue from the non-CRT
+/// path, `m` if `m ≤ n/2`, otherwise `m − n`, `None` outside i64.
+fn reference_i64(sk: &PaillierPrivate, c: &Ciphertext) -> Option<i64> {
+    let n = sk.public().modulus();
+    let m = sk.decrypt_noncrt(c);
+    if m <= n.shr(1) {
+        i64::try_from(m.to_u64()?).ok()
+    } else {
+        i64::try_from(-i128::from(n.sub(&m).to_u64()?)).ok()
+    }
+}
+
+/// `decrypt_i64` (from `m mod p` alone) against the reference decode
+/// and against `expect`, one cell at a time and as one batch on the
+/// 2-worker pool. The batch repeats the cells up to at least four, the
+/// smallest batch the pool splits over its workers.
+fn assert_parity(cts: &[Ciphertext], expect: &[Option<i64>]) {
+    let sk = key();
+    let mut ws = PaillierScratch::new();
+    for (c, &e) in cts.iter().zip(expect) {
+        assert_eq!(reference_i64(sk, c), e);
+        assert_eq!(sk.decrypt_i64(c), e);
+        assert_eq!(sk.decrypt_i64_with(c, &mut ws), e);
+    }
+    let reps = 4usize.div_ceil(cts.len());
+    let cells = cts.iter().cycle().take(reps * cts.len()).cloned().collect();
+    let batch = sk.decrypt_i64_batch_pending(&pools()[1], cells);
+    assert_eq!(batch.wait(), expect.repeat(reps));
+}
+
+/// The `add`-product of encryptions of `vs` (the `HOM_SUM` UDF's output)
+/// and the true sum, `None` when it leaves i64.
+fn hom_sum(vs: &[i64], rng: &mut StdRng) -> (Ciphertext, Option<i64>) {
+    let sk = key();
+    let acc = vs.iter().fold(sk.public().zero(), |acc, &v| {
+        sk.public().add(&acc, &sk.encrypt_i64(v, rng))
+    });
+    let sum: i128 = vs.iter().map(|&v| i128::from(v)).sum();
+    (acc, i64::try_from(sum).ok())
+}
+
+#[test]
+fn decrypt_i64_matches_reference_at_the_edges() {
+    let sk = key();
+    let mut rng = StdRng::seed_from_u64(64);
+    let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    let cts: Vec<_> = edges.iter().map(|&v| sk.encrypt_i64(v, &mut rng)).collect();
+    assert_parity(&cts, &edges.map(Some));
+    // Sums that leave i64 in each direction, and the widest sums a
+    // 64-cell aggregate can reach.
+    let sums: [&[i64]; 6] = [
+        &[i64::MAX, 1],
+        &[i64::MIN, -1],
+        &[i64::MAX; 64],
+        &[i64::MIN; 64],
+        &[i64::MAX, i64::MIN, -1],
+        &[i64::MIN, i64::MAX, 1, 1],
+    ];
+    let (cts, expect): (Vec<_>, Vec<_>) = sums.iter().map(|vs| hom_sum(vs, &mut rng)).unzip();
+    assert_eq!(expect, [None, None, None, None, Some(-2), Some(1)]);
+    assert_parity(&cts, &expect);
+    // Residues just outside i64 on either side, passed to `encrypt`.
+    let n = sk.public().modulus();
+    let two_63 = Ubig::one().shl(63);
+    let two_64 = Ubig::one().shl(64);
+    let residues = [
+        (two_64.clone(), None),
+        (n.sub(&two_64), None),
+        (two_63.clone(), None),
+        (n.sub(&two_63), Some(i64::MIN)),
+        (n.sub(&two_63).sub(&Ubig::one()), None),
+    ];
+    let (cts, expect): (Vec<_>, Vec<_>) = residues
+        .iter()
+        .map(|(m, e)| (sk.encrypt(m, &mut rng), *e))
+        .unzip();
+    assert_parity(&cts, &expect);
 }
 
 proptest! {
@@ -101,6 +180,33 @@ proptest! {
             }
         };
         prop_assert_eq!(sk.blinding_from_r(&r), sk.blinding_from_r_noncrt(&r));
+    }
+
+    #[test]
+    fn decrypt_i64_matches_reference_on_cells(vs in proptest::collection::vec(any::<i64>(), 1..9),
+                                              seed in any::<u64>()) {
+        let sk = key();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let cts: Vec<_> = vs.iter().map(|&v| sk.encrypt_i64(v, &mut rng)).collect();
+        let expect: Vec<_> = vs.iter().map(|&v| Some(v)).collect();
+        assert_parity(&cts, &expect);
+    }
+
+    #[test]
+    fn decrypt_i64_matches_reference_on_sums(vs in proptest::collection::vec(any::<i64>(), 1..65),
+                                             split in 1usize..65,
+                                             seed in any::<u64>()) {
+        // Full-range cells: many sums leave i64, and then the reference
+        // and `decrypt_i64` must both say `None`. The cells are split
+        // into two aggregates (the second may be empty, an encryption
+        // of 0) so one batch holds both.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let split = split.min(vs.len());
+        let (cts, expect): (Vec<_>, Vec<_>) = [&vs[..split], &vs[split..]]
+            .into_iter()
+            .map(|part| hom_sum(part, &mut rng))
+            .unzip();
+        assert_parity(&cts, &expect);
     }
 
     #[test]
