@@ -13,7 +13,8 @@ use crate::error::ProxyError;
 use crate::memo::ShardedMemo;
 use crate::multiprincipal::{MultiPrincipal, Principal};
 use crate::onion::{EqLevel, OpClass, OrdLevel, SecLevel};
-use crate::schema::{ColumnState, EncSchema, TableState};
+use crate::schema::{ColumnState, EncSchema, Need, TableState};
+use crate::training::Usage;
 use crate::udfs::register_udfs;
 use cryptdb_bignum::Ubig;
 use cryptdb_crypto::prf::{derive_key, Key};
@@ -135,7 +136,7 @@ pub struct Proxy {
     /// Bounded sharded cache of prepared rewrite plans keyed by the
     /// normalized statement text (the same `ShardedMemo` pattern as
     /// `eq_memo`): repeated `Parse` of one statement shape pays the
-    /// parse → analyze → rewrite pipeline once.
+    /// parse → rewrite pipeline once.
     plan_cache: ShardedMemo<String, Arc<prepared::PlanEntry>>,
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
@@ -455,6 +456,16 @@ impl Proxy {
 
     /// Executes one parsed statement.
     pub fn execute_stmt(&self, stmt: &Stmt) -> Result<QueryResult, ProxyError> {
+        self.execute_noting(stmt, None)
+    }
+
+    /// [`Self::execute_stmt`], noting into `usage` what the statement's
+    /// rewrite resolved — training mode's view of a statement.
+    pub(crate) fn execute_noting(
+        &self,
+        stmt: &Stmt,
+        usage: Option<&std::cell::RefCell<Usage>>,
+    ) -> Result<QueryResult, ProxyError> {
         // cryptdb_active interception happens in every mode (§4.2) — the
         // password must never reach the DBMS.
         if let Some(r) = self.try_intercept_active(stmt)? {
@@ -502,9 +513,9 @@ impl Proxy {
                 }
             }
             Stmt::Insert(ins) => self.insert(ins),
-            Stmt::Select(sel) => self.select(sel),
-            Stmt::Update(upd) => self.update(upd),
-            Stmt::Delete(del) => self.delete(del),
+            Stmt::Select(sel) => self.select(sel, usage),
+            Stmt::Update(upd) => self.update(upd, usage),
+            Stmt::Delete(del) => self.delete(del, usage),
             Stmt::Begin | Stmt::Commit | Stmt::Rollback => Ok(self.engine.execute(stmt)?),
         }
     }

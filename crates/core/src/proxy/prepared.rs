@@ -1,4 +1,4 @@
-//! Prepared-statement execution: parse → analyze → rewrite once, then
+//! Prepared-statement execution: parse → rewrite once, then
 //! bind typed parameters and execute many times.
 //!
 //! [`Proxy::prepare`] runs the full rewrite pipeline with `$n`
@@ -103,7 +103,7 @@ pub struct PlanCacheStats {
 }
 
 impl Proxy {
-    /// Prepares `sql` (exactly one statement): parse, analyze, rewrite,
+    /// Prepares `sql` (exactly one statement): parse, rewrite,
     /// and resolve keys once, leaving `$n` placeholders as typed holes.
     /// Results are cached by normalized text, so repeated `prepare` of
     /// one statement shape pays the pipeline once per schema epoch.
@@ -201,7 +201,7 @@ impl Proxy {
         let pooled = |s: &Slot| {
             matches!(
                 s,
-                Slot::Add { .. }
+                Slot::Add
                     | Slot::AvgPair { .. }
                     | Slot::Eq {
                         enc_for: Some(_),
@@ -242,7 +242,7 @@ impl Proxy {
         // everything else re-runs the statement pipeline per execution.
         let typed = match (&stmt, self.config.mode) {
             (Stmt::Select(sel), ProxyMode::CryptDb) if !sel.from.is_empty() => {
-                match self.plan_select(sel, true) {
+                match self.plan_select(sel, true, None) {
                     Ok(cs) => Some(cs),
                     Err(e) if is_param_fallback(&e) => None,
                     Err(e) => return Err(e),

@@ -1,7 +1,8 @@
-//! Query analysis, onion adjustment, rewriting, and result decryption.
+//! Query rewriting, onion adjustment, and result decryption.
 
 use super::*;
 use std::cell::RefCell;
+use std::collections::BTreeSet;
 
 /// Maps visible table names (aliases) in a query to schema tables.
 #[derive(Clone, Debug)]
@@ -53,573 +54,104 @@ impl Resolver {
     }
 }
 
-/// One onion requirement extracted from a query (§3.2).
+/// One adjustment a rewrite relied on that the schema did not yet offer
+/// (§3.2), over `(table, column)` pairs.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) enum Req {
-    Eq(String, String),
-    Ord(String, String),
+    Det(String, String),
+    Ope(String, String),
     Search(String, String),
+    Fresh(String, String),
     Join((String, String), (String, String)),
-    OrdJoin((String, String), (String, String)),
-    RefreshStale(String, String),
 }
 
-fn expr_has_columns(e: &Expr) -> bool {
-    let mut has = false;
-    e.walk(&mut |n| {
-        if matches!(n, Expr::Column(_)) {
-            has = true;
-        }
-    });
-    has
-}
+/// Bound on [`Proxy::plan_walk`]'s adjust-then-walk rounds, like
+/// `execute_prepared`'s three re-plans. The walk after an adjustment
+/// runs under the adjustment's write guard, so one round suffices.
+const MAX_ADJUSTMENTS: usize = 3;
 
 impl Proxy {
-    fn expr_has_sensitive(
+    /// The one pipeline of every rewritten statement (§3.2): `walk`
+    /// rewrites it against the schema and returns the requirements it
+    /// relied on that the schema does not offer yet. A walk with none is
+    /// the plan, taken under the read lock alone. Otherwise the guard is
+    /// dropped, the write lock taken, the requirements met, and the
+    /// statement walked again under that same guard, so nothing moves
+    /// between the adjustment and the plan. A refusal returns before any
+    /// adjustment: a refused statement adjusts nothing.
+    fn plan_walk<T>(
         &self,
-        schema: &EncSchema,
-        resolver: &Resolver,
-        e: &Expr,
-    ) -> Result<bool, ProxyError> {
-        let mut err = None;
-        let mut has = false;
-        e.walk(&mut |n| {
-            if let Expr::Column(c) = n {
-                match resolver.resolve(schema, c) {
-                    Ok((_, _, col)) => {
-                        if col.sensitive {
-                            has = true;
-                        }
-                    }
-                    Err(e) => err = Some(e),
-                }
+        mut walk: impl FnMut(&EncSchema) -> Result<(T, Vec<Req>), ProxyError>,
+    ) -> Result<T, ProxyError> {
+        let mut reqs = {
+            let schema = self.schema.read();
+            let (plan, reqs) = walk(&schema)?;
+            if reqs.is_empty() {
+                return Ok(plan);
             }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(has),
+            reqs
+        };
+        let mut schema = self.schema.write();
+        for _ in 0..MAX_ADJUSTMENTS {
+            self.adjust_locked(&mut schema, &reqs)?;
+            let (plan, more) = walk(&schema)?;
+            if more.is_empty() {
+                return Ok(plan);
+            }
+            reqs = more;
         }
-    }
-
-    /// Adds the requirement for a column-vs-constant comparison, with the
-    /// multi-principal and staleness checks.
-    fn push_col_req(
-        &self,
-        col_t: &TableState,
-        col: &ColumnState,
-        class: OpClass,
-        reqs: &mut Vec<Req>,
-    ) -> Result<(), ProxyError> {
-        if !col.sensitive {
-            return Ok(());
-        }
-        if col.enc_for.is_some() && class != OpClass::None {
-            return Err(ProxyError::NeedsPlaintext(format!(
-                "column {}.{} is encrypted per-principal; server-side {class:?} is impossible \
-                 (§6: no server computation across principals)",
-                col_t.name, col.name
-            )));
-        }
-        let t = col_t.name.to_lowercase();
-        if col.stale && matches!(class, OpClass::Eq | OpClass::Ord | OpClass::Join) {
-            reqs.push(Req::RefreshStale(t.clone(), col.name.clone()));
-        }
-        match class {
-            OpClass::Eq => reqs.push(Req::Eq(t, col.name.clone())),
-            OpClass::Ord => reqs.push(Req::Ord(t, col.name.clone())),
-            OpClass::Search => {
-                if !col.onions.search {
-                    return Err(ProxyError::NeedsPlaintext(format!(
-                        "column {}.{} has no Search onion",
-                        col_t.name, col.name
-                    )));
-                }
-                reqs.push(Req::Search(t, col.name.clone()));
-            }
-            OpClass::Add => {
-                if !col.onions.add {
-                    return Err(ProxyError::NeedsPlaintext(format!(
-                        "column {}.{} has no Add onion (HOM is for integers)",
-                        col_t.name, col.name
-                    )));
-                }
-            }
-            OpClass::Join | OpClass::None => {}
-        }
-        Ok(())
-    }
-
-    /// Collects onion requirements from a predicate (WHERE / ON).
-    fn analyze_pred(
-        &self,
-        schema: &EncSchema,
-        resolver: &Resolver,
-        e: &Expr,
-        reqs: &mut Vec<Req>,
-    ) -> Result<(), ProxyError> {
-        match e {
-            Expr::Binary {
-                op: BinOp::And | BinOp::Or,
-                left,
-                right,
-            } => {
-                self.analyze_pred(schema, resolver, left, reqs)?;
-                self.analyze_pred(schema, resolver, right, reqs)
-            }
-            Expr::Not(inner) => self.analyze_pred(schema, resolver, inner, reqs),
-            Expr::Binary { op, left, right } if op.is_comparison() => {
-                let lcol = matches!(&**left, Expr::Column(_));
-                let rcol = matches!(&**right, Expr::Column(_));
-                match (lcol, rcol) {
-                    (true, true) => {
-                        let (Expr::Column(a), Expr::Column(b)) = (&**left, &**right) else {
-                            unreachable!("matched columns");
-                        };
-                        let (_, ta, ca) = resolver.resolve(schema, a)?;
-                        let (_, tb, cb) = resolver.resolve(schema, b)?;
-                        match (ca.sensitive, cb.sensitive) {
-                            (false, false) => Ok(()),
-                            (true, true) => {
-                                if ca.enc_for.is_some() || cb.enc_for.is_some() {
-                                    return Err(ProxyError::NeedsPlaintext(
-                                        "join on per-principal encrypted column".into(),
-                                    ));
-                                }
-                                let pa = (ta.name.to_lowercase(), ca.name.clone());
-                                let pb = (tb.name.to_lowercase(), cb.name.clone());
-                                if *op == BinOp::Eq || *op == BinOp::NotEq {
-                                    if !ca.has_jtag || !cb.has_jtag {
-                                        return Err(ProxyError::PolicyViolation(format!(
-                                            "join between {} and {} refused: the adjustable \
-                                             JOIN layer was discarded (§3.5.2)",
-                                            ca.name, cb.name
-                                        )));
-                                    }
-                                    if ca.stale {
-                                        reqs.push(Req::RefreshStale(pa.0.clone(), pa.1.clone()));
-                                    }
-                                    if cb.stale {
-                                        reqs.push(Req::RefreshStale(pb.0.clone(), pb.1.clone()));
-                                    }
-                                    reqs.push(Req::Join(pa, pb));
-                                } else {
-                                    if ca.ope_group.is_none() || ca.ope_group != cb.ope_group {
-                                        return Err(ProxyError::NeedsPlaintext(format!(
-                                            "range join between {} and {} requires a \
-                                             pre-declared OPE-JOIN group (§3.4)",
-                                            ca.name, cb.name
-                                        )));
-                                    }
-                                    reqs.push(Req::OrdJoin(pa, pb));
-                                }
-                                Ok(())
-                            }
-                            _ => Err(ProxyError::NeedsPlaintext(
-                                "comparison between encrypted and plaintext columns".into(),
-                            )),
-                        }
-                    }
-                    (true, false) | (false, true) => {
-                        let (cref, other) = if lcol {
-                            (&**left, &**right)
-                        } else {
-                            (&**right, &**left)
-                        };
-                        let Expr::Column(c) = cref else {
-                            unreachable!()
-                        };
-                        let (_, t, col) = resolver.resolve(schema, c)?;
-                        if expr_has_columns(other) {
-                            if self.expr_has_sensitive(schema, resolver, other)? || col.sensitive {
-                                return Err(ProxyError::NeedsPlaintext(format!(
-                                    "comparison of column against a column expression: {e}"
-                                )));
-                            }
-                            return Ok(());
-                        }
-                        let class = if op.is_order() {
-                            OpClass::Ord
-                        } else {
-                            OpClass::Eq
-                        };
-                        self.push_col_req(t, col, class, reqs)
-                    }
-                    (false, false) => {
-                        if self.expr_has_sensitive(schema, resolver, e)? {
-                            Err(ProxyError::NeedsPlaintext(format!(
-                                "computation over encrypted column in predicate: {e} \
-                                 (§6: computation and comparison cannot combine)"
-                            )))
-                        } else {
-                            Ok(())
-                        }
-                    }
-                }
-            }
-            Expr::Like { expr, pattern, .. } => {
-                let Expr::Column(c) = &**expr else {
-                    return Err(ProxyError::NeedsPlaintext("LIKE over expression".into()));
-                };
-                let (_, t, col) = resolver.resolve(schema, c)?;
-                if !col.sensitive {
-                    return Ok(());
-                }
-                if matches!(&**pattern, Expr::Param(_)) {
-                    // Whether a pattern is an equality or a SEARCH
-                    // depends on its wildcards, unknown until Bind —
-                    // the statement takes the generic prepared path.
-                    return Err(param_fallback());
-                }
-                let Expr::Literal(Literal::Str(pat)) = &**pattern else {
-                    return Err(ProxyError::NeedsPlaintext(
-                        "LIKE with a column pattern (the banned-list idiom, §8.2)".into(),
-                    ));
-                };
-                if !pat.contains('%') && !pat.contains('_') {
-                    return self.push_col_req(t, col, OpClass::Eq, reqs);
-                }
-                if like_pattern_word(pat).is_none() {
-                    return Err(ProxyError::NeedsPlaintext(format!(
-                        "LIKE pattern '{pat}' is not a full-word search (§3.1 SEARCH)"
-                    )));
-                }
-                self.push_col_req(t, col, OpClass::Search, reqs)
-            }
-            Expr::InList { expr, list, .. } => {
-                let Expr::Column(c) = &**expr else {
-                    return Err(ProxyError::NeedsPlaintext("IN over expression".into()));
-                };
-                let (_, t, col) = resolver.resolve(schema, c)?;
-                if list.iter().any(expr_has_columns) {
-                    return Err(ProxyError::NeedsPlaintext("IN list with columns".into()));
-                }
-                self.push_col_req(t, col, OpClass::Eq, reqs)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => {
-                let Expr::Column(c) = &**expr else {
-                    return Err(ProxyError::NeedsPlaintext("BETWEEN over expression".into()));
-                };
-                let (_, t, col) = resolver.resolve(schema, c)?;
-                if expr_has_columns(low) || expr_has_columns(high) {
-                    return Err(ProxyError::NeedsPlaintext(
-                        "BETWEEN with column bounds".into(),
-                    ));
-                }
-                self.push_col_req(t, col, OpClass::Ord, reqs)
-            }
-            Expr::IsNull { .. } => Ok(()), // NULLs are stored unencrypted (§3.3).
-            Expr::Func { name, args, .. } => {
-                // Aggregates are analysed by the projection/HAVING paths;
-                // any other function over an encrypted column needs
-                // plaintext (string/date manipulation, bitwise ops — §8.2).
-                for a in args {
-                    if self.expr_has_sensitive(schema, resolver, a)? {
-                        return Err(ProxyError::NeedsPlaintext(format!(
-                            "function {name} over encrypted column"
-                        )));
-                    }
-                }
-                Ok(())
-            }
-            Expr::Column(c) => {
-                let (_, _, col) = resolver.resolve(schema, c)?;
-                if col.sensitive {
-                    Err(ProxyError::NeedsPlaintext(
-                        "bare encrypted column as a predicate".into(),
-                    ))
-                } else {
-                    Ok(())
-                }
-            }
-            // A placeholder analyses like the constant it stands for.
-            Expr::Literal(_) | Expr::Param(_) => Ok(()),
-            Expr::Binary { .. } | Expr::Neg(_) => {
-                if self.expr_has_sensitive(schema, resolver, e)? {
-                    Err(ProxyError::NeedsPlaintext(format!(
-                        "arithmetic over encrypted column: {e}"
-                    )))
-                } else {
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    /// Collects requirements from a whole SELECT.
-    fn collect_select_reqs(
-        &self,
-        schema: &EncSchema,
-        resolver: &Resolver,
-        sel: &Select,
-    ) -> Result<Vec<Req>, ProxyError> {
-        let mut reqs = Vec::new();
-        if let Some(w) = &sel.selection {
-            self.analyze_pred(schema, resolver, w, &mut reqs)?;
-        }
-        for j in &sel.joins {
-            self.analyze_pred(schema, resolver, &j.on, &mut reqs)?;
-        }
-        for g in &sel.group_by {
-            match g {
-                Expr::Column(c) => {
-                    let (_, t, col) = resolver.resolve(schema, c)?;
-                    self.push_col_req(t, col, OpClass::Eq, &mut reqs)?;
-                }
-                other => {
-                    if self.expr_has_sensitive(schema, resolver, other)? {
-                        return Err(ProxyError::NeedsPlaintext(
-                            "GROUP BY over an encrypted expression".into(),
-                        ));
-                    }
-                }
-            }
-        }
-        if let Some(h) = &sel.having {
-            self.analyze_having(schema, resolver, h, &mut reqs)?;
-        }
-        // Projections.
-        for item in &sel.projections {
-            match item {
-                SelectItem::Wildcard => {}
-                SelectItem::Expr { expr, .. } => {
-                    self.analyze_projection(schema, resolver, expr, sel.distinct, &mut reqs)?;
-                }
-            }
-        }
-        if sel.distinct {
-            // DISTINCT needs equality on every projected encrypted column.
-            for item in &sel.projections {
-                match item {
-                    SelectItem::Wildcard => {
-                        for (_, tname) in &resolver.scopes {
-                            let t = schema.table(tname)?;
-                            for col in t.columns.clone() {
-                                self.push_col_req(t, &col, OpClass::Eq, &mut reqs)?;
-                            }
-                        }
-                    }
-                    SelectItem::Expr {
-                        expr: Expr::Column(c),
-                        ..
-                    } => {
-                        let (_, t, col) = resolver.resolve(schema, c)?;
-                        self.push_col_req(t, col, OpClass::Eq, &mut reqs)?;
-                    }
-                    _ => {}
-                }
-            }
-        }
-        // ORDER BY (server-side path only).
-        if !self.proxy_sorts(sel) {
-            for ob in &sel.order_by {
-                match &ob.expr {
-                    Expr::Column(c) => {
-                        let (_, t, col) = resolver.resolve(schema, c)?;
-                        self.push_col_req(t, col, OpClass::Ord, &mut reqs)?;
-                    }
-                    Expr::Func { name, .. } if name == "COUNT" => {}
-                    other => {
-                        if self.expr_has_sensitive(schema, resolver, other)? {
-                            return Err(ProxyError::NeedsPlaintext(
-                                "ORDER BY over an encrypted expression".into(),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        Ok(reqs)
-    }
-
-    fn analyze_projection(
-        &self,
-        schema: &EncSchema,
-        resolver: &Resolver,
-        e: &Expr,
-        _distinct: bool,
-        reqs: &mut Vec<Req>,
-    ) -> Result<(), ProxyError> {
-        match e {
-            Expr::Column(_) | Expr::Literal(_) => Ok(()),
-            Expr::Func {
-                name,
-                args,
-                star,
-                distinct,
-            } => match name.as_str() {
-                "COUNT" => {
-                    if *star {
-                        return Ok(());
-                    }
-                    let Some(Expr::Column(c)) = args.first() else {
-                        return Err(ProxyError::NeedsPlaintext("COUNT over expression".into()));
-                    };
-                    let (_, t, col) = resolver.resolve(schema, c)?;
-                    if *distinct {
-                        self.push_col_req(t, col, OpClass::Eq, reqs)?;
-                    }
-                    Ok(())
-                }
-                "SUM" | "AVG" => {
-                    let Some(Expr::Column(c)) = args.first() else {
-                        return Err(ProxyError::NeedsPlaintext(format!(
-                            "{name} over an expression (§6)"
-                        )));
-                    };
-                    let (_, t, col) = resolver.resolve(schema, c)?;
-                    self.push_col_req(t, col, OpClass::Add, reqs)
-                }
-                "MIN" | "MAX" => {
-                    let Some(Expr::Column(c)) = args.first() else {
-                        return Err(ProxyError::NeedsPlaintext(format!(
-                            "{name} over an expression"
-                        )));
-                    };
-                    let (_, t, col) = resolver.resolve(schema, c)?;
-                    if col.sensitive && col.ty != ColumnType::Int {
-                        return Err(ProxyError::NeedsPlaintext(format!(
-                            "{name} over encrypted text"
-                        )));
-                    }
-                    self.push_col_req(t, col, OpClass::Ord, reqs)
-                }
-                other => {
-                    if args
-                        .iter()
-                        .map(|a| self.expr_has_sensitive(schema, resolver, a))
-                        .collect::<Result<Vec<_>, _>>()?
-                        .iter()
-                        .any(|b| *b)
-                    {
-                        Err(ProxyError::NeedsPlaintext(format!(
-                            "function {other} over encrypted column (§8.2 needs-plaintext)"
-                        )))
-                    } else {
-                        Ok(())
-                    }
-                }
-            },
-            other => {
-                if self.expr_has_sensitive(schema, resolver, other)? {
-                    Err(ProxyError::NeedsPlaintext(format!(
-                        "projected expression over encrypted column: {other}"
-                    )))
-                } else {
-                    Ok(())
-                }
-            }
-        }
-    }
-
-    fn analyze_having(
-        &self,
-        schema: &EncSchema,
-        resolver: &Resolver,
-        e: &Expr,
-        reqs: &mut Vec<Req>,
-    ) -> Result<(), ProxyError> {
-        match e {
-            Expr::Binary {
-                op: BinOp::And | BinOp::Or,
-                left,
-                right,
-            } => {
-                self.analyze_having(schema, resolver, left, reqs)?;
-                self.analyze_having(schema, resolver, right, reqs)
-            }
-            Expr::Binary { op, left, right } if op.is_comparison() => {
-                let (func, other) = match (&**left, &**right) {
-                    (f @ Expr::Func { .. }, o) => (f, o),
-                    (o, f @ Expr::Func { .. }) => (f, o),
-                    _ => {
-                        return Err(ProxyError::NeedsPlaintext(
-                            "HAVING supports aggregate comparisons only".into(),
-                        ))
-                    }
-                };
-                if expr_has_columns(other) {
-                    return Err(ProxyError::NeedsPlaintext(
-                        "HAVING with column bound".into(),
-                    ));
-                }
-                let Expr::Func { name, .. } = func else {
-                    unreachable!()
-                };
-                if name != "COUNT" {
-                    return Err(ProxyError::NeedsPlaintext(format!(
-                        "HAVING over {name}: comparing a HOM ciphertext is impossible; \
-                         process in the proxy instead (§3.5.1)"
-                    )));
-                }
-                self.analyze_projection(schema, resolver, func, false, reqs)
-            }
-            _ => Err(ProxyError::NeedsPlaintext(
-                "unsupported HAVING clause".into(),
-            )),
-        }
-    }
-
-    fn proxy_sorts(&self, sel: &Select) -> bool {
-        !sel.order_by.is_empty()
-            && sel.limit.is_none()
-            && sel
-                .order_by
-                .iter()
-                .all(|ob| matches!(ob.expr, Expr::Column(_)))
+        Err(ProxyError::Schema(
+            "onion adjustment did not converge".into(),
+        ))
     }
 
     // ---- adjustments (§3.2, §3.4) ----
 
-    /// Applies every adjustment the requirements demand: RND peeling via
+    /// Applies every adjustment `reqs` demands: RND peeling via
     /// `DECRYPT_RND`, join-group merging via `JOIN_ADJ`, stale refresh.
+    /// Every floor they would cross is checked before the first one, so
+    /// a statement a floor refuses adjusts nothing.
     ///
     /// Each helper reports whether it actually mutated the schema; only
-    /// real mutations bump the schema epoch. Re-checking an
-    /// already-exposed layer (the steady state for every repeated query
-    /// shape) must NOT invalidate cached plans, or the plan cache would
+    /// real mutations bump the schema epoch, or the plan cache would
     /// never serve a hit.
-    pub(crate) fn apply_adjustments(&self, reqs: &[Req]) -> Result<(), ProxyError> {
-        if reqs.is_empty() {
-            return Ok(());
-        }
-        let mut schema = self.schema.write();
-        let mut search_flipped = false;
-        let mut changed = false;
+    fn adjust_locked(&self, schema: &mut EncSchema, reqs: &[Req]) -> Result<(), ProxyError> {
         for req in reqs {
-            match req {
-                Req::RefreshStale(t, c) => {
-                    changed |= self.refresh_stale_locked(&mut schema, t, c)?
-                }
-                Req::Eq(t, c) => changed |= self.expose_det_locked(&mut schema, t, c)?,
-                Req::Ord(t, c) => changed |= self.expose_ope_locked(&mut schema, t, c)?,
-                Req::Search(t, c) => {
-                    locked_col(&schema, t, c)?.check_floor(SecLevel::Search)?;
-                    let col = locked_col_mut(&mut schema, t, c)?;
+            check_floors(schema, req)?;
+        }
+        let mut changed = false;
+        let mut search_flipped = false;
+        let mut result = Ok(());
+        for req in reqs {
+            let step = match req {
+                Req::Fresh(t, c) => self.refresh_stale_locked(schema, t, c),
+                Req::Det(t, c) => self.expose_det_locked(schema, t, c),
+                Req::Ope(t, c) => self.expose_ope_locked(schema, t, c),
+                Req::Search(t, c) => locked_col_mut(schema, t, c).map(|col| {
                     search_flipped |= !col.search_used;
                     col.search_used = true;
-                }
-                Req::OrdJoin(a, b) => {
-                    changed |= self.expose_ope_locked(&mut schema, &a.0, &a.1)?;
-                    changed |= self.expose_ope_locked(&mut schema, &b.0, &b.1)?;
-                }
-                Req::Join(a, b) => {
-                    changed |= self.expose_det_locked(&mut schema, &a.0, &a.1)?;
-                    changed |= self.expose_det_locked(&mut schema, &b.0, &b.1)?;
-                    changed |= self.merge_join_groups_locked(&mut schema, a, b)?;
+                    false
+                }),
+                Req::Join(a, b) => self.merge_join_groups_locked(schema, a, b),
+            };
+            match step {
+                Ok(c) => changed |= c,
+                Err(e) => {
+                    result = Err(e);
+                    break;
                 }
             }
         }
+        // An adjustment that failed part-way still moved what it moved.
         if changed {
             self.bump_epoch();
         }
         if search_flipped {
             // `search_used` affects only MinEnc accounting, but it must
             // survive a restart like every other schema bit.
-            self.log_schema(&schema)?;
+            self.log_schema(schema)?;
         }
-        Ok(())
+        result
     }
 
     fn expose_det_locked(
@@ -635,10 +167,9 @@ impl Proxy {
                 .ok_or_else(|| ProxyError::Schema(format!("unknown column {c}")))?;
             (table.anon.clone(), col.clone())
         };
-        if col.eq_level == EqLevel::Det || !col.sensitive || !col.onions.eq {
+        if col.offers(Need::Det) {
             return Ok(false);
         }
-        col.check_floor(SecLevel::Det)?;
         let keys = self.master_col_keys(&col, t);
         // UPDATE table SET c_eq = DECRYPT_RND(K, c_eq, c_iv) — §3.2.
         let sql_stmt = Stmt::Update(Update {
@@ -692,10 +223,9 @@ impl Proxy {
                 .ok_or_else(|| ProxyError::Schema(format!("unknown column {c}")))?;
             (table.anon.clone(), col.clone())
         };
-        if col.ord_level == OrdLevel::Ope || !col.sensitive || !col.onions.ord {
+        if col.offers(Need::Ope) {
             return Ok(false);
         }
-        col.check_floor(SecLevel::Ope)?;
         let keys = self.master_col_keys(&col, t);
         let sql_stmt = Stmt::Update(Update {
             table: anon_t,
@@ -739,11 +269,14 @@ impl Proxy {
         a: &(String, String),
         b: &(String, String),
     ) -> Result<bool, ProxyError> {
-        let owner_a = locked_col(schema, &a.0, &a.1)?.join_owner.clone();
-        let owner_b = locked_col(schema, &b.0, &b.1)?.join_owner.clone();
-        if owner_a == owner_b {
+        let (col_a, col_b) = (
+            locked_col(schema, &a.0, &a.1)?,
+            locked_col(schema, &b.0, &b.1)?,
+        );
+        if col_a.offers(Need::JoinWith(col_b)) {
             return Ok(false);
         }
+        let (owner_a, owner_b) = (col_a.join_owner.clone(), col_b.join_owner.clone());
         let mut members = schema.join_group_members(&owner_a);
         members.extend(schema.join_group_members(&owner_b));
         let base = members
@@ -760,7 +293,6 @@ impl Proxy {
         let base_keys = self.master_col_keys(&base_col, &base_col.table.clone());
         for (t, c) in members {
             let col = locked_col(schema, &t, &c)?.clone();
-            col.check_floor(SecLevel::Join)?;
             if col.join_owner == base_member {
                 continue;
             }
@@ -818,7 +350,7 @@ impl Proxy {
                 .ok_or_else(|| ProxyError::Schema(format!("unknown column {c}")))?;
             (table.anon.clone(), col.clone())
         };
-        if !col.stale {
+        if col.offers(Need::Fresh) {
             return Ok(false);
         }
         let rows = self
@@ -961,6 +493,41 @@ impl Proxy {
         }
         self.bump_epoch();
         Ok(n)
+    }
+}
+
+/// Refuses `req` if meeting it would expose a layer below a column's
+/// §3.5.1 floor — for a join, below the floor of any member of either
+/// transitivity group, since the merge re-keys them all.
+fn check_floors(schema: &EncSchema, req: &Req) -> Result<(), ProxyError> {
+    let floor = |t: &str, c: &str, need: Need<'_>, level: SecLevel| {
+        let col = locked_col(schema, t, c)?;
+        if col.offers(need) {
+            Ok(())
+        } else {
+            col.check_floor(level)
+        }
+    };
+    match req {
+        Req::Fresh(..) => Ok(()),
+        Req::Det(t, c) => floor(t, c, Need::Det, SecLevel::Det),
+        Req::Ope(t, c) => floor(t, c, Need::Ope, SecLevel::Ope),
+        Req::Search(t, c) => floor(t, c, Need::Search, SecLevel::Search),
+        Req::Join(a, b) => {
+            let (col_a, col_b) = (
+                locked_col(schema, &a.0, &a.1)?,
+                locked_col(schema, &b.0, &b.1)?,
+            );
+            if col_a.offers(Need::JoinWith(col_b)) {
+                return Ok(());
+            }
+            let mut members = schema.join_group_members(&col_a.join_owner);
+            members.extend(schema.join_group_members(&col_b.join_owner));
+            for (t, c) in members {
+                locked_col(schema, &t, &c)?.check_floor(SecLevel::Join)?;
+            }
+            Ok(())
+        }
     }
 }
 
@@ -1167,12 +734,7 @@ pub(crate) enum Slot {
         enc_for: Option<(String, usize)>,
     },
     /// Decrypt the Add onion (HOM).
-    Add {
-        #[allow(dead_code)]
-        table: String,
-        #[allow(dead_code)]
-        col: String,
-    },
+    Add,
     /// Decrypt the Ord onion (OPE; used for MIN/MAX results).
     Ord { table: String, col: String },
     /// HOM sum at this position; divide by COUNT at `count`.
@@ -1248,6 +810,10 @@ struct SelectRw<'a> {
     /// Parameter occurrences recorded while rewriting (interior mutability
     /// because predicate rewriting takes `&self`).
     params: RefCell<Vec<ParamOcc>>,
+    /// Adjustments the rewrite relied on that the schema lacks.
+    reqs: RefCell<Vec<Req>>,
+    /// Training mode's record of what the walk resolved.
+    usage: Option<&'a RefCell<Usage>>,
     vis_items: Vec<SelectItem>,
     vis_slots: Vec<Slot>,
     vis_cols: Vec<Option<(String, String)>>,
@@ -1263,6 +829,7 @@ impl<'a> SelectRw<'a> {
         resolver: &'a Resolver,
         qualify: bool,
         allow_params: bool,
+        usage: Option<&'a RefCell<Usage>>,
     ) -> Self {
         SelectRw {
             proxy,
@@ -1271,6 +838,8 @@ impl<'a> SelectRw<'a> {
             qualify,
             allow_params,
             params: RefCell::new(Vec::new()),
+            reqs: RefCell::new(Vec::new()),
+            usage,
             vis_items: Vec::new(),
             vis_slots: Vec::new(),
             vis_cols: Vec::new(),
@@ -1290,6 +859,98 @@ impl<'a> SelectRw<'a> {
         let occ = params.len() as u32;
         params.push(ParamOcc { n, slot });
         Ok(Expr::Param(occ))
+    }
+
+    /// Relies on `col` offering `need`, recording a requirement when the
+    /// schema this walk reads does not offer it yet.
+    fn rely(&self, col: &ColumnState, need: Need<'_>) {
+        if col.offers(need) {
+            return;
+        }
+        let key = |c: &ColumnState| (c.table.clone(), c.name.clone());
+        let (t, c) = key(col);
+        self.reqs.borrow_mut().push(match need {
+            Need::Det => Req::Det(t, c),
+            Need::Ope => Req::Ope(t, c),
+            Need::Search => Req::Search(t, c),
+            Need::Fresh => Req::Fresh(t, c),
+            Need::JoinWith(other) => Req::Join((t, c), key(other)),
+        });
+    }
+
+    /// Relies on the server computing `class` over `col` (§3.2):
+    /// refuses what a per-principal column or a missing onion cannot
+    /// serve, then relies on the layers the class reads. A no-op for a
+    /// plaintext column.
+    fn serve(&self, col: &ColumnState, class: OpClass) -> Result<(), ProxyError> {
+        if !col.sensitive {
+            return Ok(());
+        }
+        if col.enc_for.is_some() {
+            return Err(ProxyError::NeedsPlaintext(format!(
+                "column {}.{} is encrypted per-principal; server-side {class:?} is impossible \
+                 (§6: no server computation across principals)",
+                col.table, col.name
+            )));
+        }
+        if matches!(class, OpClass::Eq | OpClass::Ord | OpClass::Join) {
+            self.rely(col, Need::Fresh);
+        }
+        match class {
+            OpClass::Eq | OpClass::Join => self.rely(col, Need::Det),
+            OpClass::Ord => self.rely(col, Need::Ope),
+            OpClass::Search => {
+                if !col.onions.search {
+                    return Err(ProxyError::NeedsPlaintext(format!(
+                        "column {}.{} has no Search onion",
+                        col.table, col.name
+                    )));
+                }
+                self.rely(col, Need::Search);
+                self.note(|u| &mut u.search, col);
+            }
+            OpClass::Add => {
+                if !col.onions.add {
+                    return Err(ProxyError::NeedsPlaintext(format!(
+                        "column {}.{} has no Add onion (HOM is for integers)",
+                        col.table, col.name
+                    )));
+                }
+                self.note(|u| &mut u.hom, col);
+            }
+            OpClass::None => {}
+        }
+        Ok(())
+    }
+
+    fn note(&self, set: fn(&mut Usage) -> &mut BTreeSet<(String, String)>, col: &ColumnState) {
+        if let Some(usage) = self.usage {
+            set(&mut usage.borrow_mut())
+                .insert((col.table.to_lowercase(), col.name.to_lowercase()));
+        }
+    }
+
+    /// Passes `r` through; when it refuses clause `e` as needing
+    /// plaintext, first notes the encrypted columns `e` reads.
+    fn clause<T>(&self, e: &Expr, r: Result<T, ProxyError>) -> Result<T, ProxyError> {
+        if let (Some(_), Err(err @ ProxyError::NeedsPlaintext(_))) = (self.usage, &r) {
+            if !is_param_fallback(err) {
+                e.walk(&mut |n| {
+                    if let Expr::Column(c) = n {
+                        if let Ok((_, _, col)) = self.resolver.resolve(self.schema, c) {
+                            if col.sensitive {
+                                self.note(|u| &mut u.plaintext, col);
+                            }
+                        }
+                    }
+                });
+            }
+        }
+        r
+    }
+
+    fn into_reqs(self) -> Vec<Req> {
+        self.reqs.into_inner()
     }
 
     fn push_hidden(&mut self, item: SelectItem, slot: Slot) -> usize {
@@ -1330,10 +991,7 @@ impl<'a> SelectRw<'a> {
                     expr: self.qcol(visible, col.anon_add()),
                     alias: None,
                 },
-                Slot::Add {
-                    table: t.name.to_lowercase(),
-                    col: col.name.clone(),
-                },
+                Slot::Add,
             ));
         }
         let iv = if col.eq_level == EqLevel::Rnd {
@@ -1456,6 +1114,17 @@ impl<'a> SelectRw<'a> {
         })
     }
 
+    /// [`Self::map_plain_expr`], refusing with `what` when `e` reads an
+    /// encrypted column.
+    fn plain_or(&self, e: &Expr, what: &str) -> Result<Expr, ProxyError> {
+        self.map_plain_expr(e).map_err(|err| match err {
+            ProxyError::NeedsPlaintext(_) if !is_param_fallback(&err) => {
+                ProxyError::NeedsPlaintext(format!("{what}: {e}"))
+            }
+            other => other,
+        })
+    }
+
     /// Rewrites a predicate into its encrypted form (§3.3).
     fn rw_pred(&self, e: &Expr) -> Result<Expr, ProxyError> {
         match e {
@@ -1463,153 +1132,78 @@ impl<'a> SelectRw<'a> {
                 Ok(Expr::binary(*op, self.rw_pred(left)?, self.rw_pred(right)?))
             }
             Expr::Not(inner) => Ok(Expr::Not(Box::new(self.rw_pred(inner)?))),
-            Expr::Binary { op, left, right } if op.is_comparison() => {
-                let lcol = matches!(&**left, Expr::Column(_));
-                let rcol = matches!(&**right, Expr::Column(_));
-                match (lcol, rcol) {
-                    (true, true) => {
-                        let (Expr::Column(a), Expr::Column(b)) = (&**left, &**right) else {
-                            unreachable!()
-                        };
-                        let (va, _ta, ca) = self.resolver.resolve(self.schema, a)?;
-                        let (vb, _tb, cb) = self.resolver.resolve(self.schema, b)?;
-                        if !ca.sensitive && !cb.sensitive {
-                            return Ok(Expr::binary(
-                                *op,
-                                self.qcol(&va, ca.anon.clone()),
-                                self.qcol(&vb, cb.anon.clone()),
-                            ));
-                        }
-                        if *op == BinOp::Eq || *op == BinOp::NotEq {
-                            // Equi-join on the JOIN-ADJ tags (§3.4).
-                            let jt = |v: &str, c: &ColumnState| Expr::Func {
-                                name: "JOINTAG".into(),
-                                args: vec![self.qcol(v, c.anon_eq())],
-                                star: false,
-                                distinct: false,
-                            };
-                            Ok(Expr::binary(*op, jt(&va, ca), jt(&vb, cb)))
-                        } else {
-                            // Range join within a declared OPE group.
-                            Ok(Expr::binary(
-                                *op,
-                                self.qcol(&va, ca.anon_ord()),
-                                self.qcol(&vb, cb.anon_ord()),
-                            ))
-                        }
-                    }
-                    (true, false) | (false, true) => {
-                        let (cref, other, op) = if lcol {
-                            (&**left, &**right, *op)
-                        } else {
-                            (&**right, &**left, flip_cmp(*op))
-                        };
-                        let Expr::Column(c) = cref else {
-                            unreachable!()
-                        };
-                        let (visible, _t, col) = self.resolver.resolve(self.schema, c)?;
-                        // A bare `$n` on the constant side becomes a typed
-                        // bind-time hole; anything else (including `$n`
-                        // buried in arithmetic) folds now or falls back.
-                        if let Expr::Param(n) = other {
-                            let (target, slot) = if !col.sensitive {
-                                (self.qcol(&visible, col.anon.clone()), ParamSlot::Plain)
-                            } else if op.is_order() {
-                                (
-                                    self.qcol(&visible, col.anon_ord()),
-                                    ParamSlot::Ord {
-                                        table: col.table.clone(),
-                                        col: col.name.clone(),
-                                    },
-                                )
-                            } else {
-                                (
-                                    self.qcol(&visible, col.anon_eq()),
-                                    ParamSlot::Eq {
-                                        table: col.table.clone(),
-                                        col: col.name.clone(),
-                                    },
-                                )
-                            };
-                            return Ok(Expr::binary(op, target, self.param_hole(*n, slot)?));
-                        }
-                        if !col.sensitive {
-                            return Ok(Expr::binary(
-                                op,
-                                self.qcol(&visible, col.anon.clone()),
-                                value_to_literal(const_fold(other)?),
-                            ));
-                        }
-                        let v = const_fold(other)?;
-                        if op.is_order() {
-                            let keys = self.col_keys_of(col);
-                            let enc = self.proxy.ope_encrypt_cached(&keys, &v)?;
-                            Ok(Expr::binary(
-                                op,
-                                self.qcol(&visible, col.anon_ord()),
-                                value_to_literal(enc),
-                            ))
-                        } else {
-                            let enc = self.encrypt_eq_const(col, &v)?;
-                            Ok(Expr::binary(
-                                op,
-                                self.qcol(&visible, col.anon_eq()),
-                                value_to_literal(enc),
-                            ))
-                        }
-                    }
-                    (false, false) => self.map_plain_expr(e),
-                }
-            }
+            clause => self.clause(clause, self.rw_clause(clause)),
+        }
+    }
+
+    /// Rewrites one predicate clause: a comparison, LIKE, IN, BETWEEN,
+    /// IS NULL, or a plaintext-only expression.
+    fn rw_clause(&self, e: &Expr) -> Result<Expr, ProxyError> {
+        const COMPUTES: &str =
+            "computation and comparison cannot combine over an encrypted column (§6)";
+        match e {
+            Expr::Binary { op, left, right } if op.is_comparison() => match (&**left, &**right) {
+                (Expr::Column(a), Expr::Column(b)) => self.rw_col_col(*op, a, b),
+                (Expr::Column(c), other) => self.rw_col_cmp(*op, c, other),
+                (other, Expr::Column(c)) => self.rw_col_cmp(flip_cmp(*op), c, other),
+                _ => self.plain_or(e, COMPUTES),
+            },
             Expr::Like {
                 expr,
                 pattern,
                 negated,
             } => {
                 let Expr::Column(c) = &**expr else {
-                    return self.map_plain_expr(e);
+                    return self.plain_or(e, "LIKE over an expression");
                 };
                 let (visible, _t, col) = self.resolver.resolve(self.schema, c)?;
                 if !col.sensitive {
                     return self.map_plain_expr(e);
                 }
-                let Expr::Literal(Literal::Str(pat)) = &**pattern else {
-                    return Err(ProxyError::NeedsPlaintext(
-                        "LIKE with column pattern".into(),
-                    ));
+                let pat = match &**pattern {
+                    Expr::Literal(Literal::Str(pat)) => pat,
+                    // Whether a pattern is an equality or a SEARCH
+                    // depends on its wildcards, unknown until Bind —
+                    // the statement takes the generic prepared path.
+                    Expr::Param(_) => return Err(param_fallback()),
+                    _ => {
+                        return Err(ProxyError::NeedsPlaintext(
+                            "LIKE with a column pattern (the banned-list idiom, §8.2)".into(),
+                        ))
+                    }
                 };
-                if !pat.contains('%') && !pat.contains('_') {
+                let test = if !pat.contains('%') && !pat.contains('_') {
                     // Exact-match LIKE is an equality check.
+                    self.serve(col, OpClass::Eq)?;
                     let enc = self.encrypt_eq_const(col, &Value::Str(pat.clone()))?;
-                    let cmp = Expr::binary(
+                    Expr::binary(
                         BinOp::Eq,
                         self.qcol(&visible, col.anon_eq()),
                         value_to_literal(enc),
-                    );
-                    return Ok(if *negated {
-                        Expr::Not(Box::new(cmp))
-                    } else {
-                        cmp
-                    });
-                }
-                let word = like_pattern_word(pat).ok_or_else(|| {
-                    ProxyError::NeedsPlaintext(format!("unsupported LIKE pattern '{pat}'"))
-                })?;
-                let keys = self.col_keys_of(col);
-                let token = colcrypt::search_token_bytes(&keys, &word);
-                let call = Expr::Func {
-                    name: "SEARCH_MATCH".into(),
-                    args: vec![
-                        self.qcol(&visible, col.anon_srch()),
-                        Expr::Literal(Literal::Bytes(token)),
-                    ],
-                    star: false,
-                    distinct: false,
+                    )
+                } else {
+                    let word = like_pattern_word(pat).ok_or_else(|| {
+                        ProxyError::NeedsPlaintext(format!(
+                            "LIKE pattern '{pat}' is not a full-word search (§3.1 SEARCH)"
+                        ))
+                    })?;
+                    self.serve(col, OpClass::Search)?;
+                    let keys = self.col_keys_of(col);
+                    let token = colcrypt::search_token_bytes(&keys, &word);
+                    Expr::Func {
+                        name: "SEARCH_MATCH".into(),
+                        args: vec![
+                            self.qcol(&visible, col.anon_srch()),
+                            Expr::Literal(Literal::Bytes(token)),
+                        ],
+                        star: false,
+                        distinct: false,
+                    }
                 };
                 Ok(if *negated {
-                    Expr::Not(Box::new(call))
+                    Expr::Not(Box::new(test))
                 } else {
-                    call
+                    test
                 })
             }
             Expr::InList {
@@ -1618,12 +1212,13 @@ impl<'a> SelectRw<'a> {
                 negated,
             } => {
                 let Expr::Column(c) = &**expr else {
-                    return self.map_plain_expr(e);
+                    return self.plain_or(e, "IN over an expression");
                 };
                 let (visible, _t, col) = self.resolver.resolve(self.schema, c)?;
                 if !col.sensitive {
                     return self.map_plain_expr(e);
                 }
+                self.serve(col, OpClass::Eq)?;
                 let enc_list = list
                     .iter()
                     .map(|x| {
@@ -1653,12 +1248,13 @@ impl<'a> SelectRw<'a> {
                 negated,
             } => {
                 let Expr::Column(c) = &**expr else {
-                    return self.map_plain_expr(e);
+                    return self.plain_or(e, "BETWEEN over an expression");
                 };
                 let (visible, _t, col) = self.resolver.resolve(self.schema, c)?;
                 if !col.sensitive {
                     return self.map_plain_expr(e);
                 }
+                self.serve(col, OpClass::Ord)?;
                 let bound = |e: &Expr| -> Result<Expr, ProxyError> {
                     if let Expr::Param(n) = e {
                         return self.param_hole(
@@ -1684,8 +1280,9 @@ impl<'a> SelectRw<'a> {
             }
             Expr::IsNull { expr, negated } => {
                 let Expr::Column(c) = &**expr else {
-                    return self.map_plain_expr(e);
+                    return self.plain_or(e, COMPUTES);
                 };
+                // NULLs are stored unencrypted (§3.3): no layer is read.
                 let (visible, _t, col) = self.resolver.resolve(self.schema, c)?;
                 let target = if col.sensitive {
                     self.qcol(&visible, col.anon_eq())
@@ -1697,8 +1294,184 @@ impl<'a> SelectRw<'a> {
                     negated: *negated,
                 })
             }
-            other => self.map_plain_expr(other),
+            other => self.plain_or(other, COMPUTES),
         }
+    }
+
+    /// Column-vs-column comparison: plaintext as is, an encrypted
+    /// equi-join on the JOIN-ADJ tags (§3.4), or a range join within a
+    /// declared OPE group.
+    fn rw_col_col(&self, op: BinOp, a: &ColumnRef, b: &ColumnRef) -> Result<Expr, ProxyError> {
+        let (va, _ta, ca) = self.resolver.resolve(self.schema, a)?;
+        let (vb, _tb, cb) = self.resolver.resolve(self.schema, b)?;
+        match (ca.sensitive, cb.sensitive) {
+            (false, false) => Ok(Expr::binary(
+                op,
+                self.qcol(&va, ca.anon.clone()),
+                self.qcol(&vb, cb.anon.clone()),
+            )),
+            (true, true) if op == BinOp::Eq || op == BinOp::NotEq => {
+                self.serve(ca, OpClass::Join)?;
+                self.serve(cb, OpClass::Join)?;
+                if !ca.has_jtag || !cb.has_jtag {
+                    return Err(ProxyError::PolicyViolation(format!(
+                        "join between {} and {} refused: the adjustable \
+                         JOIN layer was discarded (§3.5.2)",
+                        ca.name, cb.name
+                    )));
+                }
+                self.rely(ca, Need::JoinWith(cb));
+                let jt = |v: &str, c: &ColumnState| Expr::Func {
+                    name: "JOINTAG".into(),
+                    args: vec![self.qcol(v, c.anon_eq())],
+                    star: false,
+                    distinct: false,
+                };
+                Ok(Expr::binary(op, jt(&va, ca), jt(&vb, cb)))
+            }
+            (true, true) => {
+                if ca.ope_group.is_none() || ca.ope_group != cb.ope_group {
+                    return Err(ProxyError::NeedsPlaintext(format!(
+                        "range join between {} and {} requires a \
+                         pre-declared OPE-JOIN group (§3.4)",
+                        ca.name, cb.name
+                    )));
+                }
+                self.serve(ca, OpClass::Ord)?;
+                self.serve(cb, OpClass::Ord)?;
+                Ok(Expr::binary(
+                    op,
+                    self.qcol(&va, ca.anon_ord()),
+                    self.qcol(&vb, cb.anon_ord()),
+                ))
+            }
+            _ => Err(ProxyError::NeedsPlaintext(
+                "comparison between encrypted and plaintext columns".into(),
+            )),
+        }
+    }
+
+    /// `c op other` with `other` column-free on an encrypted column: the
+    /// constant is encrypted to the layer `op` reads, and a bare `$n`
+    /// becomes a typed bind-time hole (a `$n` buried in arithmetic
+    /// falls back to the generic prepared path). On a plaintext column
+    /// `other` may be any plaintext expression.
+    fn rw_col_cmp(&self, op: BinOp, c: &ColumnRef, other: &Expr) -> Result<Expr, ProxyError> {
+        let (visible, _t, col) = self.resolver.resolve(self.schema, c)?;
+        if !col.sensitive {
+            let rhs = match const_fold(other) {
+                Ok(v) => value_to_literal(v),
+                Err(_) => self.plain_or(other, "comparison against an encrypted expression")?,
+            };
+            return Ok(Expr::binary(op, self.qcol(&visible, col.anon.clone()), rhs));
+        }
+        let table = col.table.clone();
+        let name = col.name.clone();
+        if op.is_order() {
+            self.serve(col, OpClass::Ord)?;
+            let rhs = match other {
+                Expr::Param(n) => self.param_hole(*n, ParamSlot::Ord { table, col: name })?,
+                _ => {
+                    let keys = self.col_keys_of(col);
+                    value_to_literal(self.proxy.ope_encrypt_cached(&keys, &const_fold(other)?)?)
+                }
+            };
+            Ok(Expr::binary(op, self.qcol(&visible, col.anon_ord()), rhs))
+        } else {
+            self.serve(col, OpClass::Eq)?;
+            let rhs = match other {
+                Expr::Param(n) => self.param_hole(*n, ParamSlot::Eq { table, col: name })?,
+                _ => value_to_literal(self.encrypt_eq_const(col, &const_fold(other)?)?),
+            };
+            Ok(Expr::binary(op, self.qcol(&visible, col.anon_eq()), rhs))
+        }
+    }
+
+    /// One GROUP BY key: an encrypted column groups on its DET layer.
+    fn group_key(&self, g: &Expr) -> Result<Expr, ProxyError> {
+        let Expr::Column(c) = g else {
+            return self.plain_or(g, "GROUP BY over an encrypted expression");
+        };
+        let (visible, _t, col) = self.resolver.resolve(self.schema, c)?;
+        self.serve(col, OpClass::Eq)?;
+        Ok(if col.sensitive {
+            self.qcol(&visible, col.anon_eq())
+        } else {
+            self.qcol(&visible, col.anon.clone())
+        })
+    }
+
+    /// Rewrites a HAVING clause: COUNT compared with a constant only —
+    /// the server cannot compare a HOM ciphertext (§3.5.1).
+    fn rw_having(&self, e: &Expr) -> Result<Expr, ProxyError> {
+        match e {
+            Expr::Binary { op, left, right } if matches!(op, BinOp::And | BinOp::Or) => Ok(
+                Expr::binary(*op, self.rw_having(left)?, self.rw_having(right)?),
+            ),
+            Expr::Binary { op, left, right } if op.is_comparison() => {
+                self.clause(e, self.rw_having_cmp(*op, left, right))
+            }
+            _ => Err(ProxyError::NeedsPlaintext(
+                "unsupported HAVING clause".into(),
+            )),
+        }
+    }
+
+    fn rw_having_cmp(&self, op: BinOp, left: &Expr, right: &Expr) -> Result<Expr, ProxyError> {
+        let (func, bound, func_left) = match (left, right) {
+            (f @ Expr::Func { .. }, b) => (f, b, true),
+            (b, f @ Expr::Func { .. }) => (f, b, false),
+            _ => {
+                return Err(ProxyError::NeedsPlaintext(
+                    "HAVING supports aggregate comparisons only".into(),
+                ))
+            }
+        };
+        let Expr::Func {
+            name,
+            args,
+            star,
+            distinct,
+        } = func
+        else {
+            unreachable!("matched a function")
+        };
+        if name != "COUNT" {
+            return Err(ProxyError::NeedsPlaintext(format!(
+                "HAVING over {name}: comparing a HOM ciphertext is impossible; \
+                 process in the proxy instead (§3.5.1)"
+            )));
+        }
+        let count = if *star {
+            func.clone()
+        } else {
+            let Some(Expr::Column(c)) = args.first() else {
+                return Err(ProxyError::NeedsPlaintext(
+                    "HAVING COUNT over an expression".into(),
+                ));
+            };
+            let (visible, _t, col) = self.resolver.resolve(self.schema, c)?;
+            if *distinct {
+                self.serve(col, OpClass::Eq)?;
+            }
+            let arg = if col.sensitive {
+                self.qcol(&visible, col.anon_eq())
+            } else {
+                self.qcol(&visible, col.anon.clone())
+            };
+            Expr::Func {
+                name: "COUNT".into(),
+                args: vec![arg],
+                star: false,
+                distinct: *distinct,
+            }
+        };
+        let bound = value_to_literal(const_fold(bound)?);
+        Ok(if func_left {
+            Expr::binary(op, count, bound)
+        } else {
+            Expr::binary(op, bound, count)
+        })
     }
 
     fn col_keys_of(&self, col: &ColumnState) -> Arc<ColumnKeys> {
@@ -1776,11 +1549,15 @@ fn flip_cmp(op: BinOp) -> BinOp {
 }
 
 impl Proxy {
-    pub(crate) fn select(&self, sel: &Select) -> Result<QueryResult, ProxyError> {
+    pub(crate) fn select(
+        &self,
+        sel: &Select,
+        usage: Option<&RefCell<Usage>>,
+    ) -> Result<QueryResult, ProxyError> {
         if sel.from.is_empty() {
             return Ok(self.engine.execute(&Stmt::Select(sel.clone()))?);
         }
-        let cs = self.plan_select(sel, false)?;
+        let cs = self.plan_select(sel, false, usage)?;
         match self.run_select_plan(&cs, &[], false, None)? {
             RunOutcome::Done(r) => Ok(r),
             RunOutcome::Stale | RunOutcome::Declined => {
@@ -1789,32 +1566,24 @@ impl Proxy {
         }
     }
 
-    /// Steps 1–3 of the paper's pipeline (§3.2): analyse, adjust onions,
-    /// rewrite. The result is reusable — `run_select_plan` performs the
-    /// per-execution work (bind, execute, decrypt).
+    /// Steps 1–2 of the paper's pipeline (§3.2): rewrite, adjusting
+    /// onions first when the rewrite relies on a layer not yet exposed
+    /// ([`Self::plan_walk`]). The result is reusable — `run_select_plan`
+    /// performs the per-execution work (bind, execute, decrypt).
     pub(crate) fn plan_select(
         &self,
         sel: &Select,
         allow_params: bool,
+        usage: Option<&RefCell<Usage>>,
     ) -> Result<CachedSelect, ProxyError> {
-        let reqs = {
-            let schema = self.schema.read();
-            let resolver = Resolver::from_select(&schema, sel)?;
-            self.collect_select_reqs(&schema, &resolver, sel)?
-        };
-        self.apply_adjustments(&reqs)?;
-        // Capture the epoch under the same read guard the rewrite uses:
-        // writers mutate (and bump) under the write lock, so a plan tagged
-        // with epoch E provably saw the schema as of E.
-        let schema = self.schema.read();
-        let resolver = Resolver::from_select(&schema, sel)?;
-        let epoch = self.schema_epoch();
-        let (stmt, plan, occ) = self.rewrite_select(&schema, &resolver, sel, allow_params)?;
-        Ok(CachedSelect {
-            stmt,
-            plan,
-            occ,
-            epoch,
+        self.plan_walk(|schema| {
+            let resolver = Resolver::from_select(schema, sel)?;
+            // Capture the epoch under the guard the rewrite reads: writers
+            // mutate (and bump) under the write lock, so a plan tagged
+            // with epoch E provably saw the schema as of E.
+            let epoch = self.schema_epoch();
+            let rw = SelectRw::new(self, schema, &resolver, true, allow_params, usage);
+            self.rewrite_select(rw, sel, epoch)
         })
     }
 
@@ -1894,22 +1663,26 @@ impl Proxy {
         self.decrypt_results(&cs.plan, result).map(RunOutcome::Done)
     }
 
+    /// Rewrites `sel` under the schema `rw` reads, returning the plan and
+    /// the adjustments it relied on that the schema lacks.
     fn rewrite_select(
         &self,
-        schema: &EncSchema,
-        resolver: &Resolver,
+        mut rw: SelectRw<'_>,
         sel: &Select,
-        allow_params: bool,
-    ) -> Result<(Select, SelectPlan, Vec<ParamOcc>), ProxyError> {
-        let mut rw = SelectRw::new(self, schema, resolver, true, allow_params);
-
-        // Projections.
+        epoch: u64,
+    ) -> Result<(CachedSelect, Vec<Req>), ProxyError> {
+        let (schema, resolver) = (rw.schema, rw.resolver);
+        // Projections. DISTINCT compares every projected encrypted
+        // column for equality.
         for item in &sel.projections {
             match item {
                 SelectItem::Wildcard => {
                     for (visible, tname) in resolver.scopes.clone() {
                         let t = schema.table(&tname)?;
                         for col in t.columns.clone() {
+                            if sel.distinct {
+                                rw.serve(&col, OpClass::Eq)?;
+                            }
                             let (it, slot) = rw.project_column(&visible, t, &col)?;
                             rw.vis_items.push(it);
                             rw.vis_slots.push(slot);
@@ -1923,7 +1696,12 @@ impl Proxy {
                         Expr::Column(c) => c.column.clone(),
                         other => other.to_string(),
                     });
-                    let (it, slot, colref) = self.rewrite_projection(&mut rw, expr)?;
+                    if let (true, Expr::Column(c)) = (sel.distinct, expr) {
+                        let (_, _, col) = resolver.resolve(schema, c)?;
+                        rw.clause(expr, rw.serve(col, OpClass::Eq))?;
+                    }
+                    let r = self.rewrite_projection(&mut rw, expr);
+                    let (it, slot, colref) = rw.clause(expr, r)?;
                     rw.vis_items.push(it);
                     rw.vis_slots.push(slot);
                     rw.vis_cols.push(colref);
@@ -1962,37 +1740,27 @@ impl Proxy {
             })
             .collect::<Result<Vec<_>, ProxyError>>()?;
 
-        // GROUP BY.
-        let mut group_by = Vec::with_capacity(sel.group_by.len());
-        for g in &sel.group_by {
-            match g {
-                Expr::Column(c) => {
-                    let (visible, _t, col) = resolver.resolve(schema, c)?;
-                    group_by.push(if col.sensitive {
-                        rw.qcol(&visible, col.anon_eq())
-                    } else {
-                        rw.qcol(&visible, col.anon.clone())
-                    });
-                }
-                other => group_by.push(rw.map_plain_expr(other)?),
-            }
-        }
+        let group_by = sel
+            .group_by
+            .iter()
+            .map(|g| rw.clause(g, rw.group_key(g)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let having = sel.having.as_ref().map(|h| rw.rw_having(h)).transpose()?;
 
-        // HAVING (COUNT comparisons only; checked during analysis).
-        let having = sel
-            .having
-            .as_ref()
-            .map(|h| self.rewrite_having(&rw, h))
-            .transpose()?;
-
-        // ORDER BY.
-        let proxy_sorting = self.proxy_sorts(sel);
+        // ORDER BY: in the proxy when every key is a column and no
+        // LIMIT cuts the result (§3.5.1), keeping the Ord onion sealed.
+        let proxy_sorting = !sel.order_by.is_empty()
+            && sel.limit.is_none()
+            && sel
+                .order_by
+                .iter()
+                .all(|ob| matches!(ob.expr, Expr::Column(_)));
         let mut order_by = Vec::new();
         let mut proxy_sort = Vec::new();
         if proxy_sorting {
             for ob in &sel.order_by {
                 let Expr::Column(c) = &ob.expr else {
-                    unreachable!("proxy_sorts requires plain columns")
+                    unreachable!("proxy sorting requires plain columns")
                 };
                 // Prefer an existing visible projection by alias/name.
                 let by_name = c.table.is_none().then(|| {
@@ -2025,20 +1793,24 @@ impl Proxy {
                 let key = match &ob.expr {
                     Expr::Column(c) => {
                         let (visible, _t, col) = resolver.resolve(schema, c)?;
+                        rw.serve(col, OpClass::Ord)?;
                         if col.sensitive {
                             rw.qcol(&visible, col.anon_ord())
                         } else {
                             rw.qcol(&visible, col.anon.clone())
                         }
                     }
-                    f @ Expr::Func { .. } => {
-                        let (it, _slot, _) = self.rewrite_projection(&mut rw, f)?;
-                        match it {
+                    count @ Expr::Func { name, .. } if name == "COUNT" => {
+                        let r = self.rewrite_projection(&mut rw, count);
+                        match rw.clause(count, r)?.0 {
                             SelectItem::Expr { expr, .. } => expr,
                             SelectItem::Wildcard => unreachable!(),
                         }
                     }
-                    other => rw.map_plain_expr(other)?,
+                    other => rw.clause(
+                        other,
+                        rw.plain_or(other, "ORDER BY over an encrypted expression"),
+                    )?,
                 };
                 order_by.push(OrderBy {
                     expr: key,
@@ -2106,7 +1878,13 @@ impl Proxy {
             names: rw.names,
             proxy_sort,
         };
-        Ok((rewritten, plan, rw.params.into_inner()))
+        let cached = CachedSelect {
+            stmt: rewritten,
+            plan,
+            occ: rw.params.into_inner(),
+            epoch,
+        };
+        Ok((cached, rw.reqs.into_inner()))
     }
 
     /// Rewrites one projected expression; returns the engine item, its
@@ -2142,10 +1920,10 @@ impl Proxy {
                     ));
                 }
                 let Some(Expr::Column(c)) = args.first() else {
-                    // Constant-argument function; pass through.
+                    // A function over a plaintext expression runs as is.
                     return Ok((
                         SelectItem::Expr {
-                            expr: rw.map_plain_expr(expr)?,
+                            expr: rw.plain_or(expr, "function over an expression (§6)")?,
                             alias: None,
                         },
                         Slot::Raw,
@@ -2156,7 +1934,7 @@ impl Proxy {
                 if !col.sensitive {
                     return Ok((
                         SelectItem::Expr {
-                            expr: rw.map_plain_expr(expr)?,
+                            expr: rw.plain_or(expr, "function over an encrypted column")?,
                             alias: None,
                         },
                         Slot::Raw,
@@ -2165,36 +1943,42 @@ impl Proxy {
                 }
                 let t_low = t.name.to_lowercase();
                 match name.as_str() {
-                    "COUNT" => Ok((
-                        SelectItem::Expr {
-                            expr: Expr::Func {
-                                name: "COUNT".into(),
-                                args: vec![rw.qcol(&visible, col.anon_eq())],
-                                star: false,
-                                distinct: *distinct,
+                    "COUNT" => {
+                        if *distinct {
+                            rw.serve(col, OpClass::Eq)?;
+                        }
+                        Ok((
+                            SelectItem::Expr {
+                                expr: Expr::Func {
+                                    name: "COUNT".into(),
+                                    args: vec![rw.qcol(&visible, col.anon_eq())],
+                                    star: false,
+                                    distinct: *distinct,
+                                },
+                                alias: None,
                             },
-                            alias: None,
-                        },
-                        Slot::Raw,
-                        None,
-                    )),
-                    "SUM" => Ok((
-                        SelectItem::Expr {
-                            expr: Expr::Func {
-                                name: "HOM_SUM".into(),
-                                args: vec![rw.qcol(&visible, col.anon_add())],
-                                star: false,
-                                distinct: false,
+                            Slot::Raw,
+                            None,
+                        ))
+                    }
+                    "SUM" => {
+                        rw.serve(col, OpClass::Add)?;
+                        Ok((
+                            SelectItem::Expr {
+                                expr: Expr::Func {
+                                    name: "HOM_SUM".into(),
+                                    args: vec![rw.qcol(&visible, col.anon_add())],
+                                    star: false,
+                                    distinct: false,
+                                },
+                                alias: None,
                             },
-                            alias: None,
-                        },
-                        Slot::Add {
-                            table: t_low,
-                            col: col.name.clone(),
-                        },
-                        None,
-                    )),
+                            Slot::Add,
+                            None,
+                        ))
+                    }
                     "AVG" => {
+                        rw.serve(col, OpClass::Add)?;
                         let count = rw.push_hidden(
                             SelectItem::Expr {
                                 expr: Expr::Func {
@@ -2225,83 +2009,43 @@ impl Proxy {
                             None,
                         ))
                     }
-                    "MIN" | "MAX" => Ok((
-                        SelectItem::Expr {
-                            expr: Expr::Func {
-                                name: name.clone(),
-                                args: vec![rw.qcol(&visible, col.anon_ord())],
-                                star: false,
-                                distinct: false,
+                    "MIN" | "MAX" => {
+                        if col.ty != ColumnType::Int {
+                            return Err(ProxyError::NeedsPlaintext(format!(
+                                "{name} over encrypted text"
+                            )));
+                        }
+                        rw.serve(col, OpClass::Ord)?;
+                        Ok((
+                            SelectItem::Expr {
+                                expr: Expr::Func {
+                                    name: name.clone(),
+                                    args: vec![rw.qcol(&visible, col.anon_ord())],
+                                    star: false,
+                                    distinct: false,
+                                },
+                                alias: None,
                             },
-                            alias: None,
-                        },
-                        Slot::Ord {
-                            table: t_low,
-                            col: col.name.clone(),
-                        },
-                        None,
-                    )),
+                            Slot::Ord {
+                                table: t_low,
+                                col: col.name.clone(),
+                            },
+                            None,
+                        ))
+                    }
                     other => Err(ProxyError::NeedsPlaintext(format!(
-                        "function {other} over encrypted column"
+                        "function {other} over encrypted column (§8.2 needs-plaintext)"
                     ))),
                 }
             }
             other => Ok((
                 SelectItem::Expr {
-                    expr: rw.map_plain_expr(other)?,
+                    expr: rw.plain_or(other, "projected expression over an encrypted column")?,
                     alias: None,
                 },
                 Slot::Raw,
                 None,
             )),
-        }
-    }
-
-    fn rewrite_having(&self, rw: &SelectRw<'_>, e: &Expr) -> Result<Expr, ProxyError> {
-        match e {
-            Expr::Binary { op, left, right } if matches!(op, BinOp::And | BinOp::Or) => {
-                Ok(Expr::binary(
-                    *op,
-                    self.rewrite_having(rw, left)?,
-                    self.rewrite_having(rw, right)?,
-                ))
-            }
-            Expr::Binary { op, left, right } if op.is_comparison() => {
-                let rewrite_side = |side: &Expr| -> Result<Expr, ProxyError> {
-                    match side {
-                        Expr::Func {
-                            name,
-                            args,
-                            star,
-                            distinct,
-                        } if name == "COUNT" => {
-                            if *star {
-                                return Ok(side.clone());
-                            }
-                            let Some(Expr::Column(c)) = args.first() else {
-                                return Err(ProxyError::NeedsPlaintext(
-                                    "HAVING COUNT over expression".into(),
-                                ));
-                            };
-                            let (visible, _t, col) = rw.resolver.resolve(rw.schema, c)?;
-                            let arg = if col.sensitive {
-                                rw.qcol(&visible, col.anon_eq())
-                            } else {
-                                rw.qcol(&visible, col.anon.clone())
-                            };
-                            Ok(Expr::Func {
-                                name: "COUNT".into(),
-                                args: vec![arg],
-                                star: false,
-                                distinct: *distinct,
-                            })
-                        }
-                        other => Ok(value_to_literal(const_fold(other)?)),
-                    }
-                };
-                Ok(Expr::binary(*op, rewrite_side(left)?, rewrite_side(right)?))
-            }
-            _ => Err(ProxyError::NeedsPlaintext("unsupported HAVING".into())),
         }
     }
 
@@ -2328,12 +2072,12 @@ impl Proxy {
         // before the schema read guard is taken: a batch too small to
         // split decrypts right here, and a guard held across it would
         // stall every statement queued behind a writer waiting for it
-        // (`apply_adjustments` takes the write lock).
+        // (an onion adjustment takes the write lock).
         let hom_slots: Vec<usize> = plan
             .slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| matches!(s, Slot::Add { .. } | Slot::AvgPair { .. }))
+            .filter(|(_, s)| matches!(s, Slot::Add | Slot::AvgPair { .. }))
             .map(|(i, _)| i)
             .collect();
         let mut hom_refs = Vec::new();
@@ -2389,7 +2133,7 @@ impl Proxy {
                     Slot::Eq { .. } => {} // Per-principal pass below.
                     // HOM slots are filled after the pipelined batch
                     // lands.
-                    Slot::Add { .. } | Slot::AvgPair { .. } => {}
+                    Slot::Add | Slot::AvgPair { .. } => {}
                     Slot::Ord { table, col } => {
                         let cs = locked_col(&schema, table, col)?;
                         let keys = self.master_col_keys(cs, table);
@@ -2468,7 +2212,7 @@ impl Proxy {
             for (ri, dec) in out_rows.iter_mut().enumerate() {
                 for (i, slot) in plan.slots.iter().enumerate() {
                     match slot {
-                        Slot::Add { .. } => dec[i] = hom_value(ri, i)?,
+                        Slot::Add => dec[i] = hom_value(ri, i)?,
                         Slot::AvgPair { count, .. } => {
                             let sum = hom_value(ri, i)?;
                             let n = rows[ri][*count].as_int().unwrap_or(0);

@@ -471,7 +471,7 @@ impl Proxy {
             selection,
             ..Default::default()
         };
-        let r = self.select(&sel)?;
+        let r = self.select(&sel, None)?;
         let QueryResult::Rows { columns, rows } = r else {
             return Ok(Vec::new());
         };
@@ -489,23 +489,14 @@ impl Proxy {
 
     // ---- UPDATE ----
 
-    pub(crate) fn update(&self, upd: &Update) -> Result<QueryResult, ProxyError> {
-        // Analyse the WHERE clause plus the set expressions.
-        let reqs = {
-            let schema = self.schema.read();
-            let resolver = Resolver::for_table(&schema, &upd.table)?;
-            let mut reqs = Vec::new();
-            if let Some(w) = &upd.selection {
-                self.analyze_pred(&schema, &resolver, w, &mut reqs)?;
-            }
-            reqs
-        };
-        self.apply_adjustments(&reqs)?;
-
-        let (stmt, stale_cols) = {
-            let schema = self.schema.read();
-            let resolver = Resolver::for_table(&schema, &upd.table)?;
-            let rw = SelectRw::new(self, &schema, &resolver, false, false);
+    pub(crate) fn update(
+        &self,
+        upd: &Update,
+        usage: Option<&RefCell<Usage>>,
+    ) -> Result<QueryResult, ProxyError> {
+        let (stmt, stale_cols) = self.plan_walk(|schema| {
+            let resolver = Resolver::for_table(schema, &upd.table)?;
+            let rw = SelectRw::new(self, schema, &resolver, false, false, usage);
             let tstate = schema.table(&upd.table)?;
             let selection = upd.selection.as_ref().map(|w| rw.rw_pred(w)).transpose()?;
             let mut sets: Vec<(String, Expr)> = Vec::new();
@@ -514,94 +505,25 @@ impl Proxy {
                 let col = tstate
                     .column(cname)
                     .ok_or_else(|| ProxyError::Schema(format!("unknown column {cname}")))?;
-                if !col.sensitive {
-                    sets.push((col.anon.clone(), rw.map_plain_expr(expr)?));
-                    continue;
-                }
-                if let Some(delta) = increment_of(expr, cname) {
-                    // §3.3: increments run on the Add onion via HOM; the
-                    // other onions become stale.
-                    if !col.onions.add {
-                        return Err(ProxyError::NeedsPlaintext(format!(
-                            "increment of {cname}, which has no Add onion"
-                        )));
+                match self.rw_assignment(&rw, upd, tstate, col, expr) {
+                    Ok((assigned, stale)) => {
+                        sets.extend(assigned);
+                        stale_cols.extend(stale.then(|| col.name.clone()));
                     }
-                    let enc = self.encrypt_hom_const(delta);
-                    sets.push((
-                        col.anon_add(),
-                        Expr::Func {
-                            name: "HOM_ADD".into(),
-                            args: vec![Expr::col(col.anon_add()), enc],
-                            star: false,
-                            distinct: false,
-                        },
-                    ));
-                    stale_cols.push(col.name.clone());
-                    continue;
-                }
-                // Plain constant assignment: re-encrypt every onion.
-                let v = const_fold(expr)?;
-                let root = match &col.enc_for {
-                    None => self.mk,
-                    Some(ef) => {
-                        let id = upd
-                            .selection
-                            .as_ref()
-                            .and_then(|w| extract_eq_const(w, &ef.key_column))
-                            .ok_or_else(|| {
-                                ProxyError::PolicyViolation(format!(
-                                    "UPDATE of per-principal column {cname} must pin \
-                                     {} = <const> in WHERE",
-                                    ef.key_column
-                                ))
-                            })?;
-                        let principal: Principal =
-                            (ef.princ_type.to_lowercase(), value_id_string(&id));
-                        self.mp
-                            .read()
-                            .resolve_key(&self.engine, &principal)
-                            .ok_or_else(|| {
-                                ProxyError::KeyUnavailable(format!(
-                                    "no authority over principal ({}, {})",
-                                    principal.0, principal.1
-                                ))
-                            })?
+                    Err(e) => {
+                        let clause =
+                            Expr::binary(BinOp::Eq, Expr::col(cname.as_str()), expr.clone());
+                        return rw.clause(&clause, Err(e));
                     }
-                };
-                let owner_keys = self.owner_keys_in(&schema, col, &root)?;
-                let cell = self.encrypt_cell_for(
-                    &tstate.name.to_lowercase(),
-                    col,
-                    &root,
-                    &owner_keys,
-                    &v,
-                )?;
-                sets.push((
-                    col.anon_iv(),
-                    value_to_literal(cell.iv.unwrap_or(Value::Null)),
-                ));
-                if let Some(x) = cell.eq {
-                    sets.push((col.anon_eq(), value_to_literal(x)));
-                }
-                if let Some(x) = cell.ord {
-                    sets.push((col.anon_ord(), value_to_literal(x)));
-                }
-                if let Some(x) = cell.add {
-                    sets.push((col.anon_add(), value_to_literal(x)));
-                }
-                if let Some(x) = cell.srch {
-                    sets.push((col.anon_srch(), value_to_literal(x)));
                 }
             }
-            (
-                Stmt::Update(Update {
-                    table: tstate.anon.clone(),
-                    sets,
-                    selection,
-                }),
-                stale_cols,
-            )
-        };
+            let stmt = Stmt::Update(Update {
+                table: tstate.anon.clone(),
+                sets,
+                selection,
+            });
+            Ok(((stmt, stale_cols), rw.into_reqs()))
+        })?;
         if stale_cols.is_empty() {
             return Ok(self.engine.execute(&stmt)?);
         }
@@ -637,6 +559,82 @@ impl Proxy {
         }
     }
 
+    /// Rewrites `SET col = expr` into the onion assignments it becomes,
+    /// and whether it leaves the column's other onions stale.
+    fn rw_assignment(
+        &self,
+        rw: &SelectRw<'_>,
+        upd: &Update,
+        tstate: &TableState,
+        col: &ColumnState,
+        expr: &Expr,
+    ) -> Result<(Vec<(String, Expr)>, bool), ProxyError> {
+        if !col.sensitive {
+            return Ok((vec![(col.anon.clone(), rw.map_plain_expr(expr)?)], false));
+        }
+        if let Some(delta) = increment_of(expr, &col.name) {
+            // §3.3: increments run on the Add onion via HOM; the other
+            // onions become stale.
+            rw.serve(col, OpClass::Add)?;
+            let enc = self.encrypt_hom_const(delta);
+            let add = Expr::Func {
+                name: "HOM_ADD".into(),
+                args: vec![Expr::col(col.anon_add()), enc],
+                star: false,
+                distinct: false,
+            };
+            return Ok((vec![(col.anon_add(), add)], true));
+        }
+        // Plain constant assignment: re-encrypt every onion.
+        let v = const_fold(expr)?;
+        let root = match &col.enc_for {
+            None => self.mk,
+            Some(ef) => {
+                let id = upd
+                    .selection
+                    .as_ref()
+                    .and_then(|w| extract_eq_const(w, &ef.key_column))
+                    .ok_or_else(|| {
+                        ProxyError::PolicyViolation(format!(
+                            "UPDATE of per-principal column {} must pin \
+                             {} = <const> in WHERE",
+                            col.name, ef.key_column
+                        ))
+                    })?;
+                let principal: Principal = (ef.princ_type.to_lowercase(), value_id_string(&id));
+                self.mp
+                    .read()
+                    .resolve_key(&self.engine, &principal)
+                    .ok_or_else(|| {
+                        ProxyError::KeyUnavailable(format!(
+                            "no authority over principal ({}, {})",
+                            principal.0, principal.1
+                        ))
+                    })?
+            }
+        };
+        let owner_keys = self.owner_keys_in(rw.schema, col, &root)?;
+        let cell =
+            self.encrypt_cell_for(&tstate.name.to_lowercase(), col, &root, &owner_keys, &v)?;
+        let mut sets = vec![(
+            col.anon_iv(),
+            value_to_literal(cell.iv.unwrap_or(Value::Null)),
+        )];
+        if let Some(x) = cell.eq {
+            sets.push((col.anon_eq(), value_to_literal(x)));
+        }
+        if let Some(x) = cell.ord {
+            sets.push((col.anon_ord(), value_to_literal(x)));
+        }
+        if let Some(x) = cell.add {
+            sets.push((col.anon_add(), value_to_literal(x)));
+        }
+        if let Some(x) = cell.srch {
+            sets.push((col.anon_srch(), value_to_literal(x)));
+        }
+        Ok((sets, false))
+    }
+
     fn encrypt_hom_const(&self, v: i64) -> Expr {
         match self.take_blinding() {
             Some(b) => {
@@ -660,7 +658,11 @@ impl Proxy {
 
     // ---- DELETE ----
 
-    pub(crate) fn delete(&self, del: &Delete) -> Result<QueryResult, ProxyError> {
+    pub(crate) fn delete(
+        &self,
+        del: &Delete,
+        usage: Option<&RefCell<Usage>>,
+    ) -> Result<QueryResult, ProxyError> {
         // §4.2 revocation: removing a SPEAKS-FOR row removes its edges.
         let anns = self.with_schema(|s| {
             s.table(&del.table)
@@ -675,26 +677,16 @@ impl Proxy {
                 }
             }
         }
-        let reqs = {
-            let schema = self.schema.read();
-            let resolver = Resolver::for_table(&schema, &del.table)?;
-            let mut reqs = Vec::new();
-            if let Some(w) = &del.selection {
-                self.analyze_pred(&schema, &resolver, w, &mut reqs)?;
-            }
-            reqs
-        };
-        self.apply_adjustments(&reqs)?;
-        let stmt = {
-            let schema = self.schema.read();
-            let resolver = Resolver::for_table(&schema, &del.table)?;
-            let rw = SelectRw::new(self, &schema, &resolver, false, false);
+        let stmt = self.plan_walk(|schema| {
+            let resolver = Resolver::for_table(schema, &del.table)?;
+            let rw = SelectRw::new(self, schema, &resolver, false, false, usage);
             let selection = del.selection.as_ref().map(|w| rw.rw_pred(w)).transpose()?;
-            Stmt::Delete(Delete {
+            let stmt = Stmt::Delete(Delete {
                 table: schema.table(&del.table)?.anon.clone(),
                 selection,
-            })
-        };
+            });
+            Ok((stmt, rw.into_reqs()))
+        })?;
         Ok(self.engine.execute(&stmt)?)
     }
 

@@ -87,6 +87,19 @@ impl ColumnState {
         SecLevel::Rnd
     }
 
+    /// Whether the column already offers what `need` asks of it, so no
+    /// adjustment is due. The rewriter records a requirement only for a
+    /// need this denies, and each adjustment returns early on it.
+    pub(crate) fn offers(&self, need: Need<'_>) -> bool {
+        match need {
+            Need::Det => !self.sensitive || !self.onions.eq || self.eq_level == EqLevel::Det,
+            Need::Ope => !self.sensitive || !self.onions.ord || self.ord_level == OrdLevel::Ope,
+            Need::Search => !self.sensitive || self.search_used,
+            Need::Fresh => !self.stale,
+            Need::JoinWith(other) => self.join_owner == other.join_owner,
+        }
+    }
+
     /// Enforces the §3.5.1 minimum-layer floor for a prospective exposure.
     pub fn check_floor(&self, target: SecLevel) -> Result<(), ProxyError> {
         if let Some(floor) = self.min_level {
@@ -99,6 +112,21 @@ impl ColumnState {
         }
         Ok(())
     }
+}
+
+/// What a rewritten statement relies on a column offering (§3.2).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Need<'a> {
+    /// The Eq onion peeled to DET.
+    Det,
+    /// The Ord onion peeled to OPE.
+    Ope,
+    /// The Search onion counted as used.
+    Search,
+    /// Eq and Ord onions current (no increment since the last refresh).
+    Fresh,
+    /// JOIN-ADJ tags under the same key as this column's (§3.4).
+    JoinWith(&'a ColumnState),
 }
 
 /// Proxy-side state of one table.

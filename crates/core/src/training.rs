@@ -9,7 +9,8 @@ use crate::proxy::{const_fold, Proxy};
 use crate::ProxyError;
 use cryptdb_engine::Value;
 use cryptdb_sqlparser::{parse, Stmt};
-use std::collections::{BTreeMap, HashMap};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How many hot values per column a training run reports (the paper's
 /// §3.5.2 cache covers the "most common values"; the trainer surfaces
@@ -31,6 +32,18 @@ pub struct ColumnReport {
     pub needs_search: bool,
     /// Queries on this column that CryptDB cannot run over ciphertext.
     pub needs_plaintext: bool,
+}
+
+/// What one statement's rewrite resolved, as training mode reports it:
+/// real `(table, column)` pairs (aliases resolved), both lowercase.
+#[derive(Default)]
+pub(crate) struct Usage {
+    /// Columns a SUM, AVG or increment ran on through the HOM onion.
+    pub hom: BTreeSet<(String, String)>,
+    /// Columns a LIKE matched through the Search onion.
+    pub search: BTreeSet<(String, String)>,
+    /// Encrypted columns of the clause a needs-plaintext refusal refused.
+    pub plaintext: BTreeSet<(String, String)>,
 }
 
 /// The training-mode output: per-column steady state plus warnings.
@@ -100,9 +113,7 @@ impl Proxy {
     /// recorded as warnings rather than failing the run.
     pub fn train(&self, queries: &[&str]) -> Result<TrainingReport, ProxyError> {
         let mut warnings = Vec::new();
-        let mut hom: BTreeMap<(String, String), bool> = BTreeMap::new();
-        let mut search: BTreeMap<(String, String), bool> = BTreeMap::new();
-        let mut plainneed: BTreeMap<(String, String), bool> = BTreeMap::new();
+        let mut used = Usage::default();
         let mut literal_counts: BTreeMap<(String, String), HashMap<i64, u64>> = BTreeMap::new();
         let mut queries_run = 0usize;
         for q in queries {
@@ -115,15 +126,20 @@ impl Proxy {
             };
             for stmt in &stmts {
                 queries_run += 1;
-                // Track class usage for the Fig. 9 middle columns.
-                scan_class_usage(stmt, &mut hom, &mut search);
                 scan_insert_literals(stmt, &mut literal_counts);
-                match self.execute_stmt(stmt) {
-                    Ok(_) => {}
+                // The Fig. 9 middle columns come from what the rewrite
+                // resolved: HOM and SEARCH from statements that ran,
+                // plaintext from the clause a refusal refused.
+                let usage = RefCell::new(Usage::default());
+                let result = self.execute_noting(stmt, Some(&usage));
+                let usage = usage.into_inner();
+                match result {
+                    Ok(_) => {
+                        used.hom.extend(usage.hom);
+                        used.search.extend(usage.search);
+                    }
                     Err(ProxyError::NeedsPlaintext(msg)) => {
-                        for (t, c) in columns_of_stmt(stmt) {
-                            plainneed.insert((t, c), true);
-                        }
+                        used.plaintext.extend(usage.plaintext);
                         warnings.push(format!("needs plaintext: {msg}"));
                     }
                     Err(e) => warnings.push(format!("{q}: {e}")),
@@ -142,9 +158,9 @@ impl Proxy {
                         column: col.name.clone(),
                         sensitive: col.sensitive,
                         min_enc: col.min_enc(),
-                        needs_hom: hom.get(&key).copied().unwrap_or(false),
-                        needs_search: search.get(&key).copied().unwrap_or(false),
-                        needs_plaintext: plainneed.get(&key).copied().unwrap_or(false),
+                        needs_hom: used.hom.contains(&key),
+                        needs_search: used.search.contains(&key),
+                        needs_plaintext: used.plaintext.contains(&key),
                     });
                 }
             }
@@ -203,126 +219,5 @@ fn scan_insert_literals(stmt: &Stmt, counts: &mut BTreeMap<(String, String), Has
                     .or_insert(0) += 1;
             }
         }
-    }
-}
-
-/// Best-effort extraction of `(table, column)` pairs a statement touches.
-/// Used only to attribute needs-plaintext warnings, so unqualified columns
-/// are attributed to the statement's first table.
-fn columns_of_stmt(stmt: &Stmt) -> Vec<(String, String)> {
-    use cryptdb_sqlparser::Expr;
-    let mut out = Vec::new();
-    let mut tables: Vec<String> = Vec::new();
-    let mut exprs: Vec<&Expr> = Vec::new();
-    match stmt {
-        Stmt::Select(s) => {
-            tables.extend(s.from.iter().map(|t| t.name.to_lowercase()));
-            tables.extend(s.joins.iter().map(|j| j.table.name.to_lowercase()));
-            for p in &s.projections {
-                if let cryptdb_sqlparser::SelectItem::Expr { expr, .. } = p {
-                    exprs.push(expr);
-                }
-            }
-            if let Some(w) = &s.selection {
-                exprs.push(w);
-            }
-            for j in &s.joins {
-                exprs.push(&j.on);
-            }
-            exprs.extend(s.group_by.iter());
-            if let Some(h) = &s.having {
-                exprs.push(h);
-            }
-            for ob in &s.order_by {
-                exprs.push(&ob.expr);
-            }
-        }
-        Stmt::Update(u) => {
-            tables.push(u.table.to_lowercase());
-            for (_, e) in &u.sets {
-                exprs.push(e);
-            }
-            if let Some(w) = &u.selection {
-                exprs.push(w);
-            }
-        }
-        Stmt::Delete(d) => {
-            tables.push(d.table.to_lowercase());
-            if let Some(w) = &d.selection {
-                exprs.push(w);
-            }
-        }
-        _ => {}
-    }
-    let default_table = tables.first().cloned().unwrap_or_default();
-    for e in exprs {
-        e.walk(&mut |n| {
-            if let Expr::Column(c) = n {
-                let t = c
-                    .table
-                    .as_ref()
-                    .map(|t| t.to_lowercase())
-                    .unwrap_or_else(|| default_table.clone());
-                out.push((t, c.column.to_lowercase()));
-            }
-        });
-    }
-    out
-}
-
-fn scan_class_usage(
-    stmt: &Stmt,
-    hom: &mut BTreeMap<(String, String), bool>,
-    search: &mut BTreeMap<(String, String), bool>,
-) {
-    use cryptdb_sqlparser::{Expr, SelectItem};
-    let mark = |map: &mut BTreeMap<(String, String), bool>, t: &str, c: &str| {
-        map.insert((t.to_lowercase(), c.to_lowercase()), true);
-    };
-    match stmt {
-        Stmt::Select(s) => {
-            let t0 = s
-                .from
-                .first()
-                .map(|t| t.name.to_lowercase())
-                .unwrap_or_default();
-            for p in &s.projections {
-                if let SelectItem::Expr {
-                    expr: Expr::Func { name, args, .. },
-                    ..
-                } = p
-                {
-                    if matches!(name.as_str(), "SUM" | "AVG") {
-                        if let Some(Expr::Column(c)) = args.first() {
-                            let t = c.table.as_deref().unwrap_or(&t0);
-                            mark(hom, t, &c.column);
-                        }
-                    }
-                }
-            }
-            if let Some(w) = &s.selection {
-                w.walk(&mut |n| {
-                    if let Expr::Like { expr, .. } = n {
-                        if let Expr::Column(c) = &**expr {
-                            let t = c.table.as_deref().unwrap_or(&t0);
-                            mark(search, t, &c.column);
-                        }
-                    }
-                });
-            }
-        }
-        Stmt::Update(u) => {
-            for (col, e) in &u.sets {
-                if let Expr::Binary { op, .. } = e {
-                    if matches!(
-                        op,
-                        cryptdb_sqlparser::BinOp::Add | cryptdb_sqlparser::BinOp::Sub
-                    ) {
-                        mark(hom, &u.table, col);
-                    }
-                }
-            }
-        }
-        _ => {}
     }
 }

@@ -652,3 +652,321 @@ fn training_emits_hot_values_and_warms_ope_cache() {
         .unwrap();
     assert_eq!(r.rows().len(), 1);
 }
+
+/// The schema epoch plus every column's MinEnc: what a refused statement
+/// must leave exactly as it found it.
+type OnionState = (u64, Vec<(String, String, SecLevel)>);
+
+fn onion_state(p: &Proxy) -> OnionState {
+    let mut levels: Vec<_> = p.with_schema(|s| {
+        s.tables()
+            .flat_map(|t| {
+                t.columns
+                    .iter()
+                    .map(|c| (t.name.clone(), c.name.clone(), c.min_enc()))
+            })
+            .collect()
+    });
+    levels.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+    (p.schema_epoch(), levels)
+}
+
+/// Runs `sql`, which must be refused with the variant `want` names, and
+/// reports (rather than panics on) any way the refusal went wrong — the
+/// table test below lists every failing case at once.
+fn refusal_problem(p: &Proxy, sql: &str, want: &str) -> Option<String> {
+    let before = onion_state(p);
+    let got = match p.execute(sql) {
+        Ok(_) => return Some(format!("{sql}: ran, expected {want}")),
+        Err(ProxyError::NeedsPlaintext(_)) => "NeedsPlaintext",
+        Err(ProxyError::PolicyViolation(_)) => "PolicyViolation",
+        Err(e) => return Some(format!("{sql}: expected {want}, got {e}")),
+    };
+    if got != want {
+        return Some(format!("{sql}: expected {want}, got {got}"));
+    }
+    let after = onion_state(p);
+    (after != before).then(|| format!("{sql}: refused, yet adjusted {before:?} -> {after:?}"))
+}
+
+/// A table with `s` encrypted and `a`, `b` plaintext.
+fn partial_proxy() -> Proxy {
+    let cfg = ProxyConfig {
+        paillier_bits: 256,
+        policy: EncryptionPolicy::Explicit(
+            [("t".to_string(), vec!["s".to_string()])]
+                .into_iter()
+                .collect(),
+        ),
+        ..Default::default()
+    };
+    let p = Proxy::new(Arc::new(Engine::new()), [5u8; 32], cfg);
+    p.execute(PARTIAL_TABLE).unwrap();
+    p
+}
+
+const PARTIAL_TABLE: &str = "CREATE TABLE t (s int, a int, b int); \
+     INSERT INTO t (s, a, b) VALUES (5, 3, 2), (5, 4, 4), (6, 9, 8), (7, 1, 0)";
+
+#[test]
+fn refused_statements_adjust_no_onion() {
+    let mut problems = Vec::new();
+
+    let p = proxy();
+    seeded(&p);
+    p.execute(
+        "CREATE TABLE depts (dname text, floor int); \
+         INSERT INTO depts (dname, floor) VALUES ('sales', 1), ('eng', 3)",
+    )
+    .unwrap();
+    // Each refused clause rides behind `id = 2`, which alone would
+    // lower `id` to DET: the refusal must win before any adjustment.
+    for (sql, want) in [
+        // Function over an encrypted column.
+        (
+            "SELECT name FROM employees WHERE id = 2 AND LOWER(name) = 'bob'",
+            "NeedsPlaintext",
+        ),
+        (
+            "SELECT UPPER(name) FROM employees WHERE id = 2",
+            "NeedsPlaintext",
+        ),
+        // Arithmetic in a predicate.
+        (
+            "SELECT name FROM employees WHERE id = 2 AND salary + 1 > 60000",
+            "NeedsPlaintext",
+        ),
+        (
+            "SELECT name FROM employees WHERE id = 2 AND salary > id * 2 + 10",
+            "NeedsPlaintext",
+        ),
+        // Non-word LIKE.
+        (
+            "SELECT name FROM employees WHERE id = 2 AND name LIKE 'Al%ce'",
+            "NeedsPlaintext",
+        ),
+        // LIKE / IN / BETWEEN over an expression or with column bounds.
+        (
+            "SELECT name FROM employees WHERE id = 2 AND LOWER(name) LIKE '%bob%'",
+            "NeedsPlaintext",
+        ),
+        (
+            "SELECT name FROM employees WHERE id = 2 AND name LIKE dept",
+            "NeedsPlaintext",
+        ),
+        (
+            "SELECT name FROM employees WHERE id = 2 AND salary + 1 IN (1, 2)",
+            "NeedsPlaintext",
+        ),
+        (
+            "SELECT name FROM employees WHERE id = 2 AND salary IN (id, 2)",
+            "NeedsPlaintext",
+        ),
+        (
+            "SELECT name FROM employees WHERE id = 2 AND salary + 1 BETWEEN 1 AND 9",
+            "NeedsPlaintext",
+        ),
+        (
+            "SELECT name FROM employees WHERE id = 2 AND salary BETWEEN id AND 70000",
+            "NeedsPlaintext",
+        ),
+        // Range join outside a declared OPE group.
+        (
+            "SELECT e.name FROM employees e, depts d WHERE e.id = 2 AND e.salary < d.floor",
+            "NeedsPlaintext",
+        ),
+        // HAVING over SUM.
+        (
+            "SELECT dept FROM employees WHERE id = 2 GROUP BY dept HAVING SUM(salary) > 5",
+            "NeedsPlaintext",
+        ),
+        // ORDER BY over an encrypted expression with LIMIT.
+        (
+            "SELECT name FROM employees WHERE id = 2 ORDER BY salary + 1 LIMIT 2",
+            "NeedsPlaintext",
+        ),
+        // GROUP BY over an encrypted expression.
+        (
+            "SELECT COUNT(*) FROM employees WHERE id = 2 GROUP BY salary + 1",
+            "NeedsPlaintext",
+        ),
+        // A constant the rewriter cannot fold, on an encrypted column.
+        (
+            "SELECT name FROM employees WHERE id = 2 AND name = 1 / 0",
+            "NeedsPlaintext",
+        ),
+    ] {
+        problems.extend(refusal_problem(&p, sql, want));
+    }
+
+    // Leak: a floor refuses the range half of the statement; the
+    // equality half must not have lowered `id` first.
+    let floored = proxy();
+    seeded(&floored);
+    floored
+        .set_min_level("employees", "salary", SecLevel::Det)
+        .unwrap();
+    problems.extend(refusal_problem(
+        &floored,
+        "SELECT name FROM employees WHERE id = 2 AND salary > 5",
+        "PolicyViolation",
+    ));
+
+    // Encrypted-vs-plaintext column comparison.
+    let partial = partial_proxy();
+    problems.extend(refusal_problem(
+        &partial,
+        "SELECT a FROM t WHERE s = 5 AND s = a",
+        "NeedsPlaintext",
+    ));
+    // Leak: a plaintext comparison the engine can answer must not be
+    // refused after the encrypted half lowered `s`; if it is refused at
+    // all, nothing may have moved.
+    let sql = "SELECT a FROM t WHERE s = 5 AND a = b + 1";
+    let before = onion_state(&partial);
+    if let Err(e) = partial.execute(sql) {
+        let after = onion_state(&partial);
+        if after != before {
+            problems.push(format!(
+                "{sql}: refused ({e}), yet adjusted {before:?} -> {after:?}"
+            ));
+        }
+    }
+
+    // Join on a discarded JOIN layer: `lonely` is empty when the unused
+    // layers are dropped, so its columns lose their JOIN-ADJ tags.
+    let p = proxy();
+    seeded(&p);
+    p.execute("CREATE TABLE lonely (k int, v text)").unwrap();
+    assert!(p.discard_unused_join_layers() > 0);
+    problems.extend(refusal_problem(
+        &p,
+        "SELECT e.id FROM employees e, lonely l WHERE e.id = 2 AND e.name = l.v",
+        "PolicyViolation",
+    ));
+
+    // Join on a per-principal column.
+    p.execute(
+        "PRINCTYPE msg; \
+         CREATE TABLE pm (msgid int, body text ENC FOR (msgid msg))",
+    )
+    .unwrap();
+    problems.extend(refusal_problem(
+        &p,
+        "SELECT e.id FROM employees e, pm m WHERE e.id = 2 AND e.name = m.body",
+        "NeedsPlaintext",
+    ));
+
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+#[test]
+fn plaintext_expression_comparisons_run() {
+    let p = partial_proxy();
+    let plain = Engine::new();
+    plain
+        .execute_sql("CREATE TABLE t (s int, a int, b int)")
+        .unwrap();
+    plain
+        .execute_sql(PARTIAL_TABLE.split_once("; ").unwrap().1)
+        .unwrap();
+    for sql in [
+        "SELECT s, a FROM t WHERE a = b + 1 ORDER BY a",
+        "SELECT s, a FROM t WHERE b + 1 = a ORDER BY a",
+        "SELECT a FROM t WHERE s = 5 AND a = b + 1",
+    ] {
+        let want = plain.execute_sql(sql).unwrap();
+        let got = p.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        assert_eq!(got.rows(), want.rows(), "{sql}");
+        assert!(!got.rows().is_empty(), "{sql}: the fixture must match rows");
+    }
+}
+
+#[test]
+fn steady_state_select_takes_only_the_read_lock() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    let p = Arc::new(proxy());
+    seeded(&p);
+    let sql = "SELECT name FROM employees WHERE id = 2";
+    let epoch = p.schema_epoch();
+    p.execute(sql).unwrap();
+    assert_eq!(p.schema_epoch(), epoch + 1, "the warm-up lowers id once");
+    for _ in 0..3 {
+        p.execute(sql).unwrap();
+    }
+    assert_eq!(p.schema_epoch(), epoch + 1, "repeats adjust nothing");
+    let (tx, rx) = mpsc::channel();
+    let worker = {
+        let p = Arc::clone(&p);
+        std::thread::spawn(move || {
+            let _ = tx.send(p.execute(sql).map(|r| r.rows().to_vec()));
+        })
+    };
+    // Hold a schema read guard while the repeat runs: a statement that
+    // needs no adjustment must not queue for the write lock behind it.
+    let got = p.with_schema(|_| rx.recv_timeout(Duration::from_secs(5)));
+    worker.join().unwrap();
+    let rows = got
+        .expect("steady-state SELECT blocked behind a schema read guard")
+        .unwrap();
+    assert_eq!(rows, vec![vec![Value::Str("Bob".into())]]);
+    assert_eq!(p.schema_epoch(), epoch + 1);
+}
+
+#[test]
+fn training_attributes_needs_to_the_columns_the_walk_resolved() {
+    let cfg = ProxyConfig {
+        paillier_bits: 256,
+        policy: EncryptionPolicy::Explicit(
+            [
+                (
+                    "orders".to_string(),
+                    vec!["amount".into(), "note".into(), "label".into()],
+                ),
+                ("patient_data".to_string(), vec!["dob".into()]),
+            ]
+            .into_iter()
+            .collect(),
+        ),
+        ..Default::default()
+    };
+    let p = Proxy::new(Arc::new(Engine::new()), [3u8; 32], cfg);
+    let report = p
+        .train(&[
+            "CREATE TABLE orders (id int, amount int, note text, label text)",
+            "INSERT INTO orders (id, amount, note, label) VALUES (1, 10, 'n', 'red apple')",
+            "CREATE TABLE patient_data (pid int, dob int)",
+            "INSERT INTO patient_data (pid, dob) VALUES (1, 19700101)",
+            "SELECT SUM(o.amount) FROM orders o",
+            "SELECT id FROM orders WHERE label LIKE 'red apple'",
+            "SELECT UPPER(o.note) FROM orders o",
+            "SELECT pid FROM patient_data WHERE YEAR(dob) = 1970",
+        ])
+        .unwrap();
+    let col = |t: &str, c: &str| {
+        report
+            .columns
+            .iter()
+            .find(|r| r.table == t && r.column == c)
+            .unwrap_or_else(|| panic!("{t}.{c} missing from the report"))
+            .clone()
+    };
+    assert!(col("orders", "amount").needs_hom, "SUM through an alias");
+    let label = col("orders", "label");
+    assert!(!label.needs_search, "an exact-match LIKE runs on DET");
+    assert_eq!(label.min_enc, SecLevel::Det);
+    assert!(
+        col("orders", "note").needs_plaintext,
+        "UPPER through an alias"
+    );
+    assert!(col("patient_data", "dob").needs_plaintext);
+    let marked: Vec<String> = report
+        .columns
+        .iter()
+        .filter(|c| c.needs_plaintext)
+        .map(|c| format!("{}.{}", c.table, c.column))
+        .collect();
+    assert_eq!(marked, vec!["orders.note", "patient_data.dob"]);
+    assert_eq!(report.warnings.len(), 2, "{:?}", report.warnings);
+}
