@@ -1,8 +1,8 @@
 //! Application schemas and workload generators for the evaluation (§5, §8).
 //!
 //! Every module produces plain SQL strings and stays agnostic of the
-//! engine/proxy — benchmarks hand the statements to whichever stack
-//! (MySQL-equivalent engine, CryptDB proxy, strawman) they measure:
+//! engine/proxy — tests, examples and the benchmark hand the statements
+//! to the plaintext engine, the CryptDB proxy, or both:
 //!
 //! * [`tpcc`] — the TPC-C subset: the full 92-column, 9-table schema and
 //!   the eight query types of Fig. 11/12 (single-principal, everything

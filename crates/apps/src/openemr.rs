@@ -5,8 +5,6 @@
 //! computation", so almost all stay at RND (Fig. 9), with a handful of
 //! needs-plaintext columns doing string/date manipulation.
 
-use rand::Rng;
-
 /// A scaled-down schema with the same *categories* of columns: mostly
 /// fetch-only medical narratives, a few DET lookups, a couple of OPE
 /// ranges, and sensitive fields exercised by unsupported string/date ops.
@@ -38,30 +36,6 @@ pub mod paper {
     pub const SENSITIVE: usize = 566;
     pub const NEEDS_PLAINTEXT: usize = 7;
     pub const MOST_SENSITIVE_AT_HIGH: (usize, usize) = (525, 540);
-}
-
-/// Loads a few patients.
-pub fn load_statements<R: Rng>(rng: &mut R, patients: i64) -> Vec<String> {
-    let mut out = Vec::new();
-    for p in 1..=patients {
-        out.push(format!(
-            "INSERT INTO patient_data (pid, fname, lname, dob, ss, street, city, phone, sex, \
-             race, medical_history, allergies, current_medications) VALUES ({p}, 'First{p}', \
-             'Last{p}', 19{}0101, '900-00-{p:04}', '1 Main St', 'Boston', '555-0199', 'F', \
-             'unknown', 'hypertension noted in 2008', 'penicillin', 'lisinopril')",
-            rng.gen_range(40..99)
-        ));
-        out.push(format!(
-            "INSERT INTO forms (form_id, pid, encounter, form_name, form_date, narrative) \
-             VALUES ({p}, {p}, 1, 'SOAP', 20110815, 'patient presents with cough')"
-        ));
-        out.push(format!(
-            "INSERT INTO billing (billing_id, pid, code, fee, bill_date, justify) VALUES \
-             ({p}, {p}, '99213', {}, 20110815, 'office visit')",
-            rng.gen_range(50..400)
-        ));
-    }
-    out
 }
 
 /// Representative queries: mostly insert/fetch, some lookups, plus the

@@ -164,17 +164,6 @@ impl Request {
         Request::ReadMsg,
         Request::WriteMsg,
     ];
-
-    /// Fig. 15 row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Request::Login => "Login",
-            Request::ReadPost => "R post",
-            Request::WritePost => "W post",
-            Request::ReadMsg => "R msg",
-            Request::WriteMsg => "W msg",
-        }
-    }
 }
 
 /// Expands one HTTP request into its SQL statement sequence.

@@ -68,8 +68,8 @@ pub fn schema() -> Vec<String> {
     ]
 }
 
-/// Indexes the benchmark relies on (the proxy maps these onto DET/OPE
-/// onion columns; the strawman's equivalents are useless — Fig. 11).
+/// Indexes the workloads rely on (the proxy maps these onto DET/OPE
+/// onion columns, so the engine's B-trees still serve the lookups).
 pub fn indexes() -> Vec<String> {
     vec![
         "CREATE INDEX ON customer (c_id)".into(),
@@ -192,20 +192,6 @@ impl QueryKind {
         QueryKind::UpdateSet,
         QueryKind::UpdateInc,
     ];
-
-    /// Fig. 11 row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueryKind::SelectEq => "Equality",
-            QueryKind::SelectJoin => "Join",
-            QueryKind::SelectRange => "Range",
-            QueryKind::SelectSum => "Sum",
-            QueryKind::Delete => "Delete",
-            QueryKind::Insert => "Insert",
-            QueryKind::UpdateSet => "Upd. set",
-            QueryKind::UpdateInc => "Upd. inc",
-        }
-    }
 }
 
 /// Generates one query of the given kind.

@@ -5,8 +5,8 @@
 //! DESIGN.md): it synthesises a population of columns whose *operation
 //! classes* are drawn from the distribution the paper reports, then
 //! drives each column's representative queries through the real proxy
-//! classifier. The paper's published marginals are embedded below so the
-//! benches can print paper-vs-measured tables.
+//! classifier. The paper's published marginals are embedded below so
+//! `tests/paper_tables.rs` can print paper-vs-measured tables.
 
 use rand::Rng;
 

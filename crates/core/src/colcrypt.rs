@@ -74,9 +74,8 @@ pub struct ColumnKeys {
     /// DET for text (AES-CMC).
     det_txt: Aes,
     /// OPE (64-bit domain, 124-bit range), the cacheless instance: used
-    /// for decryption (lock-free) and for encryption when §3.5.2
-    /// pre-computation is disabled (the Fig. 12 Proxy⋆ baseline must not
-    /// silently benefit from the cache).
+    /// for decryption (lock-free), for encryption while another thread
+    /// holds the value's walker stripe, and by `ope_encrypt(_, false)`.
     ope: Ope,
     /// Finished plaintext→ciphertext OPE results (§3.5.2 "caching ...
     /// the 30,000 most common values"). A read-write lock so warm hits
@@ -163,7 +162,7 @@ impl ColumnKeys {
     }
 
     /// OPE encryption; `use_cache` routes through the shared node/result
-    /// cache (§3.5.2 pre-computation on) or the cacheless instance.
+    /// cache (§3.5.2) or the cacheless instance.
     ///
     /// Concurrency shape: warm hits take only a read lock on the result
     /// map; a miss walks the tree through the node-cache walker when it
@@ -277,8 +276,8 @@ fn ord_encode(v: &Value) -> Result<u64, ProxyError> {
 /// current onion levels — fresh values are encrypted only up to the layers
 /// that have not been stripped (§3.3, write queries). The Ord onion goes
 /// through the §3.5.2 batch-encryption cache; the proxy instead drives
-/// OPE itself (via [`encrypt_ord_constant`] with its `precompute` config)
-/// and disables `onions.ord` here.
+/// OPE itself (via [`encrypt_ord_constant`]) and disables `onions.ord`
+/// here.
 #[allow(clippy::too_many_arguments)]
 pub fn encrypt_cell<R: RngCore + ?Sized>(
     keys: &ColumnKeys,
@@ -401,18 +400,14 @@ pub fn encrypt_eq_constant(
     Ok(Value::Bytes(blob))
 }
 
-/// Encrypts a constant for an order comparison (OPE layer).
-/// `use_cache` routes through the §3.5.2 batch-encryption cache.
-pub fn encrypt_ord_constant(
-    keys: &ColumnKeys,
-    v: &Value,
-    use_cache: bool,
-) -> Result<Value, ProxyError> {
+/// Encrypts a constant for an order comparison (OPE layer), through the
+/// §3.5.2 batch-encryption cache.
+pub fn encrypt_ord_constant(keys: &ColumnKeys, v: &Value) -> Result<Value, ProxyError> {
     if v.is_null() {
         return Ok(Value::Null);
     }
     let c = keys
-        .ope_encrypt(ord_encode(v)?, use_cache)
+        .ope_encrypt(ord_encode(v)?, true)
         .map_err(|e| ProxyError::Crypto(e.to_string()))?;
     Ok(Value::Bytes(c.to_be_bytes().to_vec()))
 }
@@ -425,16 +420,6 @@ pub fn cached_ord_constant(keys: &ColumnKeys, v: &Value) -> Result<Option<Value>
     }
     let c = keys.ope_cached(ord_encode(v)?);
     Ok(c.map(|c| Value::Bytes(c.to_be_bytes().to_vec())))
-}
-
-/// Encrypts a constant into a HOM ciphertext (for increment updates).
-pub fn encrypt_add_constant<R: RngCore + ?Sized>(
-    paillier: &PaillierPrivate,
-    v: i64,
-    rng: &mut R,
-) -> Value {
-    let ct = paillier.encrypt_i64(v, rng);
-    Value::Bytes(paillier.public().ciphertext_to_bytes(&ct))
 }
 
 /// Builds the serialised search token for a word (48 bytes: X ‖ k_w).

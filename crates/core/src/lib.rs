@@ -18,9 +18,10 @@
 //!   mode, ciphertext pre-computation/caching).
 //! * [`multiprincipal`] — schema annotations, principals, key chaining to
 //!   user passwords, `cryptdb_active` interception (§4).
-//! * [`strawman`] — the Fig. 11 strawman baseline (RND-everything with a
-//!   per-row decryption UDF).
 //! * [`training`] — training mode + the Fig. 9 MinEnc security report.
+//! * [`memo`] — the sharded, bounded memo behind the §3.5.2 constant cache.
+//! * [`meta`] — the secret-schema codec the ciphertext WAL carries.
+//! * [`error`] — [`ProxyError`].
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +36,6 @@ pub mod onion;
 #[warn(missing_docs)]
 pub mod proxy;
 pub mod schema;
-pub mod strawman;
 pub mod training;
 pub mod udfs;
 

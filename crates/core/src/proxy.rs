@@ -6,8 +6,8 @@
 //! (3) execute standard SQL on the DBMS; (4) decrypt results.
 
 use crate::colcrypt::{
-    self, decrypt_add, decrypt_eq, decrypt_ord, encrypt_add_constant, encrypt_eq_constant,
-    encrypt_ord_constant, ColumnKeys, EncryptedCell, OnionSet,
+    self, decrypt_add, decrypt_eq, decrypt_ord, encrypt_eq_constant, encrypt_ord_constant,
+    ColumnKeys, EncryptedCell, OnionSet,
 };
 use crate::error::ProxyError;
 use crate::memo::ShardedMemo;
@@ -67,8 +67,6 @@ pub struct ProxyConfig {
     pub policy: EncryptionPolicy,
     /// Paillier modulus bits (the paper uses 1024 → 2048-bit ciphertexts).
     pub paillier_bits: usize,
-    /// §3.5.2 ciphertext pre-computing (HOM) and caching (OPE).
-    pub precompute: bool,
     /// Crypto-runtime worker threads (0 = size to the machine, capped).
     pub runtime_threads: usize,
 }
@@ -79,7 +77,6 @@ impl Default for ProxyConfig {
             mode: ProxyMode::CryptDb,
             policy: EncryptionPolicy::All,
             paillier_bits: 1024,
-            precompute: true,
             runtime_threads: 0,
         }
     }
@@ -382,10 +379,6 @@ impl Proxy {
     /// training trace inserts) on the runtime pool, off the query path.
     /// Returns a handle resolving to the number of values warmed; drop
     /// it to warm fully in the background.
-    ///
-    /// With pre-computation disabled (the Fig. 12 Proxy⋆ baseline) the
-    /// query path never reads the caches, so nothing is warmed and the
-    /// handle resolves to zero immediately.
     pub fn warm_ope(
         &self,
         table: &str,
@@ -393,9 +386,6 @@ impl Proxy {
         values: &[i64],
     ) -> Result<TaskHandle<usize>, ProxyError> {
         let keys = self.master_col_keys_for(table, column)?;
-        if !self.config.precompute {
-            return Ok(TaskHandle::ready(0));
-        }
         let encoded: Vec<u64> = values.iter().map(|&v| Ope::encode_i64(v)).collect();
         Ok(self.runtime.submit(move || {
             encoded
@@ -599,26 +589,21 @@ impl Proxy {
         self.col_keys(table, &col.name, &self.mk, col.ope_group.as_deref())
     }
 
-    fn take_blinding(&self) -> Option<Ubig> {
-        if !self.config.precompute {
-            return None;
-        }
+    fn take_blinding(&self) -> Ubig {
         // The pool refills itself in the background once it drops below
         // the low-water mark (generated in CRT batches on the runtime,
         // outside the pool lock), so a steady-state INSERT pops a
         // pre-computed factor and never exponentiates inline; only a
         // fully dry pool (cold start, or a burst outrunning the refill)
         // generates synchronously.
-        Some(self.hom_pool.take())
+        self.hom_pool.take()
     }
 
     /// OPE with the §3.5.2 cache: the per-column `OpeCached` inside
     /// `ColumnKeys` memoises both full results and interior tree nodes,
     /// so no proxy-level memo is needed on top.
     fn ope_encrypt_cached(&self, keys: &ColumnKeys, v: &Value) -> Result<Value, ProxyError> {
-        // With §3.5.2 off (the Fig. 12 Proxy⋆ baseline) the OPE tree is
-        // walked fresh every time — no node cache, no result memo.
-        encrypt_ord_constant(keys, v, self.config.precompute)
+        encrypt_ord_constant(keys, v)
     }
 
     fn encrypt_cell_for(
@@ -638,7 +623,7 @@ impl Proxy {
             &self.joinadj,
             &join_owner_keys.join,
             &self.paillier,
-            blinding.as_ref(),
+            Some(&blinding),
             v,
             col.ty,
             &{

@@ -178,17 +178,13 @@ impl Proxy {
     /// on the worker pool) or a per-principal key chain; and the engine
     /// scan visits at most `max_cells / encrypted output columns` rows,
     /// so at most `max_cells` cells are decrypted. A `LIMIT` bounds the answer, not
-    /// the scan, and does not count. Nothing is bounded with the caches
-    /// off ([`ProxyConfig::precompute`]).
+    /// the scan, and does not count.
     pub fn execute_prepared_within(
         &self,
         ps: &PreparedStatement,
         params: &[Param],
         max_cells: usize,
     ) -> Option<Result<QueryResult, ProxyError>> {
-        if !self.config.precompute {
-            return None;
-        }
         let epoch = self.schema_epoch();
         let entry = if ps.entry.epoch == epoch {
             ps.entry.clone()

@@ -1505,10 +1505,8 @@ impl Proxy {
         v: &Value,
     ) -> Result<Value, ProxyError> {
         let memo_key = eq_memo_key(col, v);
-        if self.config.precompute {
-            if let Some(hit) = self.eq_memo.get(&memo_key) {
-                return Ok(hit);
-            }
+        if let Some(hit) = self.eq_memo.get(&memo_key) {
+            return Ok(hit);
         }
         let own_keys = self.col_keys(&col.table, &col.name, &self.mk, None);
         let owner_col = locked_col(schema, &col.join_owner.0, &col.join_owner.1)?;
@@ -1521,9 +1519,7 @@ impl Proxy {
             col.ty,
             col.has_jtag,
         )?;
-        if self.config.precompute {
-            self.eq_memo.insert(memo_key, out.clone());
-        }
+        self.eq_memo.insert(memo_key, out.clone());
         Ok(out)
     }
 }

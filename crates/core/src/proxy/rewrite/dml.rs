@@ -636,24 +636,9 @@ impl Proxy {
     }
 
     fn encrypt_hom_const(&self, v: i64) -> Expr {
-        match self.take_blinding() {
-            Some(b) => {
-                let ct = self
-                    .paillier
-                    .public()
-                    .encrypt_with_blinding(&self.paillier.public().encode_i64(v), &b);
-                Expr::Literal(Literal::Bytes(
-                    self.paillier.public().ciphertext_to_bytes(&ct),
-                ))
-            }
-            None => {
-                let mut rng = rand::thread_rng();
-                match encrypt_add_constant(&self.paillier, v, &mut rng) {
-                    Value::Bytes(b) => Expr::Literal(Literal::Bytes(b)),
-                    _ => unreachable!("HOM constants are bytes"),
-                }
-            }
-        }
+        let pk = self.paillier.public();
+        let ct = pk.encrypt_with_blinding(&pk.encode_i64(v), &self.take_blinding());
+        Expr::Literal(Literal::Bytes(pk.ciphertext_to_bytes(&ct)))
     }
 
     // ---- DELETE ----

@@ -96,13 +96,11 @@ pub fn register_udfs(engine: &Engine, paillier_public: PaillierPublic) {
     });
 
     // HOM_ADD(c1, c2) -> Paillier product = encryption of the sum (§3.1).
+    // SQL arithmetic: NULL + x is NULL.
     let pp = paillier_public.clone();
     engine.register_scalar_udf("HOM_ADD", move |args| {
-        if matches!(args.first(), Some(Value::Null)) {
-            return Ok(args.get(1).cloned().unwrap_or(Value::Null));
-        }
-        if matches!(args.get(1), Some(Value::Null)) {
-            return Ok(args[0].clone());
+        if args.iter().take(2).any(Value::is_null) {
+            return Ok(Value::Null);
         }
         let a = pp.ciphertext_from_bytes(&bytes_arg(args, 0, "HOM_ADD a")?);
         let b = pp.ciphertext_from_bytes(&bytes_arg(args, 1, "HOM_ADD b")?);
@@ -110,18 +108,19 @@ pub fn register_udfs(engine: &Engine, paillier_public: PaillierPublic) {
     });
 
     // HOM_SUM(col): the aggregate the proxy substitutes for SUM (§3.3).
+    // Like SQL's SUM it is NULL until a non-NULL cell arrives; the first
+    // such cell becomes the accumulator.
     let pp = paillier_public.clone();
-    let init = Value::Bytes(paillier_public.ciphertext_to_bytes(&paillier_public.zero()));
     engine.register_aggregate_udf(
         "HOM_SUM",
         AggregateUdf {
-            init,
+            init: Value::Null,
             step: Arc::new(move |acc, v| {
-                let Value::Bytes(acc_bytes) = &acc else {
-                    return Err(EngineError::Udf("HOM_SUM: bad accumulator".into()));
-                };
                 let Some(vb) = v.as_bytes() else {
                     return Ok(acc); // NULLs are skipped by the engine, but be safe.
+                };
+                let Value::Bytes(acc_bytes) = &acc else {
+                    return Ok(v.clone());
                 };
                 let a = pp.ciphertext_from_bytes(acc_bytes);
                 let b = pp.ciphertext_from_bytes(vb);

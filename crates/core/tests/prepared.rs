@@ -392,20 +392,4 @@ fn execute_prepared_within_runs_only_bounded_reads() {
     p.prepare("SELECT name, salary FROM employees WHERE id = $1")
         .unwrap();
     assert!(p.execute_prepared_within(&point, &bob, 1000).is_some());
-
-    // Without the §3.5.2 caches nothing is bounded.
-    let cold = Proxy::new(
-        Arc::new(Engine::new()),
-        [42u8; 32],
-        ProxyConfig {
-            paillier_bits: 256,
-            precompute: false,
-            ..Default::default()
-        },
-    );
-    seeded(&cold);
-    let ps = cold
-        .prepare("SELECT name FROM employees WHERE id = $1")
-        .unwrap();
-    assert!(cold.execute_prepared_within(&ps, &bob, 1000).is_none());
 }

@@ -15,7 +15,7 @@
 //!   string, raw bytes — ciphertexts are bytes),
 //! * secondary B-tree indexes used for equality and range predicates
 //!   (indexes over DET/OPE ciphertexts work; over RND they are useless,
-//!   which is what sinks the strawman in Fig. 11),
+//!   which is why the proxy peels onions for predicates, §3.2),
 //! * a query executor with selection push-down, hash equi-joins, grouping
 //!   and aggregates, `ORDER BY`/`LIMIT`, `DISTINCT`,
 //! * scalar and aggregate UDF registries,

@@ -277,3 +277,44 @@ fn null_behaviour_agrees() {
         pair.check(q, false);
     }
 }
+
+/// `NULL + 1` is NULL: an increment UPDATE of a NULL cell must not store
+/// 1 in the Add onion while the other onions still say NULL.
+#[test]
+fn null_increment_stays_null() {
+    let pair = Pair::new(11);
+    for stmt in [
+        "CREATE TABLE t (id int, v int)",
+        "INSERT INTO t (id, v) VALUES (1, NULL), (2, 5)",
+        "UPDATE t SET v = v + 1 WHERE id = 1",
+    ] {
+        pair.run_both(stmt);
+    }
+    for q in [
+        "SELECT id, v FROM t",
+        "SELECT id FROM t WHERE v IS NULL",
+        "SELECT COUNT(v) FROM t",
+        "SELECT SUM(v) FROM t",
+    ] {
+        pair.check(q, false);
+    }
+}
+
+/// `SUM` and `AVG` over no non-NULL value are NULL, not 0.
+#[test]
+fn sum_over_no_values_is_null() {
+    let pair = Pair::new(12);
+    for stmt in [
+        "CREATE TABLE t (id int, g int, v int)",
+        "INSERT INTO t (id, g, v) VALUES (1, 1, 4), (2, 1, 6), (3, 2, NULL), (4, 2, NULL)",
+    ] {
+        pair.run_both(stmt);
+    }
+    for q in [
+        "SELECT SUM(v) FROM t WHERE id > 100",
+        "SELECT g, SUM(v) FROM t GROUP BY g",
+        "SELECT g, AVG(v) FROM t GROUP BY g",
+    ] {
+        pair.check(q, false);
+    }
+}
