@@ -32,6 +32,17 @@ pub enum ProxyError {
     /// admission budget (in-flight statement cap, queue bound) was
     /// exhausted; the client may retry once load drops.
     Overloaded(String),
+    /// The statement could not run without breaking another open
+    /// transaction — a row-lock wait failed (which also aborted this
+    /// session's transaction) or an onion adjustment would strand an
+    /// open transaction's before-images. Retry the transaction
+    /// (SQLSTATE 40001).
+    Conflict(String),
+    /// A lock conflict aborted this session's transaction: writes are
+    /// refused until `ROLLBACK` (SQLSTATE 25P02).
+    Aborted(String),
+    /// An integer result left the 64-bit range (SQLSTATE 22003).
+    OutOfRange(String),
     /// The durability layer cannot log writes (disk full or I/O error):
     /// the engine is in degraded read-only mode. Reads keep serving;
     /// writes are shed and resume automatically once log appends
@@ -51,6 +62,9 @@ impl fmt::Display for ProxyError {
             ProxyError::Schema(m) => write!(f, "schema: {m}"),
             ProxyError::Canceled(m) => write!(f, "canceled: {m}"),
             ProxyError::Overloaded(m) => write!(f, "overloaded: {m}"),
+            ProxyError::Conflict(m) => write!(f, "could not serialize access: {m}"),
+            ProxyError::Aborted(m) => write!(f, "{m}"),
+            ProxyError::OutOfRange(m) => write!(f, "out of range: {m}"),
             ProxyError::Degraded(m) => write!(f, "degraded: {m}"),
         }
     }
@@ -71,6 +85,11 @@ impl From<EngineError> for ProxyError {
             // so the serving edge maps it to SQLSTATE 53100 and the shed
             // machinery can tell it from an engine-side statement error.
             EngineError::Degraded(m) => ProxyError::Degraded(m),
+            // Likewise the transaction classes a client must tell apart
+            // (retry, or end the aborted block) and numeric overflow.
+            EngineError::Conflict(m) => ProxyError::Conflict(m),
+            e @ EngineError::TxnAborted => ProxyError::Aborted(e.to_string()),
+            EngineError::Overflow(m) => ProxyError::OutOfRange(m),
             other => ProxyError::Engine(other),
         }
     }

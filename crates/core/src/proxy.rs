@@ -20,7 +20,7 @@ use cryptdb_bignum::Ubig;
 use cryptdb_crypto::prf::{derive_key, Key};
 use cryptdb_crypto::rng::Drbg;
 use cryptdb_ecgroup::JoinAdj;
-use cryptdb_engine::{Engine, QueryResult, Value};
+use cryptdb_engine::{Engine, QueryResult, Txn, Value};
 use cryptdb_ope::Ope;
 use cryptdb_paillier::PaillierPrivate;
 use cryptdb_runtime::{BlindingPool, BlindingStats, TaskHandle, WorkerPool};
@@ -138,6 +138,9 @@ pub struct Proxy {
     plan_hits: AtomicU64,
     plan_misses: AtomicU64,
     plans_invalidated: AtomicU64,
+    /// The transaction handle [`Proxy::execute`] and
+    /// [`Proxy::execute_prepared`] share; sessions bring their own.
+    implicit: Txn,
 }
 
 /// Cache key for equality-constant encryptions: the column plus the
@@ -212,6 +215,7 @@ impl Proxy {
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
             plans_invalidated: AtomicU64::new(0),
+            implicit: Txn::new(),
         }
     }
 
@@ -434,25 +438,43 @@ impl Proxy {
     }
 
     /// Parses and executes a string of statements, returning the last
-    /// result.
+    /// result. Runs in the proxy's own transaction handle, which every
+    /// direct caller shares.
     pub fn execute(&self, sql: &str) -> Result<QueryResult, ProxyError> {
+        self.execute_in(&self.implicit, sql)
+    }
+
+    /// [`Self::execute`] in `txn`, a session's own transaction handle.
+    pub fn execute_in(&self, txn: &Txn, sql: &str) -> Result<QueryResult, ProxyError> {
         let stmts = parse(sql)?;
         let mut last = QueryResult::Ok;
         for stmt in &stmts {
-            last = self.execute_stmt(stmt)?;
+            last = self.execute_noting(txn, stmt, None)?;
         }
         Ok(last)
     }
 
-    /// Executes one parsed statement.
+    /// Executes one parsed statement in the proxy's own handle.
     pub fn execute_stmt(&self, stmt: &Stmt) -> Result<QueryResult, ProxyError> {
-        self.execute_noting(stmt, None)
+        self.execute_noting(&self.implicit, stmt, None)
     }
 
-    /// [`Self::execute_stmt`], noting into `usage` what the statement's
-    /// rewrite resolved — training mode's view of a statement.
+    /// Ends a session: rolls back its open transaction, if any.
+    pub fn end_session(&self, txn: &Txn) -> Result<(), ProxyError> {
+        Ok(self.engine.end_session(txn)?)
+    }
+
+    /// The proxy's own transaction handle.
+    pub(crate) fn implicit_txn(&self) -> &Txn {
+        &self.implicit
+    }
+
+    /// Executes one statement in `txn`, noting into `usage` what the
+    /// statement's rewrite resolved — training mode's view of a
+    /// statement.
     pub(crate) fn execute_noting(
         &self,
+        txn: &Txn,
         stmt: &Stmt,
         usage: Option<&std::cell::RefCell<Usage>>,
     ) -> Result<QueryResult, ProxyError> {
@@ -462,7 +484,7 @@ impl Proxy {
             return Ok(r);
         }
         if self.config.mode == ProxyMode::Passthrough {
-            return Ok(self.engine.execute(stmt)?);
+            return Ok(self.engine.execute_in(txn, stmt, None)?);
         }
         match stmt {
             Stmt::PrincType { names, external } => {
@@ -502,11 +524,13 @@ impl Proxy {
                     }
                 }
             }
-            Stmt::Insert(ins) => self.insert(ins),
+            Stmt::Insert(ins) => self.insert(txn, ins),
             Stmt::Select(sel) => self.select(sel, usage),
-            Stmt::Update(upd) => self.update(upd, usage),
-            Stmt::Delete(del) => self.delete(del, usage),
-            Stmt::Begin | Stmt::Commit | Stmt::Rollback => Ok(self.engine.execute(stmt)?),
+            Stmt::Update(upd) => self.update(txn, upd, usage),
+            Stmt::Delete(del) => self.delete(txn, del, usage),
+            Stmt::Begin | Stmt::Commit | Stmt::Rollback => {
+                Ok(self.engine.execute_in(txn, stmt, None)?)
+            }
         }
     }
 
@@ -732,7 +756,8 @@ impl Proxy {
                 .strip_prefix("table")
                 .is_some_and(|rest| !rest.is_empty() && rest.bytes().all(|b| b.is_ascii_digit()));
             if orphan && !anon_known.contains(&name) {
-                self.engine.execute(&Stmt::DropTable { name })?;
+                self.engine
+                    .execute_with_meta(&Stmt::DropTable { name }, None)?;
             }
         }
         *self.schema.write() = restored;

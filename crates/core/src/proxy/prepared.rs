@@ -126,9 +126,21 @@ impl Proxy {
     /// Executes a prepared statement with `params` bound positionally
     /// (`params[0]` is `$1`). Only the bound values are encrypted; the
     /// rewritten statement comes from the plan. A plan found stale
-    /// against the live schema epoch is re-planned transparently.
+    /// against the live schema epoch is re-planned transparently. Runs
+    /// in the proxy's own transaction handle, like [`Proxy::execute`].
     pub fn execute_prepared(
         &self,
+        ps: &PreparedStatement,
+        params: &[Param],
+    ) -> Result<QueryResult, ProxyError> {
+        self.execute_prepared_in(self.implicit_txn(), ps, params)
+    }
+
+    /// [`Self::execute_prepared`] in `txn`, a session's own transaction
+    /// handle.
+    pub fn execute_prepared_in(
+        &self,
+        txn: &Txn,
         ps: &PreparedStatement,
         params: &[Param],
     ) -> Result<QueryResult, ProxyError> {
@@ -149,7 +161,7 @@ impl Proxy {
         for _ in 0..3 {
             match &entry.plan {
                 PlanKind::Generic(stmt) => {
-                    return self.execute_stmt(&subst_stmt_user(stmt, params));
+                    return self.execute_noting(txn, &subst_stmt_user(stmt, params), None);
                 }
                 PlanKind::Select(cs) => match self.run_select_plan(cs, params, true, None)? {
                     RunOutcome::Done(r) => return Ok(r),
@@ -163,7 +175,7 @@ impl Proxy {
             }
         }
         let stmt = single_stmt(&ps.sql)?;
-        self.execute_stmt(&subst_stmt_user(&stmt, params))
+        self.execute_noting(txn, &subst_stmt_user(&stmt, params), None)
     }
 
     /// Runs `ps` as [`Proxy::execute_prepared`] would, but only if that

@@ -172,7 +172,7 @@ impl Proxy {
         }
         let keys = self.master_col_keys(&col, t);
         // UPDATE table SET c_eq = DECRYPT_RND(K, c_eq, c_iv) — §3.2.
-        let sql_stmt = Stmt::Update(Update {
+        let upd = Update {
             table: anon_t,
             sets: vec![(
                 col.anon_eq(),
@@ -188,7 +188,7 @@ impl Proxy {
                 },
             )],
             selection: None,
-        });
+        };
         // Composite record: flip the level in the secret schema first so
         // the serialized meta rides the same WAL record as the ciphertext
         // UPDATE (the exposure and the schema bit land atomically), and
@@ -199,7 +199,10 @@ impl Proxy {
             .expect("column exists")
             .eq_level = EqLevel::Det;
         let meta = self.meta_blob(schema);
-        if let Err(e) = self.engine.execute_with_meta(&sql_stmt, meta.as_deref()) {
+        if let Err(e) = self
+            .engine
+            .execute_adjustment(&[upd], &col.anon_columns(), meta.as_deref())
+        {
             schema
                 .table_mut(t)?
                 .column_mut(c)
@@ -227,7 +230,7 @@ impl Proxy {
             return Ok(false);
         }
         let keys = self.master_col_keys(&col, t);
-        let sql_stmt = Stmt::Update(Update {
+        let upd = Update {
             table: anon_t,
             sets: vec![(
                 col.anon_ord(),
@@ -243,14 +246,17 @@ impl Proxy {
                 },
             )],
             selection: None,
-        });
+        };
         schema
             .table_mut(t)?
             .column_mut(c)
             .expect("column exists")
             .ord_level = OrdLevel::Ope;
         let meta = self.meta_blob(schema);
-        if let Err(e) = self.engine.execute_with_meta(&sql_stmt, meta.as_deref()) {
+        if let Err(e) = self
+            .engine
+            .execute_adjustment(&[upd], &col.anon_columns(), meta.as_deref())
+        {
             schema
                 .table_mut(t)?
                 .column_mut(c)
@@ -303,7 +309,7 @@ impl Proxy {
             let owner_keys = self.master_col_keys(&owner_col, &owner_col.table.clone());
             let delta = JoinAdj::delta(&owner_keys.join, &base_keys.join);
             let anon_t = schema.table(&t)?.anon.clone();
-            let stmt = Stmt::Update(Update {
+            let upd = Update {
                 table: anon_t,
                 sets: vec![(
                     col.anon_eq(),
@@ -318,7 +324,7 @@ impl Proxy {
                     },
                 )],
                 selection: None,
-            });
+            };
             // Per-member composite record: re-own in the schema, attach
             // the meta to the JOIN_ADJ UPDATE, revert on failure. A crash
             // mid-merge leaves the already-re-keyed members durable with
@@ -326,7 +332,10 @@ impl Proxy {
             let prev_owner = locked_col_mut(schema, &t, &c)?.join_owner.clone();
             locked_col_mut(schema, &t, &c)?.join_owner = base_member.clone();
             let meta = self.meta_blob(schema);
-            if let Err(e) = self.engine.execute_with_meta(&stmt, meta.as_deref()) {
+            if let Err(e) =
+                self.engine
+                    .execute_adjustment(&[upd], &col.anon_columns(), meta.as_deref())
+            {
                 locked_col_mut(schema, &t, &c)?.join_owner = prev_owner;
                 return Err(e.into());
             }
@@ -361,6 +370,7 @@ impl Proxy {
         let owner = col.join_owner.clone();
         let owner_col = locked_col(schema, &owner.0, &owner.1)?.clone();
         let owner_keys = self.master_col_keys(&owner_col, &owner.0);
+        let mut updates = Vec::with_capacity(rows.len());
         for row in rows {
             let rid = row[0]
                 .as_int()
@@ -377,20 +387,27 @@ impl Proxy {
             if let Some(ord) = cell.ord {
                 sets.push((col.anon_ord(), value_to_literal(ord)));
             }
-            let stmt = Stmt::Update(Update {
+            updates.push(Update {
                 table: anon_t.clone(),
                 sets,
                 selection: Some(Expr::binary(BinOp::Eq, Expr::col("rid"), Expr::int(rid))),
             });
-            self.engine.execute(&stmt)?;
         }
-        // The per-row re-encryptions above log meta-less records; the
-        // stale bit clears only once all rows are rewritten. A crash
-        // mid-refresh therefore recovers with `stale` still set and the
-        // refresh simply re-runs (it is idempotent — the Add onion stays
-        // authoritative throughout).
+        // Every re-encrypted row and the cleared stale bit travel in one
+        // composite record, so recovery lands before or after the
+        // refresh, never between (the Add onion stays authoritative
+        // either way). The guard refuses the refresh while an open
+        // transaction holds writes to the column: rolling them back
+        // would leave onions derived from values that never committed.
         locked_col_mut(schema, t, c)?.stale = false;
-        self.log_schema(schema)?;
+        let meta = self.meta_blob(schema);
+        if let Err(e) =
+            self.engine
+                .execute_adjustment(&updates, &col.anon_columns(), meta.as_deref())
+        {
+            locked_col_mut(schema, t, c)?.stale = true;
+            return Err(e.into());
+        }
         Ok(true)
     }
 }
@@ -482,9 +499,9 @@ impl Proxy {
         // ciphertexts) or fully sealed — never a torn mix of RND cells
         // under an exposed-level schema.
         let meta = self.meta_blob(&schema);
-        if let Err(e) = self
-            .engine
-            .execute_dml_batch_with_meta(&updates, meta.as_deref())
+        if let Err(e) =
+            self.engine
+                .execute_adjustment(&updates, &col.anon_columns(), meta.as_deref())
         {
             let c = locked_col_mut(&mut schema, &table.to_lowercase(), column)?;
             c.eq_level = col.eq_level;
@@ -693,26 +710,28 @@ impl Proxy {
                 .ok_or_else(|| ProxyError::Schema(format!("unknown column {column}")))?;
             (t.anon.clone(), col.clone())
         };
+        // Index DDL commits on its own, outside any session's
+        // transaction, like every proxy DDL statement.
+        let index = |column: String| {
+            self.engine.execute_with_meta(
+                &Stmt::CreateIndex {
+                    table: anon_t.clone(),
+                    column,
+                },
+                None,
+            )
+        };
         if !col.sensitive {
-            self.engine.execute(&Stmt::CreateIndex {
-                table: anon_t,
-                column: col.anon.clone(),
-            })?;
+            index(col.anon.clone())?;
             return Ok(QueryResult::Ok);
         }
         // §3.3: indexes go on the DET/JOIN and OPE onion columns; RND,
         // HOM and SEARCH are not indexable.
         if col.onions.eq {
-            self.engine.execute(&Stmt::CreateIndex {
-                table: anon_t.clone(),
-                column: col.anon_eq(),
-            })?;
+            index(col.anon_eq())?;
         }
         if col.onions.ord {
-            self.engine.execute(&Stmt::CreateIndex {
-                table: anon_t,
-                column: col.anon_ord(),
-            })?;
+            index(col.anon_ord())?;
         }
         Ok(QueryResult::Ok)
     }
@@ -2202,7 +2221,9 @@ impl Proxy {
                 match hom_cells.get(&(ri, i)) {
                     None => Ok(Value::Null),
                     Some(Some(v)) => Ok(Value::Int(*v)),
-                    Some(None) => Err(ProxyError::Crypto("HOM plaintext out of i64 range".into())),
+                    Some(None) => Err(ProxyError::OutOfRange(
+                        "HOM plaintext exceeds the 64-bit integer range".into(),
+                    )),
                 }
             };
             for (ri, dec) in out_rows.iter_mut().enumerate() {

@@ -5,7 +5,7 @@ use super::*;
 type RowMap = HashMap<String, Value>;
 
 impl Proxy {
-    pub(crate) fn insert(&self, ins: &Insert) -> Result<QueryResult, ProxyError> {
+    pub(crate) fn insert(&self, txn: &Txn, ins: &Insert) -> Result<QueryResult, ProxyError> {
         // Snapshot the table state under the READ lock; rid allocation
         // is a shared atomic counter (`TableState::alloc_rids`), so the
         // write-mostly INSERT path no longer serialises against
@@ -95,11 +95,12 @@ impl Proxy {
         }
 
         let n = anon_rows.len();
-        self.engine.execute(&Stmt::Insert(Insert {
+        let stmt = Stmt::Insert(Insert {
             table: tstate.anon.clone(),
             columns: anon_cols,
             rows: anon_rows,
-        }))?;
+        });
+        self.engine.execute_in(txn, &stmt, None)?;
 
         // §4: maintain key chains for SPEAKS-FOR annotations.
         self.run_insert_hooks(&tstate, &row_maps)?;
@@ -491,6 +492,7 @@ impl Proxy {
 
     pub(crate) fn update(
         &self,
+        txn: &Txn,
         upd: &Update,
         usage: Option<&RefCell<Usage>>,
     ) -> Result<QueryResult, ProxyError> {
@@ -525,36 +527,42 @@ impl Proxy {
             Ok(((stmt, stale_cols), rw.into_reqs()))
         })?;
         if stale_cols.is_empty() {
-            return Ok(self.engine.execute(&stmt)?);
+            return Ok(self.engine.execute_in(txn, &stmt, None)?);
         }
-        // Increment UPDATEs make the Eq/Ord/Search onions stale (§3.3);
-        // the staleness bits must land on the same WAL record as the
-        // HOM_ADD, or a crash in between would recover a schema that
-        // serves comparisons from stale onions. Flip first under the
-        // write lock, attach the meta, revert on engine failure.
+        // Increment UPDATEs make the Eq/Ord/Search onions stale (§3.3).
+        // The stale bits are set, and logged, before the HOM_ADD runs: a
+        // crash in between recovers a stale bit on fresh onions, which
+        // costs one refresh, never a comparison served from stale ones.
+        // The HOM_ADD then runs under the schema read lock, so a refresh
+        // (which holds the write lock) cannot interleave with it.
         let tlow = upd.table.to_lowercase();
-        let mut schema = self.schema.write();
-        let mut flipped = Vec::new();
-        for c in &stale_cols {
-            let col = locked_col_mut(&mut schema, &tlow, c)?;
-            if !col.stale {
-                col.stale = true;
-                flipped.push(c.clone());
-            }
-        }
-        let meta = self.meta_blob(&schema);
-        match self.engine.execute_with_meta(&stmt, meta.as_deref()) {
-            Ok(result) => {
-                if !flipped.is_empty() {
-                    self.bump_epoch();
+        loop {
+            {
+                let schema = self.schema.read();
+                let all_stale = stale_cols
+                    .iter()
+                    .all(|c| locked_col(&schema, &tlow, c).is_ok_and(|col| col.stale));
+                if all_stale {
+                    return Ok(self.engine.execute_in(txn, &stmt, None)?);
                 }
-                Ok(result)
             }
-            Err(e) => {
-                for c in &flipped {
+            let mut schema = self.schema.write();
+            let mut flipped = Vec::new();
+            for c in &stale_cols {
+                let col = locked_col_mut(&mut schema, &tlow, c)?;
+                if !col.stale {
+                    col.stale = true;
+                    flipped.push(c);
+                }
+            }
+            if let Err(e) = self.log_schema(&schema) {
+                for c in flipped {
                     locked_col_mut(&mut schema, &tlow, c)?.stale = false;
                 }
-                Err(e.into())
+                return Err(e);
+            }
+            if !flipped.is_empty() {
+                self.bump_epoch();
             }
         }
     }
@@ -645,6 +653,7 @@ impl Proxy {
 
     pub(crate) fn delete(
         &self,
+        txn: &Txn,
         del: &Delete,
         usage: Option<&RefCell<Usage>>,
     ) -> Result<QueryResult, ProxyError> {
@@ -672,7 +681,7 @@ impl Proxy {
             });
             Ok((stmt, rw.into_reqs()))
         })?;
-        Ok(self.engine.execute(&stmt)?)
+        Ok(self.engine.execute_in(txn, &stmt, None)?)
     }
 
     fn revoke_annotation(

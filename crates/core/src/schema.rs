@@ -68,6 +68,17 @@ impl ColumnState {
     pub fn anon_srch(&self) -> String {
         format!("{}_srch", self.anon)
     }
+    /// Every anonymised column an encrypted column may occupy: the IV
+    /// and the four onions.
+    pub fn anon_columns(&self) -> Vec<String> {
+        vec![
+            self.anon_iv(),
+            self.anon_eq(),
+            self.anon_ord(),
+            self.anon_add(),
+            self.anon_srch(),
+        ]
+    }
 
     /// The weakest scheme currently exposed on any onion — the paper's
     /// MinEnc metric (§8.3).

@@ -131,7 +131,7 @@ impl Proxy {
                 // resolved: HOM and SEARCH from statements that ran,
                 // plaintext from the clause a refusal refused.
                 let usage = RefCell::new(Usage::default());
-                let result = self.execute_noting(stmt, Some(&usage));
+                let result = self.execute_noting(self.implicit_txn(), stmt, Some(&usage));
                 let usage = usage.into_inner();
                 match result {
                     Ok(_) => {

@@ -2,14 +2,15 @@
 
 use crate::error::EngineError;
 use crate::exec::{self, Ctx, RowSchema, Source};
-use crate::table::{ColumnMeta, Table, TableView};
+use crate::table::{ColumnMeta, ShardWriteSet, Table, TableView};
+use crate::txn::{OpenTxn, Slot, Txn, Txns, Undo};
 use crate::udf::{AggregateUdf, UdfRegistry};
 use crate::value::Value;
 use crate::wal_store::{self, WalOp};
 use cryptdb_sqlparser::{parse, Delete, Insert, Stmt, Update};
 use cryptdb_wal::{RecoveryReport, Wal, WalConfig, WalError, WalStats};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -85,6 +86,12 @@ impl QueryResult {
 /// on the same table share a lock, writes exclude each other — this is the
 /// concurrency model whose contention shape Fig. 10 measures.
 ///
+/// Transactions belong to the [`Txn`] handle a session passes to
+/// [`Engine::execute_in`]; [`Engine::execute`] runs every statement in
+/// one handle the engine keeps for its direct callers. A transaction
+/// keeps an undo log and row write locks (see [`Txn`]); reads
+/// take no row lock and see uncommitted writes.
+///
 /// # Examples
 ///
 /// ```
@@ -99,12 +106,16 @@ impl QueryResult {
 pub struct Engine {
     catalog: RwLock<HashMap<String, Arc<RwLock<Table>>>>,
     udfs: RwLock<UdfRegistry>,
-    snapshot: Mutex<Option<HashMap<String, Table>>>,
+    /// Open transactions and their lock waits.
+    txns: Txns,
+    /// The handle [`Engine::execute`] and [`Engine::execute_sql`] use.
+    implicit: Txn,
     /// Durability state, when a WAL is attached. Lock order everywhere:
-    /// catalog → table schema lock → shard locks (ascending) → `wal` —
-    /// mutating statements append their record while still holding the
-    /// shard locks that serialized them, so WAL order equals apply
-    /// order.
+    /// transaction handle → catalog → table schema lock → shard locks
+    /// (ascending) → transaction registry → undo log, and shard locks →
+    /// `wal` — mutating statements append their record while still
+    /// holding the shard locks that serialized them, so WAL order equals
+    /// apply order.
     wal: Mutex<Option<WalState>>,
     /// Fast-path flag mirroring `wal.is_some()`, so the no-WAL
     /// configuration skips the `wal` mutex entirely on the DML hot path
@@ -151,6 +162,35 @@ pub struct DurabilityStats {
     pub snapshot_epoch: u64,
     /// Last assigned WAL sequence number.
     pub last_seq: u64,
+}
+
+/// Why a write stopped before it finished.
+enum Stop {
+    /// A row it must write is locked by this open transaction: nothing
+    /// changed; run the statement again once that transaction ends.
+    Blocked(u64),
+    Fail(EngineError),
+}
+
+impl From<EngineError> for Stop {
+    fn from(e: EngineError) -> Self {
+        Stop::Fail(e)
+    }
+}
+
+/// The id a write logs and locks rows under: its transaction's, or 0
+/// for autocommit.
+fn txn_id(txn: Option<&OpenTxn>) -> u64 {
+    txn.map_or(0, |t| t.id)
+}
+
+/// Hands a logged statement's inverse ops to its transaction.
+fn retain(txn: Option<&OpenTxn>, logged: bool, undo: impl IntoIterator<Item = Undo>) {
+    if let Some(t) = txn {
+        let mut log = t.log.lock();
+        log.logged |= logged;
+        log.undo.extend(undo);
+    }
 }
 
 /// How a [`Engine::log_record`] failure relates to the on-disk log —
@@ -204,7 +244,8 @@ impl Engine {
         Engine {
             catalog: RwLock::new(HashMap::new()),
             udfs: RwLock::new(UdfRegistry::new()),
-            snapshot: Mutex::new(None),
+            txns: Txns::default(),
+            implicit: Txn::new(),
             wal: Mutex::new(None),
             wal_attached: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
@@ -274,21 +315,47 @@ impl Engine {
         catalog.values().map(|t| t.read().storage_bytes()).sum()
     }
 
-    /// Executes one parsed statement.
+    /// Executes one parsed statement in the engine's own handle, which
+    /// every direct caller shares (so a `BEGIN` here opens the
+    /// transaction all of them then write in).
     pub fn execute(&self, stmt: &Stmt) -> Result<QueryResult, EngineError> {
-        self.execute_with_meta(stmt, None)
+        self.execute_in(&self.implicit, stmt, None)
     }
 
-    /// Executes one statement; if it mutates state, its WAL record also
+    /// Executes one statement in `txn`'s transaction (autocommit while
+    /// it has none). If the statement mutates state, its WAL record also
     /// carries `meta` (an opaque proxy blob) so the two land atomically.
+    pub fn execute_in(
+        &self,
+        txn: &Txn,
+        stmt: &Stmt,
+        meta: Option<&[u8]>,
+    ) -> Result<QueryResult, EngineError> {
+        let result = self.run(Some(txn), stmt, meta);
+        self.maybe_autosnapshot();
+        result
+    }
+
+    /// Executes one statement outside every transaction: it commits on
+    /// its own even while some session's transaction is open. Its WAL
+    /// record also carries `meta`. Transaction control is refused.
     pub fn execute_with_meta(
         &self,
         stmt: &Stmt,
         meta: Option<&[u8]>,
     ) -> Result<QueryResult, EngineError> {
-        let result = self.exec_stmt(stmt, meta);
+        let result = self.run(None, stmt, meta);
         self.maybe_autosnapshot();
         result
+    }
+
+    /// Ends a session: rolls back its open transaction, if any, and
+    /// leaves the handle idle.
+    pub fn end_session(&self, txn: &Txn) -> Result<(), EngineError> {
+        if txn.is_open() {
+            self.rollback(txn, None)?;
+        }
+        Ok(())
     }
 
     /// Executes a sequence of DDL statements (`CREATE TABLE`,
@@ -296,7 +363,7 @@ impl Engine {
     /// them as a *single* WAL record together with `meta` — the
     /// crash-atomic unit the proxy needs for table creation (encrypted
     /// schema entry + anonymized table + rid index stand or fall
-    /// together).
+    /// together). Runs outside every transaction.
     pub fn execute_batch_with_meta(
         &self,
         stmts: &[Stmt],
@@ -307,23 +374,30 @@ impl Engine {
         result
     }
 
-    /// Executes a sequence of `UPDATE` statements against one table
-    /// under a single table write lock and logs every cell rewrite plus
-    /// `meta` as a *single* WAL record — the crash-atomic unit
-    /// `seal_column` needs (each row's re-encrypted onion cells and the
-    /// schema's level flip stand or fall together at recovery). An
-    /// empty batch logs a meta-only record, so a zero-row seal still
-    /// lands its schema flip.
+    /// Runs an onion adjustment: `UPDATE`s of one table under every
+    /// shard write lock, logged with `meta` as a *single* WAL record —
+    /// the crash-atomic unit an adjustment needs (each row's re-encrypted
+    /// cells and the schema's level flip stand or fall together at
+    /// recovery). An empty batch logs a meta-only record, so a zero-row
+    /// adjustment still lands its schema flip.
+    ///
+    /// An adjustment re-encodes cells without changing what they stand
+    /// for, so it runs outside every transaction and ignores row locks.
+    /// It refuses with [`EngineError::Conflict`], before changing
+    /// anything, if an open transaction updated one of the assigned or
+    /// `guard` columns or deleted a row of the table: rolling that
+    /// transaction back would restore cells at the old layer.
     ///
     /// On a mid-batch evaluation failure the cell rewrites already
     /// applied are logged *without* `meta` (the caller reverts its
     /// schema change, so recovery must not see the flip either).
-    pub fn execute_dml_batch_with_meta(
+    pub fn execute_adjustment(
         &self,
         stmts: &[Update],
+        guard: &[String],
         meta: Option<&[u8]>,
     ) -> Result<QueryResult, EngineError> {
-        let result = self.exec_update_batch(stmts, meta);
+        let result = self.exec_update_batch(stmts, guard, meta);
         self.maybe_autosnapshot();
         result
     }
@@ -332,16 +406,218 @@ impl Engine {
     /// no engine state, e.g. level-floor or principal-type updates).
     /// A no-op without an attached WAL.
     pub fn log_meta(&self, meta: &[u8]) -> Result<(), EngineError> {
-        self.log_record(&[], Some(meta)).map_err(LogError::into_err)
+        self.log_record(&[], Some(meta), 0)
+            .map_err(LogError::into_err)
     }
 
-    fn exec_stmt(&self, stmt: &Stmt, meta: Option<&[u8]>) -> Result<QueryResult, EngineError> {
+    /// Dispatches one statement. A write that meets another
+    /// transaction's row lock releases everything, waits for that
+    /// transaction to end, and runs again; a failed wait aborts the
+    /// writer's own transaction.
+    fn run(
+        &self,
+        txn: Option<&Txn>,
+        stmt: &Stmt,
+        meta: Option<&[u8]>,
+    ) -> Result<QueryResult, EngineError> {
+        match stmt {
+            Stmt::Select(sel) => return self.select(sel),
+            Stmt::Begin | Stmt::Commit | Stmt::Rollback => {
+                let Some(txn) = txn else {
+                    return Err(EngineError::Unsupported(
+                        "transaction control needs a session's transaction handle".into(),
+                    ));
+                };
+                return match stmt {
+                    Stmt::Begin => self.begin(txn, meta),
+                    Stmt::Commit => self.commit(txn, meta),
+                    _ => self.rollback(txn, meta),
+                };
+            }
+            _ => {}
+        }
+        loop {
+            let slot = txn.map(|t| t.slot.read());
+            let open = match slot.as_deref() {
+                Some(Slot::Aborted) => return Err(EngineError::TxnAborted),
+                Some(Slot::Open(open)) => Some(open.clone()),
+                _ => None,
+            };
+            match self.write(open.as_deref(), stmt, meta) {
+                Ok(r) => return Ok(r),
+                Err(Stop::Fail(e)) => return Err(e),
+                Err(Stop::Blocked(owner)) => {
+                    drop(slot);
+                    if let Err(e) = self.txns.wait_for(txn_id(open.as_deref()), owner) {
+                        if let (Some(txn), Some(open)) = (txn, &open) {
+                            self.abort(txn, open);
+                        }
+                        return Err(e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `BEGIN`: O(1), and no WAL record. Inside an open block it is a
+    /// no-op, as in PostgreSQL.
+    fn begin(&self, txn: &Txn, meta: Option<&[u8]>) -> Result<QueryResult, EngineError> {
+        if let Some(m) = meta {
+            self.log_meta(m)?;
+        }
+        let mut slot = txn.slot.write();
+        if matches!(*slot, Slot::Idle) {
+            *slot = Slot::Open(self.txns.begin());
+        }
+        Ok(QueryResult::Ok)
+    }
+
+    /// `COMMIT`: drops the undo log and releases the row locks; logs
+    /// (and syncs) a marker only if the transaction has a record in the
+    /// log. A record that never reached the log keeps the transaction
+    /// open. Committing an aborted block ends it with an error.
+    fn commit(&self, txn: &Txn, meta: Option<&[u8]>) -> Result<QueryResult, EngineError> {
+        let mut slot = txn.slot.write();
+        match std::mem::take(&mut *slot) {
+            Slot::Idle => {
+                if let Some(m) = meta {
+                    self.log_meta(m)?;
+                }
+                Ok(QueryResult::Ok)
+            }
+            Slot::Aborted => Err(EngineError::TxnAborted),
+            Slot::Open(open) => {
+                let logged = open.log.lock().logged;
+                if logged || meta.is_some() {
+                    match self.log_record(&[WalOp::Commit], meta, open.id) {
+                        Err(LogError::Clean(e)) => {
+                            *slot = Slot::Open(open);
+                            return Err(e);
+                        }
+                        Err(LogError::Durable(e)) => {
+                            self.finish(&open);
+                            return Err(e);
+                        }
+                        Ok(()) => {}
+                    }
+                }
+                self.finish(&open);
+                Ok(QueryResult::Ok)
+            }
+        }
+    }
+
+    /// `ROLLBACK`: undoes the transaction (see [`Engine::undo_txn`]).
+    /// Ending an aborted block succeeds; a record that never reached the
+    /// log leaves the transaction open and intact.
+    fn rollback(&self, txn: &Txn, meta: Option<&[u8]>) -> Result<QueryResult, EngineError> {
+        let mut slot = txn.slot.write();
+        match std::mem::take(&mut *slot) {
+            Slot::Idle => Err(EngineError::NoActiveTransaction),
+            Slot::Aborted => Ok(QueryResult::Ok),
+            Slot::Open(open) => match self.undo_txn(&open, meta) {
+                Ok(()) => Ok(QueryResult::Ok),
+                Err(LogError::Clean(e)) => {
+                    *slot = Slot::Open(open);
+                    Err(e)
+                }
+                Err(LogError::Durable(e)) => Err(e),
+            },
+        }
+    }
+
+    /// Rolls back the transaction a failed lock wait stopped; the handle
+    /// stays aborted until the session ends the block.
+    fn abort(&self, txn: &Txn, open: &Arc<OpenTxn>) {
+        let mut slot = txn.slot.write();
+        if !matches!(&*slot, Slot::Open(o) if Arc::ptr_eq(o, open)) {
+            return;
+        }
+        if !matches!(self.undo_txn(open, None), Err(LogError::Clean(_))) {
+            *slot = Slot::Aborted;
+        }
+    }
+
+    /// Ends a committed (or rolled-back) transaction: releases its row
+    /// locks and wakes the writers waiting for them.
+    fn finish(&self, open: &OpenTxn) {
+        let undo = std::mem::take(&mut open.log.lock().undo);
+        self.release_rows(&undo, open.id);
+        self.txns.end(open.id);
+    }
+
+    fn release_rows(&self, undo: &[Undo], id: u64) {
+        let mut last: Option<(&str, Option<Arc<RwLock<Table>>>)> = None;
+        for (table, rowid) in undo.iter().filter_map(Undo::row) {
+            if last.as_ref().is_none_or(|(t, _)| *t != table) {
+                last = Some((table, self.table_handle(table).ok()));
+            }
+            if let Some((_, Some(handle))) = &last {
+                handle.read().release_row(rowid, id);
+            }
+        }
+    }
+
+    /// Rolls `open` back: logs the compensating ops, newest first, and
+    /// the `ROLLBACK` marker as one record, then applies them and ends
+    /// the transaction. The record goes first: the transaction still
+    /// holds its rows and this holds the catalog, so nothing changes
+    /// them in between. Ops on a table that is gone (or, to undo a
+    /// drop, whose name was taken again) are skipped in the record and
+    /// in memory alike. A clean log failure leaves the transaction open
+    /// with its undo log intact.
+    fn undo_txn(&self, open: &OpenTxn, meta: Option<&[u8]>) -> Result<(), LogError> {
+        let mut catalog = self.catalog.write();
+        let undo = std::mem::take(&mut open.log.lock().undo);
+        // Decided newest first against the catalog as the entries
+        // before each one leave it.
+        let mut present: std::collections::HashSet<String> = catalog.keys().cloned().collect();
+        let live: Vec<usize> = (0..undo.len())
+            .rev()
+            .filter(|&i| match &undo[i] {
+                Undo::Dropped { table, .. } => present.insert(table.to_lowercase()),
+                Undo::Created { table } => present.remove(&table.to_lowercase()),
+                Undo::Inserted { table, .. }
+                | Undo::Updated { table, .. }
+                | Undo::Deleted { table, .. }
+                | Undo::Indexed { table, .. } => present.contains(&table.to_lowercase()),
+            })
+            .collect();
+        let mut ops = Vec::new();
+        if self.wal_attached.load(Ordering::Acquire) {
+            for &i in &live {
+                compensate(&undo[i], &mut ops);
+            }
+        }
+        ops.push(WalOp::Rollback);
+        let logged = self.log_record(&ops, meta, open.id);
+        if matches!(logged, Err(LogError::Clean(_))) {
+            open.log.lock().undo = undo;
+            return logged;
+        }
+        for &i in &live {
+            apply_undo(&mut catalog, &undo[i]);
+        }
+        drop(catalog);
+        self.release_rows(&undo, open.id);
+        self.txns.end(open.id);
+        logged
+    }
+
+    /// One write statement, in `txn` or autocommit.
+    fn write(
+        &self,
+        txn: Option<&OpenTxn>,
+        stmt: &Stmt,
+        meta: Option<&[u8]>,
+    ) -> Result<QueryResult, Stop> {
+        let id = txn_id(txn);
         match stmt {
             Stmt::CreateTable(ct) => {
                 let key = ct.name.to_lowercase();
                 let mut catalog = self.catalog.write();
                 if catalog.contains_key(&key) {
-                    return Err(EngineError::TableExists(ct.name.clone()));
+                    return Err(EngineError::TableExists(ct.name.clone()).into());
                 }
                 let columns: Vec<ColumnMeta> = ct
                     .columns
@@ -355,17 +631,19 @@ impl Engine {
                     key.clone(),
                     Arc::new(RwLock::new(Table::new(&ct.name, columns.clone()))),
                 );
-                if let Err(fail) = self.log_record(
-                    &[WalOp::CreateTable {
-                        name: ct.name.clone(),
-                        columns,
-                    }],
-                    meta,
-                ) {
-                    return Err(self.fail_logged(fail, || {
-                        catalog.remove(&key);
-                    }));
+                let op = WalOp::CreateTable {
+                    name: ct.name.clone(),
+                    columns,
+                };
+                let undo = Undo::Created {
+                    table: ct.name.clone(),
+                };
+                if let Err(fail) = self.log_record(&[op], meta, id) {
+                    return Err(self
+                        .fail_logged(fail, || apply_undo(&mut catalog, &undo))
+                        .into());
                 }
+                retain(txn, true, [undo]);
                 Ok(QueryResult::Ok)
             }
             Stmt::CreateIndex { table, column } => {
@@ -381,99 +659,58 @@ impl Engine {
                     .column_position(column)
                     .is_some_and(|c| guard.has_index(c));
                 guard.create_index(column)?;
-                if let Err(fail) = self.log_record(
-                    &[WalOp::CreateIndex {
-                        table: table.clone(),
-                        column: column.clone(),
-                    }],
-                    meta,
-                ) {
-                    return Err(self.fail_logged(fail, || {
-                        if !existed {
-                            guard.drop_index(column);
-                        }
-                    }));
+                let op = WalOp::CreateIndex {
+                    table: table.clone(),
+                    column: column.clone(),
+                };
+                if let Err(fail) = self.log_record(&[op], meta, id) {
+                    return Err(self
+                        .fail_logged(fail, || {
+                            if !existed {
+                                guard.drop_index(column);
+                            }
+                        })
+                        .into());
                 }
+                let undo = (!existed).then(|| Undo::Indexed {
+                    table: table.clone(),
+                    column: column.clone(),
+                });
+                retain(txn, true, undo);
                 Ok(QueryResult::Ok)
             }
             Stmt::DropTable { name } => {
                 let key = name.to_lowercase();
                 let mut catalog = self.catalog.write();
                 let Some(dropped) = catalog.remove(&key) else {
-                    return Err(EngineError::TableNotFound(name.clone()));
+                    return Err(EngineError::TableNotFound(name.clone()).into());
                 };
-                if let Err(fail) = self.log_record(&[WalOp::DropTable { name: name.clone() }], meta)
-                {
-                    return Err(self.fail_logged(fail, || {
-                        catalog.insert(key, dropped);
-                    }));
-                }
-                Ok(QueryResult::Ok)
-            }
-            Stmt::Insert(ins) => self.insert(ins, meta),
-            Stmt::Select(sel) => self.select(sel),
-            Stmt::Update(upd) => self.update(upd, meta),
-            Stmt::Delete(del) => self.delete(del, meta),
-            Stmt::Begin => {
-                let catalog = self.catalog.read();
-                let snap = catalog
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.read().clone()))
-                    .collect();
-                *self.snapshot.lock() = Some(snap);
-                if let Err(fail) = self.log_record(&[WalOp::Begin], meta) {
-                    return Err(self.fail_logged(fail, || {
-                        *self.snapshot.lock() = None;
-                    }));
-                }
-                Ok(QueryResult::Ok)
-            }
-            Stmt::Commit => {
-                // The catalog read serializes the marker against
-                // snapshot_now (which holds the catalog write lock).
-                let _catalog = self.catalog.read();
-                let prev = self.snapshot.lock().take();
-                if let Err(fail) = self.log_record(&[WalOp::Commit], meta) {
-                    return Err(self.fail_logged(fail, || {
-                        *self.snapshot.lock() = prev;
-                    }));
-                }
-                Ok(QueryResult::Ok)
-            }
-            Stmt::Rollback => {
-                let Some(snap) = self.snapshot.lock().take() else {
-                    return Err(EngineError::NoActiveTransaction);
+                let op = WalOp::DropTable { name: name.clone() };
+                let undo = Undo::Dropped {
+                    table: name.clone(),
+                    handle: dropped,
                 };
-                let mut catalog = self.catalog.write();
-                if !self.has_wal() {
-                    // `log_record` cannot fail without a WAL, so no undo
-                    // copy is needed: move the snapshot tables into the
-                    // catalog instead of deep-cloning every one.
-                    *catalog = snap
-                        .into_iter()
-                        .map(|(k, t)| (k, Arc::new(RwLock::new(t))))
-                        .collect();
-                    return Ok(QueryResult::Ok);
+                if let Err(fail) = self.log_record(&[op], meta, id) {
+                    return Err(self
+                        .fail_logged(fail, || apply_undo(&mut catalog, &undo))
+                        .into());
                 }
-                let prev = std::mem::take(&mut *catalog);
-                for (k, t) in &snap {
-                    catalog.insert(k.clone(), Arc::new(RwLock::new(t.clone())));
-                }
-                if let Err(fail) = self.log_record(&[WalOp::Rollback], meta) {
-                    return Err(self.fail_logged(fail, || {
-                        *catalog = prev;
-                        *self.snapshot.lock() = Some(snap);
-                    }));
-                }
+                retain(txn, true, [undo]);
                 Ok(QueryResult::Ok)
             }
+            Stmt::Insert(ins) => Ok(self.insert(txn, ins, meta)?),
+            Stmt::Update(upd) => self.update(txn, upd, meta),
+            Stmt::Delete(del) => self.delete(txn, del, meta),
             // Annotation statements are proxy-side; the DBMS accepts and
             // ignores them (the proxy never forwards them in practice).
             Stmt::PrincType { .. } => {
                 if let Some(m) = meta {
-                    self.log_record(&[], Some(m)).map_err(LogError::into_err)?;
+                    self.log_meta(m)?;
                 }
                 Ok(QueryResult::Ok)
+            }
+            Stmt::Select(_) | Stmt::Begin | Stmt::Commit | Stmt::Rollback => {
+                unreachable!("dispatched by Engine::run")
             }
         }
     }
@@ -483,16 +720,11 @@ impl Engine {
         stmts: &[Stmt],
         meta: Option<&[u8]>,
     ) -> Result<QueryResult, EngineError> {
-        /// Inverse of one applied DDL op, replayed in reverse when the
-        /// batch's WAL record never reaches the log.
-        enum DdlUndo {
-            Created(String),
-            Dropped(String, Arc<RwLock<Table>>),
-            Indexed(String, String),
-        }
         let mut catalog = self.catalog.write();
         let mut ops: Vec<WalOp> = Vec::with_capacity(stmts.len());
-        let mut undos: Vec<DdlUndo> = Vec::with_capacity(stmts.len());
+        // Inverse of each applied op, replayed in reverse when the
+        // batch's WAL record never reaches the log.
+        let mut undos: Vec<Undo> = Vec::with_capacity(stmts.len());
         let mut failure: Option<EngineError> = None;
         for stmt in stmts {
             match stmt {
@@ -511,10 +743,12 @@ impl Engine {
                         })
                         .collect();
                     catalog.insert(
-                        key.clone(),
+                        key,
                         Arc::new(RwLock::new(Table::new(&ct.name, columns.clone()))),
                     );
-                    undos.push(DdlUndo::Created(key));
+                    undos.push(Undo::Created {
+                        table: ct.name.clone(),
+                    });
                     ops.push(WalOp::CreateTable {
                         name: ct.name.clone(),
                         columns,
@@ -536,7 +770,10 @@ impl Engine {
                     }
                     drop(guard);
                     if !existed {
-                        undos.push(DdlUndo::Indexed(key, column.clone()));
+                        undos.push(Undo::Indexed {
+                            table: table.clone(),
+                            column: column.clone(),
+                        });
                     }
                     ops.push(WalOp::CreateIndex {
                         table: table.clone(),
@@ -549,7 +786,10 @@ impl Engine {
                         failure = Some(EngineError::TableNotFound(name.clone()));
                         break;
                     };
-                    undos.push(DdlUndo::Dropped(key, dropped));
+                    undos.push(Undo::Dropped {
+                        table: name.clone(),
+                        handle: dropped,
+                    });
                     ops.push(WalOp::DropTable { name: name.clone() });
                 }
                 _ => {
@@ -564,26 +804,14 @@ impl Engine {
         // not valid (the caller reverts its schema change), so the
         // partial ops go out bare.
         let logged = if failure.is_none() {
-            self.log_record(&ops, meta)
+            self.log_record(&ops, meta, 0)
         } else {
-            self.log_record(&ops, None)
+            self.log_record(&ops, None, 0)
         };
         if let Err(fail) = logged {
             return Err(self.fail_logged(fail, || {
-                for undo in undos.into_iter().rev() {
-                    match undo {
-                        DdlUndo::Created(key) => {
-                            catalog.remove(&key);
-                        }
-                        DdlUndo::Dropped(key, table) => {
-                            catalog.insert(key, table);
-                        }
-                        DdlUndo::Indexed(key, column) => {
-                            if let Some(h) = catalog.get(&key) {
-                                h.write().drop_index(&column);
-                            }
-                        }
-                    }
+                for undo in undos.iter().rev() {
+                    apply_undo(&mut catalog, undo);
                 }
             }));
         }
@@ -593,7 +821,13 @@ impl Engine {
         Ok(QueryResult::Ok)
     }
 
-    fn insert(&self, ins: &Insert, meta: Option<&[u8]>) -> Result<QueryResult, EngineError> {
+    fn insert(
+        &self,
+        txn: Option<&OpenTxn>,
+        ins: &Insert,
+        meta: Option<&[u8]>,
+    ) -> Result<QueryResult, EngineError> {
+        let id = txn_id(txn);
         let handle = self.table_handle(&ins.table)?;
         let udfs = self.udfs.read();
         let ctx = Ctx { udfs: &udfs };
@@ -648,24 +882,37 @@ impl Engine {
         let mut ops: Vec<WalOp> = Vec::with_capacity(count);
         for (&rowid, row) in rowids.iter().zip(staged) {
             ws.insert_row(rowid, row.clone());
+            if id != 0 {
+                ws.lock_row(rowid, id);
+            }
             ops.push(WalOp::InsertRow {
                 table: ins.table.clone(),
                 rowid,
                 row,
             });
         }
-        if let Err(fail) = self.log_record(&ops, meta) {
-            return Err(self.fail_logged(fail, || {
-                // The applied rows come back out, through the still-held
-                // shard guards. The rowid allocator is not rewound: the
-                // log carries explicit rowids, so a gap is harmless, and
-                // rewinding could collide with rowids a later statement
-                // hands out.
-                for &rowid in rowids.iter().rev() {
-                    ws.delete(rowid);
-                }
-            }));
+        let logged = self.log_record(&ops, meta, id);
+        if let Err(LogError::Clean(e)) = logged {
+            // The applied rows come back out, through the still-held
+            // shard guards. The rowid allocator is not rewound: the log
+            // carries explicit rowids, so a gap is harmless, and
+            // rewinding could collide with rowids a later statement
+            // hands out.
+            for &rowid in rowids.iter().rev() {
+                ws.delete(rowid);
+                ws.unlock_row(rowid);
+            }
+            return Err(e);
         }
+        retain(
+            txn,
+            !ops.is_empty() || meta.is_some(),
+            rowids.iter().map(|&rowid| Undo::Inserted {
+                table: ins.table.clone(),
+                rowid,
+            }),
+        );
+        logged.map_err(LogError::into_err)?;
         if let Some(e) = failure {
             return Err(e);
         }
@@ -746,7 +993,13 @@ impl Engine {
         Ok(Some(QueryResult::Rows { columns, rows }))
     }
 
-    fn update(&self, upd: &Update, meta: Option<&[u8]>) -> Result<QueryResult, EngineError> {
+    fn update(
+        &self,
+        txn: Option<&OpenTxn>,
+        upd: &Update,
+        meta: Option<&[u8]>,
+    ) -> Result<QueryResult, Stop> {
+        let id = txn_id(txn);
         let handle = self.table_handle(&upd.table)?;
         let udfs = self.udfs.read();
         let ctx = Ctx { udfs: &udfs };
@@ -776,9 +1029,11 @@ impl Engine {
             self.matching_rowids(&view, &schema, upd.selection.as_ref(), &ctx)?
         };
         let mut ws = table.lock_shards(rowids.iter().copied());
+        self.check_row_locks(&ws, &rowids, id)?;
         let mut count = 0;
         let mut ops: Vec<WalOp> = Vec::new();
         let mut undo_cells: Vec<(u64, usize, Value)> = Vec::new();
+        let mut locked: Vec<u64> = Vec::new();
         let mut failure: Option<EngineError> = None;
         'rows: for rowid in rowids {
             let Some(row) = ws.row(rowid).cloned() else {
@@ -814,30 +1069,63 @@ impl Engine {
                 });
                 ws.update_cell(rowid, pos, v);
             }
+            if id != 0 && ws.lock_row(rowid, id) {
+                locked.push(rowid);
+            }
             count += 1;
         }
         // One composite record for exactly the cells applied, logged
         // while the shard write guards are still held.
-        if let Err(fail) = self.log_record(&ops, meta) {
-            return Err(self.fail_logged(fail, || {
-                for (rowid, pos, old) in undo_cells.into_iter().rev() {
-                    ws.update_cell(rowid, pos, old);
-                }
-            }));
+        let logged = self.log_record(&ops, meta, id);
+        if let Err(LogError::Clean(e)) = logged {
+            for (rowid, pos, old) in undo_cells.into_iter().rev() {
+                ws.update_cell(rowid, pos, old);
+            }
+            for rowid in locked {
+                ws.unlock_row(rowid);
+            }
+            return Err(e.into());
         }
+        retain(
+            txn,
+            !ops.is_empty() || meta.is_some(),
+            undo_cells
+                .into_iter()
+                .map(|(rowid, col, old)| Undo::Updated {
+                    table: upd.table.clone(),
+                    rowid,
+                    col,
+                    old,
+                }),
+        );
+        logged.map_err(LogError::into_err)?;
         if let Some(e) = failure {
-            return Err(e);
+            return Err(e.into());
         }
         Ok(QueryResult::Affected(count))
+    }
+
+    /// Stops a statement, before it changes anything, if another open
+    /// transaction holds a write lock on one of `rowids`.
+    fn check_row_locks(&self, ws: &ShardWriteSet<'_>, rowids: &[u64], id: u64) -> Result<(), Stop> {
+        for &rowid in rowids {
+            if let Some(owner) = ws.owner(rowid) {
+                if owner != id && self.txns.is_open(owner) {
+                    return Err(Stop::Blocked(owner));
+                }
+            }
+        }
+        Ok(())
     }
 
     fn exec_update_batch(
         &self,
         stmts: &[Update],
+        guard: &[String],
         meta: Option<&[u8]>,
     ) -> Result<QueryResult, EngineError> {
         let Some(first) = stmts.first() else {
-            self.log_record(&[], meta).map_err(LogError::into_err)?;
+            self.log_record(&[], meta, 0).map_err(LogError::into_err)?;
             return Ok(QueryResult::Affected(0));
         };
         if stmts
@@ -845,7 +1133,7 @@ impl Engine {
             .any(|u| !u.table.eq_ignore_ascii_case(&first.table))
         {
             return Err(EngineError::Unsupported(
-                "execute_dml_batch_with_meta requires a single target table".into(),
+                "an onion adjustment rewrites a single table".into(),
             ));
         }
         let handle = self.table_handle(&first.table)?;
@@ -857,6 +1145,24 @@ impl Engine {
         let table = handle.read();
         let schema = RowSchema::for_table(&table, Some(&first.table));
         let mut ws = table.lock_all_shards_write();
+        // Every shard is held, so no transaction's write to this table
+        // is half-recorded while its undo log is read here.
+        let written: Vec<usize> = guard
+            .iter()
+            .map(String::as_str)
+            .chain(
+                stmts
+                    .iter()
+                    .flat_map(|u| u.sets.iter().map(|(c, _)| c.as_str())),
+            )
+            .filter_map(|c| table.column_position(c))
+            .collect();
+        if self.txns.wrote_any(&first.table, &written) {
+            return Err(EngineError::Conflict(format!(
+                "an open transaction wrote a column of {} that this onion adjustment re-encrypts",
+                first.table
+            )));
+        }
         let mut count = 0;
         let mut ops: Vec<WalOp> = Vec::new();
         let mut undo_cells: Vec<(u64, usize, Value)> = Vec::new();
@@ -919,9 +1225,9 @@ impl Engine {
         // One record for the whole batch; on failure the meta is
         // withheld so recovery cannot observe the caller's schema flip.
         let logged = if failure.is_none() {
-            self.log_record(&ops, meta)
+            self.log_record(&ops, meta, 0)
         } else {
-            self.log_record(&ops, None)
+            self.log_record(&ops, None, 0)
         };
         if let Err(fail) = logged {
             return Err(self.fail_logged(fail, || {
@@ -936,7 +1242,13 @@ impl Engine {
         Ok(QueryResult::Affected(count))
     }
 
-    fn delete(&self, del: &Delete, meta: Option<&[u8]>) -> Result<QueryResult, EngineError> {
+    fn delete(
+        &self,
+        txn: Option<&OpenTxn>,
+        del: &Delete,
+        meta: Option<&[u8]>,
+    ) -> Result<QueryResult, Stop> {
+        let id = txn_id(txn);
         let handle = self.table_handle(&del.table)?;
         let udfs = self.udfs.read();
         let ctx = Ctx { udfs: &udfs };
@@ -949,9 +1261,11 @@ impl Engine {
             self.matching_rowids(&view, &schema, del.selection.as_ref(), &ctx)?
         };
         let mut ws = table.lock_shards(rowids.iter().copied());
+        self.check_row_locks(&ws, &rowids, id)?;
         let mut count = 0;
         let mut ops: Vec<WalOp> = Vec::new();
         let mut deleted: Vec<(u64, Vec<Value>)> = Vec::new();
+        let mut locked: Vec<u64> = Vec::new();
         let mut failure: Option<EngineError> = None;
         for rowid in rowids {
             let Some(row) = ws.row(rowid).cloned() else {
@@ -968,6 +1282,9 @@ impl Engine {
                 }
             }
             ws.delete(rowid);
+            if id != 0 && ws.lock_row(rowid, id) {
+                locked.push(rowid);
+            }
             deleted.push((rowid, row));
             ops.push(WalOp::DeleteRow {
                 table: del.table.clone(),
@@ -975,26 +1292,40 @@ impl Engine {
             });
             count += 1;
         }
-        if let Err(fail) = self.log_record(&ops, meta) {
-            return Err(self.fail_logged(fail, || {
-                for (rowid, row) in deleted.into_iter().rev() {
-                    ws.insert_row(rowid, row);
-                }
-            }));
+        let logged = self.log_record(&ops, meta, id);
+        if let Err(LogError::Clean(e)) = logged {
+            for (rowid, row) in deleted.into_iter().rev() {
+                ws.insert_row(rowid, row);
+            }
+            for rowid in locked {
+                ws.unlock_row(rowid);
+            }
+            return Err(e.into());
         }
+        retain(
+            txn,
+            !ops.is_empty() || meta.is_some(),
+            deleted.into_iter().map(|(rowid, row)| Undo::Deleted {
+                table: del.table.clone(),
+                rowid,
+                row,
+            }),
+        );
+        logged.map_err(LogError::into_err)?;
         if let Some(e) = failure {
-            return Err(e);
+            return Err(e.into());
         }
         Ok(QueryResult::Affected(count))
     }
 
     // ---- durability ----
 
-    /// Appends one record (ops + optional meta) to the attached WAL.
-    /// No-op without a WAL; must be called while still holding the lock
-    /// that serialized the ops. A failure flips the engine into
-    /// degraded read-only mode; the next success flips it back.
-    fn log_record(&self, ops: &[WalOp], meta: Option<&[u8]>) -> Result<(), LogError> {
+    /// Appends one record (transaction id + ops + optional meta) to the
+    /// attached WAL. No-op without a WAL; must be called while still
+    /// holding the lock that serialized the ops. A failure flips the
+    /// engine into degraded read-only mode; the next success flips it
+    /// back.
+    fn log_record(&self, ops: &[WalOp], meta: Option<&[u8]>, txn: u64) -> Result<(), LogError> {
         if ops.is_empty() && meta.is_none() {
             return Ok(());
         }
@@ -1007,7 +1338,7 @@ impl Engine {
         let Some(state) = guard.as_mut() else {
             return Ok(());
         };
-        let payload = wal_store::encode_record(ops, meta);
+        let payload = wal_store::encode_record(txn, ops, meta);
         match state.wal.append(&payload) {
             Ok(_) => {
                 if let Some(m) = meta {
@@ -1121,8 +1452,10 @@ impl Engine {
     /// snapshot (if valid), replays the log suffix past its epoch, and
     /// leaves the WAL attached so the engine resumes appending. Works on
     /// a fresh directory too (empty recovery). A transaction left open
-    /// at the crash point is discarded — no session survives a restart
-    /// to finish it.
+    /// at the crash point is rolled back — no session survives a
+    /// restart to finish it. Replay rebuilds its undo log from the
+    /// before-images of the records it wrote, and the rollback is logged
+    /// before this returns, so a second crash cannot undo later writes.
     pub fn recover(dir: &Path, cfg: WalConfig) -> Result<(Engine, EngineRecovery), EngineError> {
         let snapshot_every = cfg.snapshot_every;
         let (wal, recovered) = Wal::open(dir, &cfg)?;
@@ -1140,20 +1473,35 @@ impl Engine {
             epoch = snap.epoch;
         }
         let mut applied = 0u64;
+        // Transactions with records but no COMMIT/ROLLBACK yet, by id.
+        let mut open: BTreeMap<u64, OpenTxn> = BTreeMap::new();
         for (seq, payload) in &recovered.records {
             if *seq <= epoch {
                 continue;
             }
-            let (ops, meta) = wal_store::decode_record(payload)?;
+            let (txn, ops, meta) = wal_store::decode_record(payload)?;
+            engine.txns.reserve(txn);
+            let ends = ops
+                .iter()
+                .any(|op| matches!(op, WalOp::Commit | WalOp::Rollback));
+            let capture = txn != 0 && !ends;
             for op in &ops {
-                engine.apply_op(op)?;
+                let undo = engine.apply_op(op, capture)?;
+                if capture {
+                    let t = open.entry(txn).or_insert_with(|| OpenTxn::new(txn));
+                    let mut log = t.log.lock();
+                    log.logged = true;
+                    log.undo.extend(undo);
+                }
+            }
+            if ends {
+                open.remove(&txn);
             }
             if let Some(m) = meta {
                 last_meta = Some(m);
             }
             applied += 1;
         }
-        *engine.snapshot.lock() = None;
         report.records_applied = applied;
         *engine.wal.lock() = Some(WalState {
             wal,
@@ -1161,6 +1509,9 @@ impl Engine {
             last_meta: last_meta.clone(),
         });
         engine.wal_attached.store(true, Ordering::Release);
+        for t in open.values() {
+            engine.undo_txn(t, None).map_err(LogError::into_err)?;
+        }
         Ok((
             engine,
             EngineRecovery {
@@ -1203,8 +1554,8 @@ impl Engine {
 
     /// Writes a snapshot of the full engine state (ciphertext only) at
     /// the current WAL watermark. Returns the epoch, or `None` when no
-    /// WAL is attached or a transaction is open (a mid-transaction
-    /// snapshot could strand a later `ROLLBACK` at replay; the next
+    /// WAL is attached or an open transaction has written (the snapshot
+    /// would hold writes no later record lets replay undo; the next
     /// attempt after `COMMIT`/`ROLLBACK` succeeds). Once the snapshot
     /// is durable, WAL segments wholly below its epoch are deleted per
     /// the configured retention, bounding the on-disk log and the
@@ -1216,12 +1567,14 @@ impl Engine {
         // its table's schema lock shared, plus shard write locks, while
         // mutating + logging — the schema write lock excludes both).
         let catalog = self.catalog.write();
-        if self.snapshot.lock().is_some() {
-            return Ok(None);
-        }
         let mut handles: Vec<Arc<RwLock<Table>>> = catalog.values().cloned().collect();
         handles.sort_by_key(|h| Arc::as_ptr(h) as usize);
         let guards: Vec<_> = handles.iter().map(|h| h.write()).collect();
+        // Checked once every statement in flight has finished: a
+        // transaction's writes and undo log change only inside one.
+        if self.txns.any_logged() {
+            return Ok(None);
+        }
         let find = |h: &Arc<RwLock<Table>>| {
             handles
                 .iter()
@@ -1288,8 +1641,8 @@ impl Engine {
             Ok(Some(_)) => {
                 self.snapshots_taken.fetch_add(1, Ordering::Relaxed);
             }
-            // A transaction is open: not a failure, the next attempt
-            // after COMMIT/ROLLBACK takes it.
+            // A transaction has written: not a failure, the next
+            // attempt after COMMIT/ROLLBACK takes it.
             Ok(None) => {}
             Err(e) => {
                 let n = self.snapshot_failures.fetch_add(1, Ordering::Relaxed) + 1;
@@ -1302,9 +1655,11 @@ impl Engine {
 
     /// Applies one replayed op. Physical and rowid-keyed, so replay
     /// reproduces the original run exactly; updates/deletes on missing
-    /// rowids are no-ops (mirroring the live mutation paths).
-    fn apply_op(&self, op: &WalOp) -> Result<(), EngineError> {
-        match op {
+    /// rowids are no-ops (mirroring the live mutation paths). With
+    /// `capture`, returns the op's inverse for the transaction that
+    /// logged it.
+    fn apply_op(&self, op: &WalOp, capture: bool) -> Result<Option<Undo>, EngineError> {
+        Ok(match op {
             WalOp::CreateTable { name, columns } => {
                 let key = name.to_lowercase();
                 let mut catalog = self.catalog.write();
@@ -1317,19 +1672,43 @@ impl Engine {
                     key,
                     Arc::new(RwLock::new(Table::new(name, columns.clone()))),
                 );
+                Some(Undo::Created {
+                    table: name.clone(),
+                })
             }
             WalOp::CreateIndex { table, column } => {
-                self.table_handle(table)?.write().create_index(column)?;
+                let handle = self.table_handle(table)?;
+                let guard = handle.write();
+                let existed = guard
+                    .column_position(column)
+                    .is_some_and(|c| guard.has_index(c));
+                guard.create_index(column)?;
+                (!existed).then(|| Undo::Indexed {
+                    table: table.clone(),
+                    column: column.clone(),
+                })
+            }
+            WalOp::DropIndex { table, column } => {
+                self.table_handle(table)?.write().drop_index(column);
+                None
             }
             WalOp::DropTable { name } => {
-                if self.catalog.write().remove(&name.to_lowercase()).is_none() {
+                let Some(handle) = self.catalog.write().remove(&name.to_lowercase()) else {
                     return Err(EngineError::Wal(format!("replay: no table {name} to drop")));
-                }
+                };
+                Some(Undo::Dropped {
+                    table: name.clone(),
+                    handle,
+                })
             }
             WalOp::InsertRow { table, rowid, row } => {
                 self.table_handle(table)?
                     .write()
                     .insert_with_rowid(*rowid, row.clone());
+                Some(Undo::Inserted {
+                    table: table.clone(),
+                    rowid: *rowid,
+                })
             }
             WalOp::UpdateCell {
                 table,
@@ -1337,36 +1716,35 @@ impl Engine {
                 col,
                 value,
             } => {
-                self.table_handle(table)?
-                    .write()
-                    .update_cell(*rowid, *col as usize, value.clone());
+                let handle = self.table_handle(table)?;
+                let guard = handle.write();
+                let col = *col as usize;
+                let old = if capture {
+                    guard.row(*rowid).map(|mut r| r.swap_remove(col))
+                } else {
+                    None
+                };
+                guard.update_cell(*rowid, col, value.clone());
+                old.map(|old| Undo::Updated {
+                    table: table.clone(),
+                    rowid: *rowid,
+                    col,
+                    old,
+                })
             }
             WalOp::DeleteRow { table, rowid } => {
-                self.table_handle(table)?.write().delete(*rowid);
+                let handle = self.table_handle(table)?;
+                let guard = handle.write();
+                let old = if capture { guard.row(*rowid) } else { None };
+                guard.delete(*rowid);
+                old.map(|row| Undo::Deleted {
+                    table: table.clone(),
+                    rowid: *rowid,
+                    row,
+                })
             }
-            WalOp::Begin => {
-                let catalog = self.catalog.read();
-                let snap = catalog
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.read().clone()))
-                    .collect();
-                *self.snapshot.lock() = Some(snap);
-            }
-            WalOp::Commit => {
-                *self.snapshot.lock() = None;
-            }
-            WalOp::Rollback => {
-                let Some(snap) = self.snapshot.lock().take() else {
-                    return Err(EngineError::Wal("replay: rollback without begin".into()));
-                };
-                let mut catalog = self.catalog.write();
-                catalog.clear();
-                for (k, t) in snap {
-                    catalog.insert(k, Arc::new(RwLock::new(t)));
-                }
-            }
-        }
-        Ok(())
+            WalOp::Commit | WalOp::Rollback => None,
+        })
     }
 
     /// Rowids matching a predicate (used by UPDATE/DELETE), evaluated
@@ -1405,5 +1783,103 @@ impl Engine {
             }
         }
         Ok(out)
+    }
+}
+
+/// Appends the WAL ops that undo `u`.
+fn compensate(u: &Undo, ops: &mut Vec<WalOp>) {
+    match u {
+        Undo::Inserted { table, rowid } => ops.push(WalOp::DeleteRow {
+            table: table.clone(),
+            rowid: *rowid,
+        }),
+        Undo::Updated {
+            table,
+            rowid,
+            col,
+            old,
+        } => ops.push(WalOp::UpdateCell {
+            table: table.clone(),
+            rowid: *rowid,
+            col: *col as u32,
+            value: old.clone(),
+        }),
+        Undo::Deleted { table, rowid, row } => ops.push(WalOp::InsertRow {
+            table: table.clone(),
+            rowid: *rowid,
+            row: row.clone(),
+        }),
+        Undo::Created { table } => ops.push(WalOp::DropTable {
+            name: table.clone(),
+        }),
+        Undo::Dropped { handle, .. } => {
+            // The dropped table comes back whole: schema, indexes, rows.
+            let t = handle.read();
+            ops.push(WalOp::CreateTable {
+                name: t.name().to_string(),
+                columns: t.columns().to_vec(),
+            });
+            let view = t.read_view();
+            for col in view.indexed_columns() {
+                ops.push(WalOp::CreateIndex {
+                    table: t.name().to_string(),
+                    column: t.columns()[col].name.clone(),
+                });
+            }
+            for (rowid, row) in view.iter() {
+                ops.push(WalOp::InsertRow {
+                    table: t.name().to_string(),
+                    rowid,
+                    row: row.clone(),
+                });
+            }
+        }
+        Undo::Indexed { table, column } => ops.push(WalOp::DropIndex {
+            table: table.clone(),
+            column: column.clone(),
+        }),
+    }
+}
+
+/// Undoes `u` in memory, under the catalog lock [`Engine::undo_txn`]
+/// holds.
+fn apply_undo(catalog: &mut HashMap<String, Arc<RwLock<Table>>>, u: &Undo) {
+    let handle = |table: &str| catalog.get(&table.to_lowercase()).cloned();
+    match u {
+        Undo::Inserted { table, rowid } => {
+            if let Some(h) = handle(table) {
+                h.read().lock_shards([*rowid]).delete(*rowid);
+            }
+        }
+        Undo::Updated {
+            table,
+            rowid,
+            col,
+            old,
+        } => {
+            if let Some(h) = handle(table) {
+                h.read()
+                    .lock_shards([*rowid])
+                    .update_cell(*rowid, *col, old.clone());
+            }
+        }
+        Undo::Deleted { table, rowid, row } => {
+            if let Some(h) = handle(table) {
+                h.read()
+                    .lock_shards([*rowid])
+                    .insert_row(*rowid, row.clone());
+            }
+        }
+        Undo::Created { table } => {
+            catalog.remove(&table.to_lowercase());
+        }
+        Undo::Dropped { table, handle } => {
+            catalog.insert(table.to_lowercase(), handle.clone());
+        }
+        Undo::Indexed { table, column } => {
+            if let Some(h) = handle(table) {
+                h.write().drop_index(column);
+            }
+        }
     }
 }

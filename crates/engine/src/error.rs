@@ -18,6 +18,17 @@ pub enum EngineError {
     Udf(String),
     Unsupported(String),
     NoActiveTransaction,
+    /// The statement could not run without breaking another open
+    /// transaction (SQLSTATE 40001): a row lock outlasted the wait bound
+    /// or waiting would deadlock — either aborts the writer's own
+    /// transaction — or an onion adjustment would strand an open
+    /// transaction's before-images.
+    Conflict(String),
+    /// A lock conflict rolled this session's transaction back; writes
+    /// fail until the session ends the block (SQLSTATE 25P02).
+    TxnAborted,
+    /// An integer aggregate left the 64-bit range (SQLSTATE 22003).
+    Overflow(String),
     /// Write-ahead-log failure (I/O, injected fault, or a record the
     /// replay codec cannot decode).
     Wal(String),
@@ -43,6 +54,12 @@ impl fmt::Display for EngineError {
             EngineError::Udf(m) => write!(f, "UDF error: {m}"),
             EngineError::Unsupported(m) => write!(f, "unsupported: {m}"),
             EngineError::NoActiveTransaction => write!(f, "no active transaction"),
+            EngineError::Conflict(m) => write!(f, "could not serialize access: {m}"),
+            EngineError::TxnAborted => write!(
+                f,
+                "current transaction is aborted, writes are refused until ROLLBACK"
+            ),
+            EngineError::Overflow(m) => write!(f, "out of range: {m}"),
             EngineError::Wal(m) => write!(f, "wal: {m}"),
             EngineError::Degraded(m) => write!(f, "degraded: {m}"),
         }

@@ -562,27 +562,15 @@ fn eval_aggregate(
             if values.is_empty() {
                 return Ok(Value::Null);
             }
-            let mut acc: i64 = 0;
-            for v in &values {
-                acc = acc
-                    .wrapping_add(v.as_int().ok_or_else(|| {
-                        EngineError::TypeMismatch("SUM over non-integers".into())
-                    })?);
-            }
-            Ok(Value::Int(acc))
+            Ok(Value::Int(checked_sum(&values, "SUM")?))
         }
         "AVG" => {
             if values.is_empty() {
                 return Ok(Value::Null);
             }
-            let mut acc: i64 = 0;
-            for v in &values {
-                acc = acc
-                    .wrapping_add(v.as_int().ok_or_else(|| {
-                        EngineError::TypeMismatch("AVG over non-integers".into())
-                    })?);
-            }
-            Ok(Value::Int(acc / values.len() as i64))
+            Ok(Value::Int(
+                checked_sum(&values, "AVG")? / values.len() as i64,
+            ))
         }
         "MIN" => Ok(values
             .into_iter()
@@ -616,6 +604,19 @@ impl<'a> Source<'a> {
         let schema = RowSchema::for_columns(view.columns(), alias.as_deref());
         Source { view, schema }
     }
+}
+
+/// The integer sum `SUM`/`AVG` aggregate: an error, not a wrapped
+/// value, once it leaves the 64-bit range.
+fn checked_sum(values: &[Value], name: &str) -> Result<i64, EngineError> {
+    values.iter().try_fold(0i64, |acc, v| {
+        let x = v
+            .as_int()
+            .ok_or_else(|| EngineError::TypeMismatch(format!("{name} over non-integers")))?;
+        acc.checked_add(x).ok_or_else(|| {
+            EngineError::Overflow(format!("{name} exceeds the 64-bit integer range"))
+        })
+    })
 }
 
 /// Uses an index to produce candidate rowids for the given single-source

@@ -31,6 +31,7 @@ mod engine;
 mod error;
 mod exec;
 mod table;
+mod txn;
 mod udf;
 mod value;
 mod wal_store;
@@ -38,6 +39,7 @@ mod wal_store;
 pub use engine::{DurabilityStats, Engine, EngineRecovery, QueryResult};
 pub use error::EngineError;
 pub use table::{ColumnMeta, RowIter, ShardWriteSet, Table, TableView};
+pub use txn::{Txn, LOCK_WAIT};
 pub use udf::{AggregateUdf, ScalarUdf, UdfRegistry};
 pub use value::Value;
 pub use wal_store::WalOp;

@@ -10,8 +10,11 @@
 //! Lock order (global, deadlock-free): catalog → table schema lock →
 //! shard locks in ascending index order → WAL mutex. Every multi-shard
 //! acquisition in this module ([`Table::read_view`],
-//! [`Table::lock_shards`], [`Table::lock_all_shards_write`], `Clone`)
-//! acquires ascending and holds until drop.
+//! [`Table::lock_shards`], [`Table::lock_all_shards_write`]) acquires
+//! ascending and holds until drop.
+//!
+//! A shard also keeps each row's write-lock owner beside the row: the id
+//! of the open transaction that wrote it, until that transaction ends.
 //!
 //! Because consecutive rowids round-robin across shards, concurrent
 //! inserters almost never collide on a shard lock.
@@ -35,11 +38,16 @@ pub struct ColumnMeta {
 const DEFAULT_SHARDS: usize = 16;
 
 /// One hash shard: a rowid-keyed row map plus this shard's fragment of
-/// every secondary index (column position → value → rowids).
-#[derive(Clone, Default)]
+/// every secondary index (column position → value → rowids), and the
+/// row write locks held on its rows.
+#[derive(Default)]
 struct Shard {
     rows: BTreeMap<u64, Vec<Value>>,
     indexes: HashMap<usize, BTreeMap<OrdValue, BTreeSet<u64>>>,
+    /// Rowid → id of the open transaction holding the row's write lock.
+    /// An entry outlives a row its transaction deleted, so a rollback
+    /// re-inserts a row nobody else could have touched.
+    owners: HashMap<u64, u64>,
 }
 
 impl Shard {
@@ -331,27 +339,13 @@ impl Table {
             })
             .sum()
     }
-}
 
-impl Clone for Table {
-    /// Clones the table under simultaneous read guards on every shard
-    /// (ascending), so the copy is a statement-consistent snapshot even
-    /// with concurrent shard writers (used by `BEGIN`).
-    fn clone(&self) -> Self {
-        let guards: Vec<RwLockReadGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.read()).collect();
-        let shards = guards
-            .iter()
-            .map(|g| RwLock::new((**g).clone()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Table {
-            name: self.name.clone(),
-            columns: self.columns.clone(),
-            col_index: self.col_index.clone(),
-            shards,
-            shard_mask: self.shard_mask,
-            next_rowid: AtomicU64::new(self.next_rowid.load(Ordering::SeqCst)),
+    /// Releases `txn`'s write lock on a row (no-op if another owner,
+    /// or none, holds it).
+    pub(crate) fn release_row(&self, rowid: u64, txn: u64) {
+        let mut shard = self.shards[self.shard_of(rowid)].write();
+        if shard.owners.get(&rowid) == Some(&txn) {
+            shard.owners.remove(&rowid);
         }
     }
 }
@@ -625,6 +619,25 @@ impl ShardWriteSet<'_> {
         self.guards[self.slot(rowid)].rows.get(&rowid)
     }
 
+    /// The open transaction holding the row's write lock, if any.
+    pub(crate) fn owner(&self, rowid: u64) -> Option<u64> {
+        self.guards[self.slot(rowid)].owners.get(&rowid).copied()
+    }
+
+    /// Records `txn` as the row's write-lock owner; returns whether the
+    /// row was not already `txn`'s.
+    pub(crate) fn lock_row(&mut self, rowid: u64, txn: u64) -> bool {
+        let slot = self.slot(rowid);
+        self.guards[slot].owners.insert(rowid, txn) != Some(txn)
+    }
+
+    /// Drops the row's write-lock entry (the undo path of a statement
+    /// whose record never reached the log).
+    pub(crate) fn unlock_row(&mut self, rowid: u64) {
+        let slot = self.slot(rowid);
+        self.guards[slot].owners.remove(&rowid);
+    }
+
     /// A full-table view borrowed from these write guards. Only valid
     /// when every shard is locked (batch DML scans while mutating).
     ///
@@ -760,15 +773,5 @@ mod tests {
         drop(ws);
         assert_eq!(t.row_count(), 9);
         assert_eq!(t.index_lookup(0, &Value::Int(77)).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn clone_is_deep_and_consistent() {
-        let t = t();
-        let c = t.clone();
-        t.delete(1);
-        assert_eq!(c.row_count(), 10);
-        assert_eq!(c.next_rowid(), t.next_rowid());
-        assert_eq!(c.indexed_columns(), vec![0]);
     }
 }

@@ -8,6 +8,10 @@
 //! Everything here is ciphertext or structural metadata the server
 //! already sees; nothing widens the paper's leakage profile.
 //!
+//! Every record also carries the id of the transaction that wrote it
+//! (0 for autocommit), so replay can rebuild the undo log of each
+//! transaction a crash left open and roll it back.
+//!
 //! Encodings are little-endian, length-prefixed, and versioned with a
 //! leading byte so a future format bump can coexist with old logs.
 
@@ -16,8 +20,8 @@ use crate::table::{ColumnMeta, Table};
 use crate::value::Value;
 use cryptdb_sqlparser::ColumnType;
 
-/// Format version of record payloads.
-const RECORD_VERSION: u8 = 1;
+/// Format version of record payloads (2 added the transaction id).
+const RECORD_VERSION: u8 = 2;
 /// Format version of snapshot payloads.
 const SNAPSHOT_VERSION: u8 = 1;
 
@@ -71,11 +75,18 @@ pub enum WalOp {
         /// Target rowid.
         rowid: u64,
     },
-    /// `BEGIN` marker: replay re-creates the engine's global snapshot.
-    Begin,
-    /// `COMMIT` marker.
+    /// An index was dropped (only in the compensating ops of a
+    /// `ROLLBACK` whose transaction created it).
+    DropIndex {
+        /// Table name.
+        table: String,
+        /// Column whose index is dropped.
+        column: String,
+    },
+    /// `COMMIT` marker: the record's transaction ended.
     Commit,
-    /// `ROLLBACK` marker.
+    /// `ROLLBACK` marker: the record's other ops are the compensating
+    /// ops that undid the transaction, and the transaction ended.
     Rollback,
 }
 
@@ -224,7 +235,11 @@ fn put_op(out: &mut Vec<u8>, op: &WalOp) {
             put_str(out, table);
             put_u64(out, *rowid);
         }
-        WalOp::Begin => out.push(7),
+        WalOp::DropIndex { table, column } => {
+            out.push(7);
+            put_str(out, table);
+            put_str(out, column);
+        }
         WalOp::Commit => out.push(8),
         WalOp::Rollback => out.push(9),
     }
@@ -272,18 +287,27 @@ fn read_op(r: &mut Reader<'_>) -> Result<WalOp, EngineError> {
             table: r.str()?,
             rowid: r.u64()?,
         }),
-        7 => Ok(WalOp::Begin),
+        7 => Ok(WalOp::DropIndex {
+            table: r.str()?,
+            column: r.str()?,
+        }),
         8 => Ok(WalOp::Commit),
         9 => Ok(WalOp::Rollback),
         t => Err(Reader::err(&format!("unknown op tag {t}"))),
     }
 }
 
-/// Encodes one record payload: the ops a statement applied plus an
-/// optional proxy meta blob that must land atomically with them.
-pub fn encode_record(ops: &[WalOp], meta: Option<&[u8]>) -> Vec<u8> {
+/// One decoded record: the writing transaction's id (0 for
+/// autocommit), its ops, and the proxy meta blob, if any.
+pub type Record = (u64, Vec<WalOp>, Option<Vec<u8>>);
+
+/// Encodes one record payload: the id of the transaction that wrote it
+/// (0 for autocommit), the ops a statement applied, and an optional
+/// proxy meta blob that must land atomically with them.
+pub fn encode_record(txn: u64, ops: &[WalOp], meta: Option<&[u8]>) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     out.push(RECORD_VERSION);
+    put_u64(&mut out, txn);
     put_u32(&mut out, ops.len() as u32);
     for op in ops {
         put_op(&mut out, op);
@@ -300,12 +324,13 @@ pub fn encode_record(ops: &[WalOp], meta: Option<&[u8]>) -> Vec<u8> {
 }
 
 /// Decodes one record payload.
-pub fn decode_record(payload: &[u8]) -> Result<(Vec<WalOp>, Option<Vec<u8>>), EngineError> {
+pub fn decode_record(payload: &[u8]) -> Result<Record, EngineError> {
     let mut r = Reader::new(payload);
     let version = r.u8()?;
     if version != RECORD_VERSION {
         return Err(Reader::err(&format!("unknown record version {version}")));
     }
+    let txn = r.u64()?;
     let n = r.u32()? as usize;
     let mut ops = Vec::with_capacity(n);
     for _ in 0..n {
@@ -322,7 +347,7 @@ pub fn decode_record(payload: &[u8]) -> Result<(Vec<WalOp>, Option<Vec<u8>>), En
     if !r.done() {
         return Err(Reader::err("trailing bytes"));
     }
-    Ok((ops, meta))
+    Ok((txn, ops, meta))
 }
 
 /// Encodes a full-engine snapshot: every table (schema, rowid allocator,
@@ -482,14 +507,18 @@ mod tests {
                 table: "t1".into(),
                 rowid: 7,
             },
+            WalOp::DropIndex {
+                table: "t1".into(),
+                column: "rid".into(),
+            },
             WalOp::DropTable { name: "t1".into() },
-            WalOp::Begin,
             WalOp::Commit,
             WalOp::Rollback,
         ];
         for meta in [None, Some(b"META".as_slice())] {
-            let payload = encode_record(&ops, meta);
-            let (got_ops, got_meta) = decode_record(&payload).unwrap();
+            let payload = encode_record(42, &ops, meta);
+            let (txn, got_ops, got_meta) = decode_record(&payload).unwrap();
+            assert_eq!(txn, 42);
             assert_eq!(got_ops, ops);
             assert_eq!(got_meta.as_deref(), meta);
         }
@@ -499,7 +528,7 @@ mod tests {
     fn record_decode_rejects_garbage() {
         assert!(decode_record(&[]).is_err());
         assert!(decode_record(&[99]).is_err());
-        let mut payload = encode_record(&[WalOp::Begin], None);
+        let mut payload = encode_record(0, &[WalOp::Commit], None);
         payload.push(0xAB);
         assert!(decode_record(&payload).is_err());
     }

@@ -1,6 +1,6 @@
 //! Engine-level durability: attach a WAL, mutate, drop the engine,
 //! recover, and compare full state — including snapshot replay, torn
-//! tails, and transaction markers.
+//! tails, transaction markers, and transactions a crash left open.
 
 use cryptdb_engine::{Engine, FaultPlan, FsyncPolicy, TailState, Value, WalConfig};
 use std::fs;
@@ -234,5 +234,106 @@ fn every_n_policy_survives_explicit_sync() {
     }
     let (recovered, _) = Engine::recover(&dir, WalConfig::default()).unwrap();
     assert_eq!(recovered.table_names(), vec!["empty_t", "users"]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+fn count(engine: &Engine, table: &str) -> Option<Value> {
+    engine
+        .execute_sql(&format!("SELECT COUNT(*) FROM {table}"))
+        .unwrap()
+        .scalar()
+        .cloned()
+}
+
+#[test]
+fn transaction_open_at_crash_is_rolled_back() {
+    let dir = tmpdir("txn-open");
+    {
+        let engine = Engine::new();
+        engine.attach_wal(&dir, WalConfig::default()).unwrap();
+        engine
+            .execute_sql(
+                "CREATE TABLE t (x int); \
+                 INSERT INTO t (x) VALUES (1); \
+                 BEGIN; \
+                 INSERT INTO t (x) VALUES (2)",
+            )
+            .unwrap();
+    }
+    let (recovered, _) = Engine::recover(&dir, WalConfig::default()).unwrap();
+    let r = recovered.execute_sql("SELECT COUNT(x) FROM t").unwrap();
+    assert_eq!(
+        r.scalar(),
+        Some(&Value::Int(1)),
+        "the open insert is undone"
+    );
+    // The rollback is in the log: a write after recovery survives a
+    // second crash, and the undone insert stays undone.
+    recovered
+        .execute_sql("INSERT INTO t (x) VALUES (3)")
+        .unwrap();
+    let after = dump(&recovered);
+    drop(recovered);
+    let (again, _) = Engine::recover(&dir, WalConfig::default()).unwrap();
+    assert_eq!(dump(&again), after);
+    assert_eq!(count(&again, "t"), Some(Value::Int(2)));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn recovery_undoes_open_updates_deletes_and_ddl_from_before_images() {
+    let dir = tmpdir("txn-images");
+    let committed = {
+        let engine = Engine::new();
+        engine.attach_wal(&dir, WalConfig::default()).unwrap();
+        seed(&engine);
+        let committed = dump(&engine);
+        engine
+            .execute_sql(
+                "BEGIN; \
+                 UPDATE users SET name = 'zed' WHERE id = 1; \
+                 DELETE FROM users WHERE id = 2; \
+                 INSERT INTO users (id, name) VALUES (9, 'ivan'); \
+                 UPDATE users SET name = 'ivo' WHERE id = 9; \
+                 CREATE TABLE extra (y int); \
+                 INSERT INTO extra (y) VALUES (1); \
+                 CREATE INDEX ON empty_t (x); \
+                 DROP TABLE empty_t",
+            )
+            .unwrap();
+        committed
+    };
+    let (recovered, _) = Engine::recover(&dir, WalConfig::default()).unwrap();
+    assert_eq!(dump(&recovered), committed);
+    assert_eq!(recovered.table_names(), vec!["empty_t", "users"]);
+    let indexed = recovered
+        .with_table("empty_t", |t| t.indexed_columns())
+        .unwrap();
+    assert!(indexed.is_empty(), "the open CREATE INDEX is undone");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn live_rollback_replays_to_the_same_state() {
+    let dir = tmpdir("txn-live");
+    let before = {
+        let engine = Engine::new();
+        engine.attach_wal(&dir, WalConfig::default()).unwrap();
+        seed(&engine);
+        engine
+            .execute_sql(
+                "BEGIN; \
+                 UPDATE users SET name = 'zed' WHERE id = 1; \
+                 DELETE FROM users WHERE id = 2; \
+                 DROP TABLE empty_t; \
+                 ROLLBACK; \
+                 INSERT INTO users (id, name) VALUES (4, 'dan')",
+            )
+            .unwrap();
+        dump(&engine)
+    };
+    let (recovered, _) = Engine::recover(&dir, WalConfig::default()).unwrap();
+    assert_eq!(dump(&recovered), before);
+    assert_eq!(count(&recovered, "users"), Some(Value::Int(3)));
     let _ = fs::remove_dir_all(&dir);
 }

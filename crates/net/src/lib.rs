@@ -502,6 +502,9 @@ fn sqlstate(e: &ProxyError) -> &'static str {
         ProxyError::Canceled(_) => "57014",        // query_canceled (statement timeout)
         ProxyError::Overloaded(_) => "53400",      // configuration_limit_exceeded
         ProxyError::Degraded(_) => "53100",        // disk_full (degraded read-only mode)
+        ProxyError::Conflict(_) => "40001",        // serialization_failure
+        ProxyError::Aborted(_) => "25P02",         // in_failed_sql_transaction
+        ProxyError::OutOfRange(_) => "22003",      // numeric_value_out_of_range
         ProxyError::Crypto(_) | ProxyError::Engine(_) => "XX000", // internal_error
     }
 }

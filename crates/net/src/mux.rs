@@ -73,7 +73,7 @@ use crate::protocol;
 use crate::{command_verb, push_query_result, sqlstate};
 use cryptdb_core::proxy::{ColumnType, Param, PreparedStatement, Proxy};
 use cryptdb_core::ProxyError;
-use cryptdb_engine::QueryResult;
+use cryptdb_engine::{QueryResult, Txn};
 use cryptdb_server::StatementSession;
 use poll::{PollFd, WakeFd, POLLIN, POLLOUT};
 use std::collections::{HashMap, VecDeque};
@@ -441,18 +441,20 @@ enum ExtMsg {
 impl ExtMsg {
     /// Runs one message against the connection's extended-protocol
     /// state, appending whatever it answers to `out`. After an error,
-    /// everything but `Sync` is skipped without a trace. On the mux
-    /// thread (`on_mux`) a `Parse`, and an `Execute` that
+    /// everything but `Sync` is skipped without a trace. On the session
+    /// chain, `txn` is the session's transaction handle; on the mux
+    /// thread (`None`) a `Parse`, and an `Execute` that
     /// [`Proxy::execute_prepared_within`] declines, are handed back
     /// unrun, for the session chain.
     fn run(
         self,
         proxy: &Arc<Proxy>,
+        txn: Option<&Txn>,
         st: &mut ExtState,
         out: &mut Vec<u8>,
         max_prepared: usize,
-        on_mux: bool,
     ) -> Option<ExtMsg> {
+        let on_mux = txn.is_none();
         if st.failed && !matches!(self, ExtMsg::Sync) {
             return None;
         }
@@ -473,7 +475,7 @@ impl ExtMsg {
                 deadline,
             } => {
                 let admitted_ok = admitted.is_some();
-                if !run_execute(proxy, st, out, &portal, admitted_ok, deadline, on_mux) {
+                if !run_execute(proxy, txn, st, out, &portal, admitted_ok, deadline) {
                     return Some(ExtMsg::Execute {
                         portal,
                         admitted,
@@ -657,20 +659,20 @@ fn run_describe(st: &mut ExtState, out: &mut Vec<u8>, kind: u8, name: String) {
     }
 }
 
-/// `Execute`: run a bound portal. Result frames carry no trailing
-/// `ReadyForQuery` — that belongs to `Sync`. Shares the global
-/// in-flight budget and queue-wait deadline with the simple path. On
-/// the mux thread (`on_mux`) the statement runs only if
-/// [`Proxy::execute_prepared_within`] accepts it; returns false, having
-/// answered nothing, when it does not.
+/// `Execute`: run a bound portal in the session's transaction `txn`.
+/// Result frames carry no trailing `ReadyForQuery` — that belongs to
+/// `Sync`. Shares the global in-flight budget and queue-wait deadline
+/// with the simple path. On the mux thread (no `txn`) the statement
+/// runs only if [`Proxy::execute_prepared_within`] accepts it; returns
+/// false, having answered nothing, when it does not.
 fn run_execute(
     proxy: &Arc<Proxy>,
+    txn: Option<&Txn>,
     st: &mut ExtState,
     out: &mut Vec<u8>,
     portal: &str,
     admitted: bool,
     deadline: Option<Instant>,
-    on_mux: bool,
 ) -> bool {
     if !admitted {
         st.fail(
@@ -697,12 +699,9 @@ fn run_execute(
         protocol::push_frame(out, b'I', &[]);
         return true;
     };
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if on_mux {
-            proxy.execute_prepared_within(ps, &p.params, INLINE_CELLS)
-        } else {
-            Some(proxy.execute_prepared(ps, &p.params))
-        }
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match txn {
+        None => proxy.execute_prepared_within(ps, &p.params, INLINE_CELLS),
+        Some(txn) => Some(proxy.execute_prepared_in(txn, ps, &p.params)),
     }));
     match result {
         Ok(None) => return false,
@@ -1108,7 +1107,7 @@ impl Conn {
                 let back = if executed && is_execute {
                     Some(msg)
                 } else {
-                    msg.run(&shared.proxy, &mut st, &mut out, max_prepared, true)
+                    msg.run(&shared.proxy, None, &mut st, &mut out, max_prepared)
                 };
                 executed |= is_execute;
                 if let Some(msg) = back {
@@ -1125,12 +1124,12 @@ impl Conn {
         let ticket = self.egress.ticket(batch.len());
         let ext = self.ext.clone();
         let egress = self.egress.clone();
-        session.submit_job(move |proxy| {
+        session.submit_job(move |proxy, txn| {
             let mut out = out;
             {
                 let mut st = ext.lock().unwrap();
                 for msg in batch {
-                    msg.run(proxy, &mut st, &mut out, max_prepared, false);
+                    msg.run(proxy, Some(txn), &mut st, &mut out, max_prepared);
                 }
             }
             egress.push(out);
@@ -1189,7 +1188,7 @@ impl Conn {
             // EmptyQueryResponse, not a zero-row SELECT or a syntax
             // error. Sequenced as an ordered job so pipelined
             // statements ahead of it still respond first.
-            session.submit_job(move |_proxy| {
+            session.submit_job(move |_proxy, _txn| {
                 // ReadyForQuery ends the cycle, which also resets the
                 // extended protocol's error state (pgwire).
                 ext.lock().unwrap().failed = false;

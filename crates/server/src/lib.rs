@@ -17,7 +17,9 @@
 //!   interleave at statement granularity — no session can monopolise a
 //!   worker, and a waiting decrypt can help-run other sessions'
 //!   statements ([`PendingMap::wait_help`]) without ever inlining an
-//!   entire foreign session.
+//!   entire foreign session. Each session owns one transaction handle
+//!   ([`Txn`]): its `BEGIN` … `COMMIT` is its own, and closing the
+//!   session rolls back a transaction it left open.
 //! * [`Server`] fans N pre-recorded session traces out over shared
 //!   [`StatementSession`] chains and aggregates a [`ServingReport`] of
 //!   per-session statement and error counts. The `cryptdb-net` wire
@@ -44,7 +46,7 @@
 
 use cryptdb_core::proxy::{Param, PreparedStatement, Proxy, ProxyConfig};
 use cryptdb_core::ProxyError;
-use cryptdb_engine::{EngineRecovery, QueryResult, WalConfig};
+use cryptdb_engine::{EngineRecovery, QueryResult, Txn, WalConfig};
 use cryptdb_runtime::{CancelToken, WorkerPool};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -151,9 +153,9 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
 /// (execution only, queue wait excluded), in submission order.
 pub type Responder = Box<dyn FnOnce(Result<QueryResult, ProxyError>, u64) + Send>;
 
-/// An ordered closure run against the session's proxy (see
-/// [`StatementSession::submit_job`]).
-pub type SessionJob = Box<dyn FnOnce(&Arc<Proxy>) + Send>;
+/// An ordered closure run against the session's proxy and transaction
+/// handle (see [`StatementSession::submit_job`]).
+pub type SessionJob = Box<dyn FnOnce(&Arc<Proxy>, &Txn) + Send>;
 
 /// One queued unit of per-session work, executed in submission order.
 enum Entry {
@@ -190,6 +192,8 @@ struct SessionQueue {
 
 struct SessionInner {
     proxy: Arc<Proxy>,
+    /// The session's transaction handle: every statement runs in it.
+    txn: Txn,
     pool: WorkerPool,
     /// `std` mutex (not `parking_lot`) so it can pair with [`Self::idle`]
     /// for [`StatementSession::wait_idle`].
@@ -201,6 +205,14 @@ struct SessionInner {
     /// dead queue — under a connection-flood teardown this keeps dead
     /// sessions from burning worker slots.
     cancel: CancelToken,
+}
+
+impl Drop for SessionInner {
+    /// The last reference goes once the session is dropped and no chain
+    /// job is left: roll back the transaction it left open.
+    fn drop(&mut self) {
+        let _ = self.proxy.end_session(&self.txn);
+    }
 }
 
 impl SessionInner {
@@ -270,7 +282,7 @@ impl SessionInner {
         let poison = ChainPoison { inner: &self };
         match entry {
             Entry::Reject { error, respond } => respond(Err(error), 0),
-            Entry::Job(job) => job(&self.proxy),
+            Entry::Job(job) => job(&self.proxy, &self.txn),
             Entry::Stmt {
                 deadline: Some(d),
                 respond,
@@ -288,7 +300,7 @@ impl SessionInner {
                 // gets an ErrorResponse instead of silence) and the
                 // chain survives.
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.proxy.execute(&sql)
+                    self.proxy.execute_in(&self.txn, &sql)
                 }))
                 .unwrap_or_else(|_| Err(ProxyError::Crypto("statement execution panicked".into())));
                 respond(result, t0.elapsed().as_nanos() as u64);
@@ -334,6 +346,7 @@ impl StatementSession {
         StatementSession {
             inner: Arc::new(SessionInner {
                 proxy,
+                txn: Txn::new(),
                 pool,
                 queue: std::sync::Mutex::new(SessionQueue {
                     pending: VecDeque::new(),
@@ -403,13 +416,14 @@ impl StatementSession {
     }
 
     /// Enqueues an arbitrary job in statement order: `job` runs on a
-    /// pool worker with the session's proxy, strictly after every
+    /// pool worker with the session's proxy and transaction handle,
+    /// strictly after every
     /// earlier entry and strictly before every later one. The extended
     /// wire protocol (Parse/Bind/Describe/Execute) rides this so its
     /// per-connection statement bookkeeping interleaves correctly with
     /// simple `Q` statements on the same connection. A panicking job
     /// poisons the session like a panicking responder.
-    pub fn submit_job(&self, job: impl FnOnce(&Arc<Proxy>) + Send + 'static) {
+    pub fn submit_job(&self, job: impl FnOnce(&Arc<Proxy>, &Txn) + Send + 'static) {
         self.push(Entry::Job(Box::new(job)));
     }
 
@@ -426,10 +440,10 @@ impl StatementSession {
         params: Vec<Param>,
         respond: impl FnOnce(Result<QueryResult, ProxyError>, u64) + Send + 'static,
     ) {
-        self.submit_job(move |proxy| {
+        self.submit_job(move |proxy, txn| {
             let t0 = Instant::now();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                proxy.execute_prepared(&ps, &params)
+                proxy.execute_prepared_in(txn, &ps, &params)
             }))
             .unwrap_or_else(|_| Err(ProxyError::Crypto("statement execution panicked".into())));
             respond(result, t0.elapsed().as_nanos() as u64);
@@ -461,7 +475,9 @@ impl StatementSession {
     /// responds — a disconnecting client releases the session without
     /// wedging the pool or abandoning a half-applied statement. Returns
     /// immediately; pair with [`wait_idle`] to block until the in-flight
-    /// statement has actually finished.
+    /// statement has actually finished. A transaction the session left
+    /// open is rolled back once the handle is dropped and no statement
+    /// of the session is still running.
     ///
     /// [`wait_idle`]: StatementSession::wait_idle
     pub fn close(&self) {

@@ -891,3 +891,66 @@ fn concurrent_serving_survives_restart() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A crash between a transaction's writes and its `COMMIT` loses the
+/// whole transaction and nothing else: the `COMMIT` record is torn
+/// mid-append, and recovery rolls the open transaction back (logging
+/// that rollback, so a second restart agrees). A crash between an
+/// in-transaction onion adjustment and the `ROLLBACK` that never came
+/// keeps the adjustment: it committed on its own.
+#[test]
+fn kill_between_transaction_writes_and_commit_rolls_the_transaction_back() {
+    let setup = [
+        "CREATE TABLE acct (id int, bal int, owner text)",
+        "INSERT INTO acct (id, bal, owner) VALUES (1, 100, 'ann'), (2, 200, 'bo')",
+    ];
+    let txn = [
+        "BEGIN",
+        "UPDATE acct SET bal = bal + 5 WHERE id = 1",
+        "INSERT INTO acct (id, bal, owner) VALUES (3, 300, 'cy')",
+        "SELECT id FROM acct WHERE owner = 'bo'",
+        "DELETE FROM acct WHERE id = 2",
+        "COMMIT",
+    ];
+    let stmts: Vec<String> = setup.iter().chain(&txn).map(|s| s.to_string()).collect();
+    let commit_at = stmts.len() - 1;
+
+    // Fault-free run: where the COMMIT record starts.
+    let base_dir = tmpdir("txn-kill-base");
+    let (proxy, _) = Proxy::open_persistent(&base_dir, MK, cfg(), WalConfig::default()).unwrap();
+    for stmt in &stmts[..commit_at] {
+        proxy.execute(stmt).unwrap();
+    }
+    let commit_offset = proxy.engine().wal_len();
+    drop(proxy);
+    let _ = fs::remove_dir_all(&base_dir);
+
+    let mut oracle = Oracle::new(&stmts);
+    let committed = oracle.dump_at(setup.len());
+    let dir = tmpdir("txn-kill");
+    let wal = WalConfig {
+        fsync: FsyncPolicy::Always,
+        snapshot_every: None,
+        fault: Some(FaultPlan::kill_at(commit_offset + 4)),
+        ..WalConfig::default()
+    };
+    let out = drive(&dir, wal, &stmts);
+    assert_eq!(out.killed_at, Some(commit_at), "the COMMIT append is torn");
+    let (dump, report) = recover_dump(&dir);
+    assert_eq!(report.tail, TailState::Torn);
+    assert_eq!(dump, committed, "the open transaction is rolled back");
+    let (dump, report) = recover_dump(&dir);
+    assert_eq!(report.tail, TailState::Clean);
+    assert_eq!(dump, committed, "the logged rollback replays the same");
+    // The adjustment the SELECT made inside the transaction survived:
+    // equality on `owner` works without another one.
+    let (proxy, _) = Proxy::open_persistent(&dir, MK, cfg(), WalConfig::default()).unwrap();
+    let seq = proxy.engine().wal_seq();
+    let r = proxy
+        .execute("SELECT id FROM acct WHERE owner = 'bo'")
+        .unwrap();
+    assert_eq!(r.rows(), &[vec![cryptdb_engine::Value::Int(2)]]);
+    assert_eq!(proxy.engine().wal_seq(), seq, "no adjustment was needed");
+    drop(proxy);
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -5,7 +5,8 @@
 //! generated workload.
 
 use cryptdb::core::proxy::{Proxy, ProxyConfig};
-use cryptdb::engine::{Engine, QueryResult};
+use cryptdb::core::ProxyError;
+use cryptdb::engine::{Engine, EngineError, QueryResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -316,5 +317,30 @@ fn sum_over_no_values_is_null() {
         "SELECT g, AVG(v) FROM t GROUP BY g",
     ] {
         pair.check(q, false);
+    }
+}
+
+/// `SUM`/`AVG` past the 64-bit range fail on both paths (SQLSTATE 22003
+/// on the wire) instead of wrapping on one and failing on the other.
+#[test]
+fn sum_overflow_is_out_of_range() {
+    let pair = Pair::new(13);
+    for stmt in [
+        "CREATE TABLE t (id int, q int)".to_string(),
+        format!("INSERT INTO t (id, q) VALUES (1, {}), (2, 42)", i64::MAX),
+    ] {
+        pair.run_both(&stmt);
+    }
+    for q in ["SELECT SUM(q) FROM t", "SELECT AVG(q) FROM t"] {
+        let plain = pair.plain.execute_sql(q);
+        assert!(
+            matches!(plain, Err(EngineError::Overflow(_))),
+            "{q}: {plain:?}"
+        );
+        let enc = pair.cryptdb.execute(q);
+        assert!(
+            matches!(enc, Err(ProxyError::OutOfRange(_))),
+            "{q}: {enc:?}"
+        );
     }
 }
