@@ -209,11 +209,6 @@ impl Montgomery {
         Ubig::from_limbs(out)
     }
 
-    /// The Montgomery form of 1 (`R mod n`), `width()` limbs.
-    pub fn one_mont(&self) -> &[u64] {
-        &self.one_m
-    }
-
     /// Modular multiplication `a·b mod n` for plain (non-Montgomery) values.
     pub fn mul(&self, a: &Ubig, b: &Ubig) -> Ubig {
         let am = self.to_mont(a);

@@ -502,16 +502,6 @@ impl Ubig {
         self.div_rem(m).1
     }
 
-    /// Modular addition (operands must already be reduced).
-    pub fn mod_add(&self, other: &Ubig, m: &Ubig) -> Ubig {
-        let s = self.add(other);
-        if &s >= m {
-            s.sub(m)
-        } else {
-            s
-        }
-    }
-
     /// Modular subtraction (operands must already be reduced).
     pub fn mod_sub(&self, other: &Ubig, m: &Ubig) -> Ubig {
         if self >= other {

@@ -46,6 +46,9 @@ fn sql_str(s: &str) -> String {
 /// decrypting `ENC FOR` columns — takes only `&self`, so concurrent
 /// read-mostly sessions resolve keys in parallel. The derived-key cache
 /// it fills is interior (`RwLock`-wrapped) for exactly that reason.
+/// `default()` is the empty state; the key tables it reads are
+/// [`Self::create_key_tables`].
+#[derive(Default)]
 pub struct MultiPrincipal {
     /// Registered principal types: name → is-external.
     princ_types: HashMap<String, bool>,
@@ -60,12 +63,11 @@ pub struct MultiPrincipal {
 }
 
 impl MultiPrincipal {
-    /// Creates empty state and the three server-side key tables.
-    pub fn new(engine: &Engine) -> Self {
-        // The key tables hold only wrapped (encrypted) key material, so
-        // they are stored as ordinary server tables, as in the paper.
-        // A recovered engine already holds them (they replay from the
-        // WAL like any other table), so creation is skip-if-exists.
+    /// Creates the three server-side key tables `engine` lacks. They
+    /// hold only wrapped (encrypted) key material, so they are ordinary
+    /// server tables, as in the paper; a recovered engine already holds
+    /// them, since they replay from the WAL like any other table.
+    pub fn create_key_tables(engine: &Engine) -> Result<(), ProxyError> {
         let existing = engine.table_names();
         for (name, ddl) in [
             (
@@ -84,15 +86,10 @@ impl MultiPrincipal {
             ),
         ] {
             if !existing.iter().any(|t| t == name) {
-                engine.execute_sql(ddl).expect("key tables");
+                engine.execute_sql(ddl)?;
             }
         }
-        MultiPrincipal {
-            princ_types: HashMap::new(),
-            active: RwLock::new(HashMap::new()),
-            logged_in: HashMap::new(),
-            predicates: HashMap::new(),
-        }
+        Ok(())
     }
 
     /// Registers principal types from a `PRINCTYPE` statement.
@@ -118,16 +115,6 @@ impl MultiPrincipal {
     /// Fetches a registered predicate template.
     pub fn predicate(&self, name: &str) -> Option<&String> {
         self.predicates.get(&name.to_uppercase())
-    }
-
-    /// Number of currently active (reachable) principal keys.
-    pub fn active_count(&self) -> usize {
-        self.active.read().len()
-    }
-
-    /// True if any user is logged in.
-    pub fn anyone_logged_in(&self) -> bool {
-        !self.logged_in.is_empty()
     }
 
     fn principal_row(engine: &Engine, p: &Principal) -> Option<(Vec<u8>, Vec<u8>)> {

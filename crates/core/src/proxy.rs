@@ -13,14 +13,16 @@ use crate::error::ProxyError;
 use crate::memo::ShardedMemo;
 use crate::multiprincipal::{MultiPrincipal, Principal};
 use crate::onion::{EqLevel, OpClass, OrdLevel, SecLevel};
-use crate::schema::{ColumnState, EncSchema, Need, TableState};
+use crate::schema::{
+    ColumnState, EncSchema, Need, SchemaCell, SchemaVersion, SchemaWriter, TableState,
+};
 use crate::training::Usage;
 use crate::udfs::register_udfs;
 use cryptdb_bignum::Ubig;
 use cryptdb_crypto::prf::{derive_key, Key};
 use cryptdb_crypto::rng::Drbg;
 use cryptdb_ecgroup::JoinAdj;
-use cryptdb_engine::{Engine, QueryResult, Txn, Value};
+use cryptdb_engine::{Engine, EngineError, QueryResult, Txn, Value};
 use cryptdb_ope::Ope;
 use cryptdb_paillier::PaillierPrivate;
 use cryptdb_runtime::{BlindingPool, BlindingStats, TaskHandle, WorkerPool};
@@ -104,7 +106,11 @@ pub struct Proxy {
     engine: Arc<Engine>,
     config: ProxyConfig,
     mk: Key,
-    schema: RwLock<EncSchema>,
+    /// The secret schema, published as immutable versions; the version
+    /// number is the schema epoch. Prepared plans capture the epoch they
+    /// were rewritten under and refuse to execute against a newer one,
+    /// so a cached plan never outlives its schema.
+    schema: SchemaCell,
     paillier: Arc<PaillierPrivate>,
     joinadj: JoinAdj,
     key_cache: RwLock<HashMap<(String, String, Key), Arc<ColumnKeys>>>,
@@ -123,13 +129,6 @@ pub struct Proxy {
     /// Multi-principal state: read lock for key resolution (the
     /// per-query path), write lock for login/logout/delegation.
     mp: RwLock<MultiPrincipal>,
-    /// Monotonic schema generation: bumped (under the schema write
-    /// lock) by every mutation that can change what a rewrite produces
-    /// — DDL, onion-layer exposure, join re-keying, stale flips,
-    /// min-level floors. Prepared plans capture the epoch they were
-    /// rewritten under and refuse to execute against a newer one, so a
-    /// cached plan can never outlive its schema.
-    schema_epoch: AtomicU64,
     /// Bounded sharded cache of prepared rewrite plans keyed by the
     /// normalized statement text (the same `ShardedMemo` pattern as
     /// `eq_memo`): repeated `Parse` of one statement shape pays the
@@ -172,13 +171,24 @@ const PLAN_CACHE_CAP: usize = 1024;
 
 impl Proxy {
     /// Creates a proxy in front of `engine` with master key `mk`.
+    ///
+    /// # Panics
+    ///
+    /// If the engine cannot create the multi-principal key tables, which
+    /// only a failing WAL can cause; [`Self::open_persistent`] returns
+    /// that error instead.
     pub fn new(engine: Arc<Engine>, mk: Key, config: ProxyConfig) -> Self {
+        MultiPrincipal::create_key_tables(&engine).expect("key tables");
+        Self::over(engine, mk, config)
+    }
+
+    /// [`Self::new`] over an engine that already holds the key tables.
+    fn over(engine: Arc<Engine>, mk: Key, config: ProxyConfig) -> Self {
         // Deterministic Paillier key from the master key: the whole
         // encrypted database is reconstructible from MK alone.
         let mut kdf_rng = Drbg::from_seed(&derive_key(&mk, &["paillier", "keygen"]));
         let paillier = Arc::new(PaillierPrivate::keygen(&mut kdf_rng, config.paillier_bits));
         register_udfs(&engine, paillier.public().clone());
-        let mp = MultiPrincipal::new(&engine);
         let joinadj = JoinAdj::new(derive_key(&mk, &["joinadj", "k0"]));
         let runtime = if config.runtime_threads == 0 {
             WorkerPool::with_default_size(8)
@@ -202,15 +212,14 @@ impl Proxy {
             engine,
             config,
             mk,
-            schema: RwLock::new(EncSchema::new()),
+            schema: SchemaCell::new(),
             paillier,
             joinadj,
             key_cache: RwLock::new(HashMap::new()),
             runtime,
             hom_pool,
             eq_memo: ShardedMemo::new(EQ_MEMO_CAP),
-            mp: RwLock::new(mp),
-            schema_epoch: AtomicU64::new(0),
+            mp: RwLock::new(MultiPrincipal::default()),
             plan_cache: ShardedMemo::new(PLAN_CACHE_CAP),
             plan_hits: AtomicU64::new(0),
             plan_misses: AtomicU64::new(0),
@@ -220,17 +229,11 @@ impl Proxy {
     }
 
     /// The current schema generation (see [`Self::plan_cache_stats`]).
-    /// Bumped by DDL and onion adjustments; prepared plans built under
-    /// an older epoch are invalidated before their next execution.
+    /// Every published schema change moves it by one; prepared plans
+    /// built under an older epoch are invalidated before their next
+    /// execution.
     pub fn schema_epoch(&self) -> u64 {
-        self.schema_epoch.load(Ordering::Acquire)
-    }
-
-    /// Marks every cached plan stale. Must be called (with the schema
-    /// write lock held) by any mutation that changes what a rewrite of
-    /// an affected statement would produce.
-    pub(crate) fn bump_epoch(&self) {
-        self.schema_epoch.fetch_add(1, Ordering::Release);
+        self.schema.epoch()
     }
 
     /// The underlying DBMS (what an adversary at the server sees).
@@ -243,9 +246,10 @@ impl Proxy {
         &self.config
     }
 
-    /// Read access to the proxy's secret schema state (for reports).
+    /// Read access to the proxy's secret schema state (for reports):
+    /// `f` reads the live version and holds no lock.
     pub fn with_schema<R>(&self, f: impl FnOnce(&EncSchema) -> R) -> R {
-        f(&self.schema.read())
+        f(&self.schema.snapshot())
     }
 
     /// Registers a named SQL predicate for `SPEAKS FOR ... IF name(...)`
@@ -262,36 +266,14 @@ impl Proxy {
         column: &str,
         level: SecLevel,
     ) -> Result<(), ProxyError> {
-        let mut schema = self.schema.write();
-        let t = schema.table_mut(table)?;
-        let c = t
+        let mut w = self.schema.write();
+        let mut draft = w.draft();
+        draft
+            .table_mut(table)?
             .column_mut(column)
-            .ok_or_else(|| ProxyError::Schema(format!("unknown column {column}")))?;
-        c.min_level = Some(level);
-        self.bump_epoch();
-        self.log_schema(&schema)?;
-        Ok(())
-    }
-
-    /// Declares a range-join group: the named columns share an OPE key so
-    /// order joins between them work (§3.4 OPE-JOIN; see DESIGN.md).
-    /// Must be called before data is inserted into these columns.
-    pub fn declare_range_join_group(
-        &self,
-        group: &str,
-        members: &[(&str, &str)],
-    ) -> Result<(), ProxyError> {
-        let mut schema = self.schema.write();
-        for (t, c) in members {
-            let table = schema.table_mut(t)?;
-            let col = table
-                .column_mut(c)
-                .ok_or_else(|| ProxyError::Schema(format!("unknown column {c}")))?;
-            col.ope_group = Some(group.to_string());
-        }
-        self.bump_epoch();
-        self.log_schema(&schema)?;
-        Ok(())
+            .ok_or_else(|| ProxyError::Schema(format!("unknown column {column}")))?
+            .min_level = Some(level);
+        self.log_draft(&mut w, draft)
     }
 
     /// §3.5.2 "discard onion layers that are not needed": drops the
@@ -300,7 +282,8 @@ impl Proxy {
     /// query set never joins it). Inserts then skip the elliptic-curve
     /// JOIN-ADJ tag entirely. Returns the number of columns affected.
     pub fn discard_unused_join_layers(&self) -> usize {
-        let mut schema = self.schema.write();
+        let mut w = self.schema.write();
+        let schema = w.schema();
         let mut targets = Vec::new();
         for t in schema.tables() {
             let empty = self
@@ -320,32 +303,21 @@ impl Proxy {
                 }
             }
         }
-        let n = targets.len();
+        if targets.is_empty() {
+            return 0;
+        }
+        let mut draft = w.draft();
         for (t, c) in &targets {
-            if let Ok(table) = schema.table_mut(t) {
-                if let Some(col) = table.column_mut(c) {
-                    col.has_jtag = false;
-                }
+            if let Ok(col) = rewrite::locked_col_mut(&mut draft, t, c) {
+                col.has_jtag = false;
             }
         }
         // Rows inserted after the discard carry no JOIN-ADJ tag, so the
-        // flag flip must be durable before any such insert: if the WAL
-        // rejects the meta record, revert in memory rather than let the
-        // recovered schema disagree with the ciphertext layout.
-        if self.log_schema(&schema).is_err() {
-            for (t, c) in &targets {
-                if let Ok(table) = schema.table_mut(t) {
-                    if let Some(col) = table.column_mut(c) {
-                        col.has_jtag = true;
-                    }
-                }
-            }
-            return 0;
+        // flag flip is published only once it is durable.
+        match self.log_draft(&mut w, draft) {
+            Ok(()) => targets.len(),
+            Err(_) => 0,
         }
-        if n > 0 {
-            self.bump_epoch();
-        }
-        n
     }
 
     /// Pre-computes Paillier blinding factors (§3.5.2) until at least
@@ -407,11 +379,8 @@ impl Proxy {
         table: &str,
         column: &str,
     ) -> Result<Arc<ColumnKeys>, ProxyError> {
-        let schema = self.schema.read();
-        let t = schema.table(table)?;
-        let c = t
-            .column(column)
-            .ok_or_else(|| ProxyError::Schema(format!("unknown column {column}")))?;
+        let schema = self.schema.snapshot();
+        let c = rewrite::locked_col(&schema, table, column)?;
         Ok(self.master_col_keys(c, &table.to_lowercase()))
     }
 
@@ -454,11 +423,6 @@ impl Proxy {
         Ok(last)
     }
 
-    /// Executes one parsed statement in the proxy's own handle.
-    pub fn execute_stmt(&self, stmt: &Stmt) -> Result<QueryResult, ProxyError> {
-        self.execute_noting(&self.implicit, stmt, None)
-    }
-
     /// Ends a session: rolls back its open transaction, if any.
     pub fn end_session(&self, txn: &Txn) -> Result<(), ProxyError> {
         Ok(self.engine.end_session(txn)?)
@@ -488,41 +452,32 @@ impl Proxy {
         }
         match stmt {
             Stmt::PrincType { names, external } => {
-                self.mp.write().register_types(names, *external);
                 // Mirror the registration into the durable schema meta so
                 // recovery can rebuild the key manager's type registry.
-                let mut schema = self.schema.write();
+                let mut w = self.schema.write();
+                let mut draft = w.draft();
                 for n in names {
-                    schema.register_princ_type(&n.to_lowercase(), *external);
+                    draft.register_princ_type(&n.to_lowercase(), *external);
                 }
-                self.log_schema(&schema)?;
+                self.log_draft(&mut w, draft)?;
+                self.mp.write().register_types(names, *external);
                 Ok(QueryResult::Ok)
             }
             Stmt::CreateTable(ct) => self.create_table(ct),
             Stmt::CreateIndex { table, column } => self.create_index(table, column),
             Stmt::DropTable { name } => {
-                // Composite record: remove from the secret schema first,
-                // attach the updated meta to the engine DROP's WAL record,
-                // and re-insert on engine failure so the two stay in sync.
-                let mut schema = self.schema.write();
-                let t = schema
+                // Composite record: the engine DROP's WAL record carries
+                // the schema without the table.
+                let mut w = self.schema.write();
+                let mut draft = w.draft();
+                let anon = draft
                     .remove(name)
-                    .ok_or_else(|| ProxyError::Schema(format!("unknown table {name}")))?;
-                let anon = t.anon.clone();
-                let meta = self.meta_blob(&schema);
-                match self
-                    .engine
-                    .execute_with_meta(&Stmt::DropTable { name: anon }, meta.as_deref())
-                {
-                    Ok(r) => {
-                        self.bump_epoch();
-                        Ok(r)
-                    }
-                    Err(e) => {
-                        schema.insert(t)?;
-                        Err(e.into())
-                    }
-                }
+                    .ok_or_else(|| ProxyError::Schema(format!("unknown table {name}")))?
+                    .anon;
+                self.commit_draft(&mut w, draft, |meta| {
+                    self.engine
+                        .execute_with_meta(&Stmt::DropTable { name: anon }, meta)
+                })
             }
             Stmt::Insert(ins) => self.insert(txn, ins),
             Stmt::Select(sel) => self.select(sel, usage),
@@ -693,13 +648,36 @@ impl Proxy {
         self.engine.has_wal().then(|| crate::meta::encode(schema))
     }
 
-    /// Appends a meta-only WAL record capturing the current schema
-    /// (schema changes that touch no engine state). No-op without a WAL.
-    pub(crate) fn log_schema(&self, schema: &EncSchema) -> Result<(), ProxyError> {
-        if let Some(m) = self.meta_blob(schema) {
-            self.engine.log_meta(&m)?;
+    /// The durable step of a schema change: runs `step` with `draft`'s
+    /// meta attached to its WAL record, and accepts the draft into `w`
+    /// once that meta reached the log (without a WAL, once the step
+    /// succeeded). A draft that did not reach the log is dropped, so the
+    /// published schema is always the logged one.
+    pub(crate) fn commit_draft<T>(
+        &self,
+        w: &mut SchemaWriter<'_>,
+        draft: EncSchema,
+        step: impl FnOnce(Option<&[u8]>) -> Result<T, EngineError>,
+    ) -> Result<T, ProxyError> {
+        let meta = self.meta_blob(&draft);
+        let result = step(meta.as_deref());
+        if result.is_ok() || meta.is_some_and(|m| self.engine.meta_reached_log(&m)) {
+            w.accept(draft);
         }
-        Ok(())
+        Ok(result?)
+    }
+
+    /// [`Self::commit_draft`] for a change that touches no engine state:
+    /// a meta-only WAL record.
+    pub(crate) fn log_draft(
+        &self,
+        w: &mut SchemaWriter<'_>,
+        draft: EncSchema,
+    ) -> Result<(), ProxyError> {
+        self.commit_draft(w, draft, |meta| match meta {
+            Some(m) => self.engine.log_meta(m),
+            None => Ok(()),
+        })
     }
 
     /// Opens a durable proxy over `dir`: recovers the engine's ciphertext
@@ -715,7 +693,8 @@ impl Proxy {
         wal_cfg: cryptdb_engine::WalConfig,
     ) -> Result<(Proxy, cryptdb_engine::EngineRecovery), ProxyError> {
         let (engine, recovery) = cryptdb_engine::Engine::recover(dir, wal_cfg)?;
-        let proxy = Proxy::new(Arc::new(engine), mk, config);
+        MultiPrincipal::create_key_tables(&engine)?;
+        let proxy = Proxy::over(Arc::new(engine), mk, config);
         if let Some(meta) = &recovery.meta {
             proxy.restore_meta(meta)?;
         }
@@ -728,6 +707,7 @@ impl Proxy {
     /// orphan anonymized engine tables a partial DDL batch left behind.
     fn restore_meta(&self, meta: &[u8]) -> Result<(), ProxyError> {
         let restored = crate::meta::decode(meta)?;
+        let mut w = self.schema.write();
         {
             let mut mp = self.mp.write();
             for (name, external) in restored.princ_types() {
@@ -760,8 +740,7 @@ impl Proxy {
                     .execute_with_meta(&Stmt::DropTable { name }, None)?;
             }
         }
-        *self.schema.write() = restored;
-        self.bump_epoch();
+        w.accept(restored);
         Ok(())
     }
 }
@@ -888,3 +867,59 @@ pub(crate) fn like_pattern_word(pattern: &str) -> Option<String> {
 
 mod prepared;
 mod rewrite;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// A statement that only reads the schema completes while a schema
+    /// change holds the writer lock; a cell writer waits the change out.
+    #[test]
+    fn reads_complete_while_a_schema_change_holds_the_writer_lock() {
+        let cfg = ProxyConfig {
+            paillier_bits: 256,
+            ..Default::default()
+        };
+        let p = Proxy::new(Arc::new(Engine::new()), [3u8; 32], cfg);
+        for sql in [
+            "CREATE TABLE emp (id int, name text)",
+            "INSERT INTO emp (id, name) VALUES (2, 'Bob')",
+            "SELECT name FROM emp WHERE id = 2",
+        ] {
+            p.execute(sql).unwrap();
+        }
+        let ps = p.prepare("SELECT name FROM emp WHERE id = $1").unwrap();
+        p.execute_prepared(&ps, &[Value::Int(2)]).unwrap();
+        let bob = vec![vec![Value::Str("Bob".into())]];
+        let wait = Duration::from_secs(5);
+        let (p, ps) = (&p, &ps);
+        std::thread::scope(|s| {
+            let writer = p.schema.write();
+            let (tx, select) = mpsc::channel();
+            s.spawn(move || tx.send(p.execute("SELECT name FROM emp WHERE id = 2")));
+            let (tx, within) = mpsc::channel();
+            s.spawn(move || tx.send(p.execute_prepared_within(ps, &[Value::Int(2)], 64)));
+            let (tx, insert) = mpsc::channel();
+            s.spawn(move || tx.send(p.execute("INSERT INTO emp (id, name) VALUES (3, 'Cy')")));
+            let got = select
+                .recv_timeout(wait)
+                .expect("a SELECT waited for a schema change");
+            assert_eq!(got.unwrap().rows(), bob);
+            let got = within
+                .recv_timeout(wait)
+                .expect("a bounded prepared read waited for a schema change")
+                .expect("the warm bounded read runs");
+            assert_eq!(got.unwrap().rows(), bob);
+            assert!(
+                insert.recv_timeout(Duration::from_millis(200)).is_err(),
+                "an INSERT wrote cells during a schema change"
+            );
+            drop(writer);
+            insert.recv_timeout(wait).unwrap().unwrap();
+        });
+        let count = p.execute("SELECT COUNT(*) FROM emp").unwrap();
+        assert_eq!(count.scalar(), Some(&Value::Int(2)));
+    }
+}

@@ -183,7 +183,7 @@ impl Proxy {
     /// Bounded means: the plan to run (this handle's, or the cache's
     /// fresher one) is a typed SELECT at the live schema epoch — a stale
     /// plan is never re-planned here, because planning may adjust onions
-    /// under the schema write lock; every bound value's encryption is
+    /// in a schema writer section; every bound value's encryption is
     /// already in the §3.5.2 caches (a miss would cost a JOIN-ADJ tag,
     /// about 2.3 ms, or an OPE tree walk); no output column needs
     /// Paillier decryption (`SUM`/`AVG` or a HOM projection, which wait
@@ -261,23 +261,20 @@ impl Proxy {
         let mut kinds = vec![None; nparams];
         match typed {
             Some(cs) => {
-                {
-                    let schema = self.schema.read();
-                    for occ in &cs.occ {
-                        let (t, c) = match &occ.slot {
-                            ParamSlot::Plain => continue,
-                            ParamSlot::Eq { table, col } | ParamSlot::Ord { table, col } => {
-                                (table, col)
-                            }
-                        };
-                        let slot = &mut kinds[(occ.n - 1) as usize];
-                        if slot.is_none() {
-                            *slot = Some(locked_col(&schema, t, c)?.ty);
+                for occ in &cs.occ {
+                    let (t, c) = match &occ.slot {
+                        ParamSlot::Plain => continue,
+                        ParamSlot::Eq { table, col } | ParamSlot::Ord { table, col } => {
+                            (table, col)
                         }
+                    };
+                    let slot = &mut kinds[(occ.n - 1) as usize];
+                    if slot.is_none() {
+                        *slot = Some(locked_col(&cs.version, t, c)?.ty);
                     }
                 }
                 Ok(PlanEntry {
-                    epoch: cs.epoch,
+                    epoch: cs.version.epoch,
                     nparams,
                     kinds,
                     columns: Some(cs.plan.names.clone()),

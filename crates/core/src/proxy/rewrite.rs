@@ -62,43 +62,53 @@ pub(crate) enum Req {
     Ope(String, String),
     Search(String, String),
     Fresh(String, String),
+    /// The statement increments the column (§3.3): its Eq and Ord
+    /// onions are marked stale before the `HOM_ADD` runs.
+    Stale(String, String),
     Join((String, String), (String, String)),
 }
 
 /// Bound on [`Proxy::plan_walk`]'s adjust-then-walk rounds, like
 /// `execute_prepared`'s three re-plans. The walk after an adjustment
-/// runs under the adjustment's write guard, so one round suffices.
+/// runs in the adjustment's writer section, so one round suffices (two
+/// when a refresh precedes a stale mark).
 const MAX_ADJUSTMENTS: usize = 3;
 
 impl Proxy {
     /// The one pipeline of every rewritten statement (§3.2): `walk`
-    /// rewrites it against the schema and returns the requirements it
-    /// relied on that the schema does not offer yet. A walk with none is
-    /// the plan, taken under the read lock alone. Otherwise the guard is
-    /// dropped, the write lock taken, the requirements met, and the
-    /// statement walked again under that same guard, so nothing moves
-    /// between the adjustment and the plan. A refusal returns before any
-    /// adjustment: a refused statement adjusts nothing.
+    /// rewrites it against a schema version and returns the requirements
+    /// it relied on that the version does not offer yet. A walk with
+    /// none is the plan, taken on the live version with no lock held.
+    /// Otherwise a writer section meets the requirements and walks the
+    /// statement again on its draft, so nothing moves between the
+    /// adjustment and the plan. A refusal returns before any adjustment:
+    /// a refused statement adjusts nothing.
+    ///
+    /// Returns the plan and the epoch it is valid under. A stale mark
+    /// records the statement's own effect, so it is made last and the
+    /// walk before it is the plan, valid under the version the mark
+    /// publishes.
     fn plan_walk<T>(
         &self,
-        mut walk: impl FnMut(&EncSchema) -> Result<(T, Vec<Req>), ProxyError>,
-    ) -> Result<T, ProxyError> {
-        let mut reqs = {
-            let schema = self.schema.read();
-            let (plan, reqs) = walk(&schema)?;
-            if reqs.is_empty() {
-                return Ok(plan);
-            }
-            reqs
-        };
-        let mut schema = self.schema.write();
+        mut walk: impl FnMut(&SchemaVersion) -> Result<(T, Vec<Req>), ProxyError>,
+    ) -> Result<(T, u64), ProxyError> {
+        let live = self.schema.snapshot();
+        let (mut plan, mut reqs) = walk(&live)?;
+        if reqs.is_empty() {
+            return Ok((plan, live.epoch));
+        }
+        let mut w = self.schema.write();
+        if w.version().epoch != live.epoch {
+            (plan, reqs) = walk(&w.version())?;
+        }
         for _ in 0..MAX_ADJUSTMENTS {
-            self.adjust_locked(&mut schema, &reqs)?;
-            let (plan, more) = walk(&schema)?;
-            if more.is_empty() {
-                return Ok(plan);
+            if reqs.iter().all(|r| matches!(r, Req::Stale(..))) {
+                self.adjust_locked(&mut w, &reqs)?;
+                return Ok((plan, w.version().epoch));
             }
-            reqs = more;
+            reqs.retain(|r| !matches!(r, Req::Stale(..)));
+            self.adjust_locked(&mut w, &reqs)?;
+            (plan, reqs) = walk(&w.version())?;
         }
         Err(ProxyError::Schema(
             "onion adjustment did not converge".into(),
@@ -108,79 +118,97 @@ impl Proxy {
     // ---- adjustments (§3.2, §3.4) ----
 
     /// Applies every adjustment `reqs` demands: RND peeling via
-    /// `DECRYPT_RND`, join-group merging via `JOIN_ADJ`, stale refresh.
-    /// Every floor they would cross is checked before the first one, so
-    /// a statement a floor refuses adjusts nothing.
-    ///
-    /// Each helper reports whether it actually mutated the schema; only
-    /// real mutations bump the schema epoch, or the plan cache would
-    /// never serve a hit.
-    fn adjust_locked(&self, schema: &mut EncSchema, reqs: &[Req]) -> Result<(), ProxyError> {
+    /// `DECRYPT_RND`, join-group merging via `JOIN_ADJ`, stale refresh,
+    /// then the marks that touch no engine state. Every floor they would
+    /// cross is checked before the first one, so a statement a floor
+    /// refuses adjusts nothing. An adjustment that fails part-way keeps
+    /// the steps that reached the log: the section publishes them.
+    fn adjust_locked(&self, w: &mut SchemaWriter<'_>, reqs: &[Req]) -> Result<(), ProxyError> {
         for req in reqs {
-            check_floors(schema, req)?;
+            check_floors(w.schema(), req)?;
         }
-        let mut changed = false;
-        let mut search_flipped = false;
-        let mut result = Ok(());
+        let mut marks = Vec::new();
         for req in reqs {
-            let step = match req {
-                Req::Fresh(t, c) => self.refresh_stale_locked(schema, t, c),
-                Req::Det(t, c) => self.expose_det_locked(schema, t, c),
-                Req::Ope(t, c) => self.expose_ope_locked(schema, t, c),
-                Req::Search(t, c) => locked_col_mut(schema, t, c).map(|col| {
-                    search_flipped |= !col.search_used;
-                    col.search_used = true;
-                    false
-                }),
-                Req::Join(a, b) => self.merge_join_groups_locked(schema, a, b),
-            };
-            match step {
-                Ok(c) => changed |= c,
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
+            match req {
+                Req::Fresh(t, c) => self.refresh_stale_locked(w, t, c)?,
+                Req::Det(t, c) => self.peel_rnd_locked(w, t, c, Need::Det)?,
+                Req::Ope(t, c) => self.peel_rnd_locked(w, t, c, Need::Ope)?,
+                Req::Join(a, b) => self.merge_join_groups_locked(w, a, b)?,
+                Req::Search(t, c) | Req::Stale(t, c) => marks.push((req, t, c)),
             }
         }
-        // An adjustment that failed part-way still moved what it moved.
-        if changed {
-            self.bump_epoch();
+        if marks.is_empty() {
+            return Ok(());
         }
-        if search_flipped {
-            // `search_used` affects only MinEnc accounting, but it must
-            // survive a restart like every other schema bit.
-            self.log_schema(schema)?;
+        // `search_used` affects only MinEnc accounting and `stale` only
+        // how a column is read, but both must survive a restart like
+        // every other schema bit: one meta-only record carries them.
+        let mut draft = w.draft();
+        let mut marked = false;
+        for (req, t, c) in marks {
+            let col = locked_col_mut(&mut draft, t, c)?;
+            let bit = match req {
+                Req::Search(..) => &mut col.search_used,
+                _ => &mut col.stale,
+            };
+            marked |= !*bit;
+            *bit = true;
         }
-        result
+        if marked {
+            self.log_draft(w, draft)?;
+        }
+        Ok(())
     }
 
-    fn expose_det_locked(
+    /// The durable step of one column adjustment: `edit` the column in a
+    /// draft and run `updates` as one composite WAL record carrying the
+    /// draft's meta, so the re-encoded cells and the schema bits land
+    /// together at recovery. The engine refuses it (40001) while an open
+    /// transaction holds writes to any of the column's onions.
+    fn adjust_column(
         &self,
-        schema: &mut EncSchema,
+        w: &mut SchemaWriter<'_>,
+        col: &ColumnState,
+        updates: &[Update],
+        edit: impl FnOnce(&mut ColumnState),
+    ) -> Result<(), ProxyError> {
+        let mut draft = w.draft();
+        edit(locked_col_mut(&mut draft, &col.table, &col.name)?);
+        self.commit_draft(w, draft, |meta| {
+            self.engine
+                .execute_adjustment(updates, &col.anon_columns(), meta)
+        })?;
+        Ok(())
+    }
+
+    /// Peels a column's Eq onion (`Need::Det`) or Ord onion
+    /// (`Need::Ope`) off its RND layer:
+    /// `UPDATE table SET c_x = DECRYPT_RND(K, c_x, c_iv)` (§3.2).
+    fn peel_rnd_locked(
+        &self,
+        w: &mut SchemaWriter<'_>,
         t: &str,
         c: &str,
-    ) -> Result<bool, ProxyError> {
-        let (anon_t, col) = {
-            let table = schema.table(t)?;
-            let col = table
-                .column(c)
-                .ok_or_else(|| ProxyError::Schema(format!("unknown column {c}")))?;
-            (table.anon.clone(), col.clone())
-        };
-        if col.offers(Need::Det) {
-            return Ok(false);
+        need: Need<'_>,
+    ) -> Result<(), ProxyError> {
+        let col = locked_col(w.schema(), t, c)?.clone();
+        if col.offers(need) {
+            return Ok(());
         }
         let keys = self.master_col_keys(&col, t);
-        // UPDATE table SET c_eq = DECRYPT_RND(K, c_eq, c_iv) — §3.2.
+        let (onion, key) = match need {
+            Need::Det => (col.anon_eq(), keys.rnd_eq_key),
+            _ => (col.anon_ord(), keys.rnd_ord_key),
+        };
         let upd = Update {
-            table: anon_t,
+            table: w.schema().table(t)?.anon.clone(),
             sets: vec![(
-                col.anon_eq(),
+                onion.clone(),
                 Expr::Func {
                     name: "DECRYPT_RND".into(),
                     args: vec![
-                        Expr::Literal(Literal::Bytes(keys.rnd_eq_key.to_vec())),
-                        Expr::col(col.anon_eq()),
+                        Expr::Literal(Literal::Bytes(key.to_vec())),
+                        Expr::col(onion),
                         Expr::col(col.anon_iv()),
                     ],
                     star: false,
@@ -189,128 +217,50 @@ impl Proxy {
             )],
             selection: None,
         };
-        // Composite record: flip the level in the secret schema first so
-        // the serialized meta rides the same WAL record as the ciphertext
-        // UPDATE (the exposure and the schema bit land atomically), and
-        // revert if the engine rejects it.
-        schema
-            .table_mut(t)?
-            .column_mut(c)
-            .expect("column exists")
-            .eq_level = EqLevel::Det;
-        let meta = self.meta_blob(schema);
-        if let Err(e) = self
-            .engine
-            .execute_adjustment(&[upd], &col.anon_columns(), meta.as_deref())
-        {
-            schema
-                .table_mut(t)?
-                .column_mut(c)
-                .expect("column exists")
-                .eq_level = EqLevel::Rnd;
-            return Err(e.into());
-        }
-        Ok(true)
-    }
-
-    fn expose_ope_locked(
-        &self,
-        schema: &mut EncSchema,
-        t: &str,
-        c: &str,
-    ) -> Result<bool, ProxyError> {
-        let (anon_t, col) = {
-            let table = schema.table(t)?;
-            let col = table
-                .column(c)
-                .ok_or_else(|| ProxyError::Schema(format!("unknown column {c}")))?;
-            (table.anon.clone(), col.clone())
-        };
-        if col.offers(Need::Ope) {
-            return Ok(false);
-        }
-        let keys = self.master_col_keys(&col, t);
-        let upd = Update {
-            table: anon_t,
-            sets: vec![(
-                col.anon_ord(),
-                Expr::Func {
-                    name: "DECRYPT_RND".into(),
-                    args: vec![
-                        Expr::Literal(Literal::Bytes(keys.rnd_ord_key.to_vec())),
-                        Expr::col(col.anon_ord()),
-                        Expr::col(col.anon_iv()),
-                    ],
-                    star: false,
-                    distinct: false,
-                },
-            )],
-            selection: None,
-        };
-        schema
-            .table_mut(t)?
-            .column_mut(c)
-            .expect("column exists")
-            .ord_level = OrdLevel::Ope;
-        let meta = self.meta_blob(schema);
-        if let Err(e) = self
-            .engine
-            .execute_adjustment(&[upd], &col.anon_columns(), meta.as_deref())
-        {
-            schema
-                .table_mut(t)?
-                .column_mut(c)
-                .expect("column exists")
-                .ord_level = OrdLevel::Rnd;
-            return Err(e.into());
-        }
-        Ok(true)
+        self.adjust_column(w, &col, &[upd], |c| match need {
+            Need::Det => c.eq_level = EqLevel::Det,
+            _ => c.ord_level = OrdLevel::Ope,
+        })
     }
 
     /// Merges the join transitivity groups of `a` and `b` (§3.4): all
-    /// members are re-keyed to the lexicographically first column's key.
+    /// members are re-keyed to the lexicographically first column's key,
+    /// one composite record per member, so a crash mid-merge leaves the
+    /// already re-keyed members durable with the matching owner bits.
     fn merge_join_groups_locked(
         &self,
-        schema: &mut EncSchema,
+        w: &mut SchemaWriter<'_>,
         a: &(String, String),
         b: &(String, String),
-    ) -> Result<bool, ProxyError> {
+    ) -> Result<(), ProxyError> {
+        let schema = w.schema();
         let (col_a, col_b) = (
             locked_col(schema, &a.0, &a.1)?,
             locked_col(schema, &b.0, &b.1)?,
         );
         if col_a.offers(Need::JoinWith(col_b)) {
-            return Ok(false);
+            return Ok(());
         }
-        let (owner_a, owner_b) = (col_a.join_owner.clone(), col_b.join_owner.clone());
-        let mut members = schema.join_group_members(&owner_a);
-        members.extend(schema.join_group_members(&owner_b));
-        let base = members
-            .iter()
-            .map(|(t, c)| (t.to_lowercase(), c.to_lowercase()))
-            .min()
-            .expect("groups are non-empty");
+        let mut members = schema.join_group_members(&col_a.join_owner);
+        members.extend(schema.join_group_members(&col_b.join_owner));
         let base_member = members
             .iter()
-            .find(|(t, c)| (t.to_lowercase(), c.to_lowercase()) == base)
-            .expect("base from members")
+            .min_by_key(|(t, c)| (t.to_lowercase(), c.to_lowercase()))
+            .expect("groups are non-empty")
             .clone();
-        let base_col = locked_col(schema, &base_member.0, &base_member.1)?.clone();
-        let base_keys = self.master_col_keys(&base_col, &base_col.table.clone());
+        let base_col = locked_col(schema, &base_member.0, &base_member.1)?;
+        let base_keys = self.master_col_keys(base_col, &base_col.table);
         for (t, c) in members {
+            let schema = w.schema();
             let col = locked_col(schema, &t, &c)?.clone();
             if col.join_owner == base_member {
                 continue;
             }
-            let owner_col = {
-                let (ot, oc) = col.join_owner.clone();
-                locked_col(schema, &ot, &oc)?.clone()
-            };
-            let owner_keys = self.master_col_keys(&owner_col, &owner_col.table.clone());
+            let owner_col = locked_col(schema, &col.join_owner.0, &col.join_owner.1)?;
+            let owner_keys = self.master_col_keys(owner_col, &owner_col.table);
             let delta = JoinAdj::delta(&owner_keys.join, &base_keys.join);
-            let anon_t = schema.table(&t)?.anon.clone();
             let upd = Update {
-                table: anon_t,
+                table: schema.table(&t)?.anon.clone(),
                 sets: vec![(
                     col.anon_eq(),
                     Expr::Func {
@@ -325,51 +275,36 @@ impl Proxy {
                 )],
                 selection: None,
             };
-            // Per-member composite record: re-own in the schema, attach
-            // the meta to the JOIN_ADJ UPDATE, revert on failure. A crash
-            // mid-merge leaves the already-re-keyed members durable with
-            // the matching owner bits.
-            let prev_owner = locked_col_mut(schema, &t, &c)?.join_owner.clone();
-            locked_col_mut(schema, &t, &c)?.join_owner = base_member.clone();
-            let meta = self.meta_blob(schema);
-            if let Err(e) =
-                self.engine
-                    .execute_adjustment(&[upd], &col.anon_columns(), meta.as_deref())
-            {
-                locked_col_mut(schema, &t, &c)?.join_owner = prev_owner;
-                return Err(e.into());
-            }
+            self.adjust_column(w, &col, &[upd], |c| c.join_owner = base_member.clone())?;
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Re-encrypts a stale column from its (authoritative) Add onion —
     /// the paper's SELECT-then-UPDATE strategy for incremented columns
-    /// that are later compared (§3.3).
+    /// that are later compared (§3.3). Every re-encrypted row and the
+    /// cleared stale bit travel in one record, so recovery lands before
+    /// or after the refresh, never between (the Add onion stays
+    /// authoritative either way).
     fn refresh_stale_locked(
         &self,
-        schema: &mut EncSchema,
+        w: &mut SchemaWriter<'_>,
         t: &str,
         c: &str,
-    ) -> Result<bool, ProxyError> {
-        let (anon_t, col) = {
-            let table = schema.table(t)?;
-            let col = table
-                .column(c)
-                .ok_or_else(|| ProxyError::Schema(format!("unknown column {c}")))?;
-            (table.anon.clone(), col.clone())
-        };
+    ) -> Result<(), ProxyError> {
+        let schema = w.schema();
+        let col = locked_col(schema, t, c)?.clone();
         if col.offers(Need::Fresh) {
-            return Ok(false);
+            return Ok(());
         }
+        let anon_t = schema.table(t)?.anon.clone();
         let rows = self
             .engine
             .execute_sql(&format!("SELECT rid, {} FROM {anon_t}", col.anon_add()))?
             .rows()
             .to_vec();
-        let owner = col.join_owner.clone();
-        let owner_col = locked_col(schema, &owner.0, &owner.1)?.clone();
-        let owner_keys = self.master_col_keys(&owner_col, &owner.0);
+        let owner_col = locked_col(schema, &col.join_owner.0, &col.join_owner.1)?;
+        let owner_keys = self.master_col_keys(owner_col, &col.join_owner.0);
         let mut updates = Vec::with_capacity(rows.len());
         for row in rows {
             let rid = row[0]
@@ -377,39 +312,37 @@ impl Proxy {
                 .ok_or_else(|| ProxyError::Crypto("rid missing during stale refresh".into()))?;
             let v = decrypt_add(&self.paillier, &row[1])?;
             let cell = self.encrypt_cell_for(t, &col, &self.mk, &owner_keys, &v)?;
-            let mut sets = vec![(
-                col.anon_iv(),
-                value_to_literal(cell.iv.unwrap_or(Value::Null)),
-            )];
-            if let Some(eq) = cell.eq {
-                sets.push((col.anon_eq(), value_to_literal(eq)));
-            }
-            if let Some(ord) = cell.ord {
-                sets.push((col.anon_ord(), value_to_literal(ord)));
-            }
-            updates.push(Update {
-                table: anon_t.clone(),
-                sets,
-                selection: Some(Expr::binary(BinOp::Eq, Expr::col("rid"), Expr::int(rid))),
-            });
+            updates.push(cell_update(&anon_t, &col, rid, cell));
         }
-        // Every re-encrypted row and the cleared stale bit travel in one
-        // composite record, so recovery lands before or after the
-        // refresh, never between (the Add onion stays authoritative
-        // either way). The guard refuses the refresh while an open
-        // transaction holds writes to the column: rolling them back
-        // would leave onions derived from values that never committed.
-        locked_col_mut(schema, t, c)?.stale = false;
-        let meta = self.meta_blob(schema);
-        if let Err(e) =
-            self.engine
-                .execute_adjustment(&updates, &col.anon_columns(), meta.as_deref())
-        {
-            locked_col_mut(schema, t, c)?.stale = true;
-            return Err(e.into());
-        }
-        Ok(true)
+        self.adjust_column(w, &col, &updates, |c| c.stale = false)
     }
+}
+
+/// `UPDATE anon_t SET <the cell's IV and Eq/Ord onions> WHERE rid = rid`.
+fn cell_update(anon_t: &str, col: &ColumnState, rid: i64, cell: EncryptedCell) -> Update {
+    Update {
+        table: anon_t.to_string(),
+        sets: cell_sets(col, cell, false),
+        selection: Some(Expr::binary(BinOp::Eq, Expr::col("rid"), Expr::int(rid))),
+    }
+}
+
+/// The assignments that store an encrypted cell: its IV and the Eq and
+/// Ord onions it carries, plus its Add and Search onions with `all`.
+pub(crate) fn cell_sets(col: &ColumnState, cell: EncryptedCell, all: bool) -> Vec<(String, Expr)> {
+    let mut onions = vec![
+        (col.anon_iv(), Some(cell.iv.unwrap_or(Value::Null))),
+        (col.anon_eq(), cell.eq),
+        (col.anon_ord(), cell.ord),
+    ];
+    if all {
+        onions.push((col.anon_add(), cell.add));
+        onions.push((col.anon_srch(), cell.srch));
+    }
+    onions
+        .into_iter()
+        .filter_map(|(name, v)| Some((name, value_to_literal(v?))))
+        .collect()
 }
 
 impl Proxy {
@@ -420,14 +353,8 @@ impl Proxy {
     ///
     /// Returns the number of rows re-encrypted.
     pub fn seal_column(&self, table: &str, column: &str) -> Result<usize, ProxyError> {
-        let mut schema = self.schema.write();
-        let (anon_t, col) = {
-            let t = schema.table(table)?;
-            let col = t
-                .column(column)
-                .ok_or_else(|| ProxyError::Schema(format!("unknown column {column}")))?;
-            (t.anon.clone(), col.clone())
-        };
+        let mut w = self.schema.write();
+        let col = locked_col(w.schema(), table, column)?.clone();
         if !col.sensitive || col.enc_for.is_some() {
             return Err(ProxyError::Schema(format!(
                 "cannot re-seal {column}: not a single-principal encrypted column"
@@ -437,9 +364,11 @@ impl Proxy {
             return Ok(0);
         }
         if col.stale {
-            self.refresh_stale_locked(&mut schema, &table.to_lowercase(), column)?;
+            self.refresh_stale_locked(&mut w, &col.table, &col.name)?;
         }
-        let keys = self.master_col_keys(&col, &col.table.clone());
+        let schema = w.schema();
+        let anon_t = schema.table(table)?.anon.clone();
+        let keys = self.master_col_keys(&col, &col.table);
         // The Eq onion is always decryptable (with the row IV when still
         // at RND), so read plaintexts back through it.
         let projections = ["rid".to_string(), col.anon_iv(), col.anon_eq()];
@@ -450,7 +379,7 @@ impl Proxy {
             .to_vec();
         // Decrypt each row from whatever layer is exposed, then rebuild a
         // fresh cell at full RND depth.
-        let owner_col = locked_col(&schema, &col.join_owner.0, &col.join_owner.1)?.clone();
+        let owner_col = locked_col(schema, &col.join_owner.0, &col.join_owner.1)?;
         let owner_keys = self.col_keys(&owner_col.table, &owner_col.name, &self.mk, None);
         let mut sealed_col = col.clone();
         sealed_col.eq_level = EqLevel::Rnd;
@@ -472,43 +401,16 @@ impl Proxy {
                 col.has_jtag,
             )?;
             let cell = self.encrypt_cell_for(&col.table, &sealed_col, &self.mk, &owner_keys, &v)?;
-            let mut sets = vec![(
-                col.anon_iv(),
-                value_to_literal(cell.iv.unwrap_or(Value::Null)),
-            )];
-            if let Some(x) = cell.eq {
-                sets.push((col.anon_eq(), value_to_literal(x)));
-            }
-            if let Some(x) = cell.ord {
-                sets.push((col.anon_ord(), value_to_literal(x)));
-            }
-            updates.push(Update {
-                table: anon_t.clone(),
-                sets,
-                selection: Some(Expr::binary(BinOp::Eq, Expr::col("rid"), Expr::int(rid))),
-            });
+            updates.push(cell_update(&anon_t, &col, rid, cell));
         }
-        {
-            let c = locked_col_mut(&mut schema, &table.to_lowercase(), column)?;
+        // Crash atomicity: every re-encrypted cell and the level flip
+        // travel in one composite record, so recovery lands either fully
+        // pre-seal or fully sealed, never a torn mix of RND cells under
+        // an exposed-level schema.
+        self.adjust_column(&mut w, &col, &updates, |c| {
             c.eq_level = EqLevel::Rnd;
             c.ord_level = OrdLevel::Rnd;
-        }
-        // Crash atomicity: every re-encrypted cell AND the schema's
-        // level flip travel in ONE composite WAL record, so recovery
-        // lands either fully pre-seal (levels still exposed, old
-        // ciphertexts) or fully sealed — never a torn mix of RND cells
-        // under an exposed-level schema.
-        let meta = self.meta_blob(&schema);
-        if let Err(e) =
-            self.engine
-                .execute_adjustment(&updates, &col.anon_columns(), meta.as_deref())
-        {
-            let c = locked_col_mut(&mut schema, &table.to_lowercase(), column)?;
-            c.eq_level = col.eq_level;
-            c.ord_level = col.ord_level;
-            return Err(e.into());
-        }
-        self.bump_epoch();
+        })?;
         Ok(n)
     }
 }
@@ -526,7 +428,7 @@ fn check_floors(schema: &EncSchema, req: &Req) -> Result<(), ProxyError> {
         }
     };
     match req {
-        Req::Fresh(..) => Ok(()),
+        Req::Fresh(..) | Req::Stale(..) => Ok(()),
         Req::Det(t, c) => floor(t, c, Need::Det, SecLevel::Det),
         Req::Ope(t, c) => floor(t, c, Need::Ope, SecLevel::Ope),
         Req::Search(t, c) => floor(t, c, Need::Search, SecLevel::Search),
@@ -559,7 +461,7 @@ pub(crate) fn locked_col<'s>(
         .ok_or_else(|| ProxyError::Schema(format!("unknown column {c}")))
 }
 
-fn locked_col_mut<'s>(
+pub(crate) fn locked_col_mut<'s>(
     schema: &'s mut EncSchema,
     t: &str,
     c: &str,
@@ -574,7 +476,7 @@ fn locked_col_mut<'s>(
 
 impl Proxy {
     pub(crate) fn create_table(&self, ct: &CreateTable) -> Result<QueryResult, ProxyError> {
-        let mut schema = self.schema.write();
+        let mut w = self.schema.write();
         // Validate principal types referenced by annotations before any
         // state (schema or engine) changes.
         {
@@ -590,7 +492,8 @@ impl Proxy {
                 }
             }
         }
-        let anon = schema.next_anon_table();
+        let mut draft = w.draft();
+        let anon = draft.next_anon_table();
         let mut columns = Vec::with_capacity(ct.columns.len());
         let tlow = ct.name.to_lowercase();
         for (i, cd) in ct.columns.iter().enumerate() {
@@ -666,18 +569,17 @@ impl Proxy {
                 push(col.anon_srch());
             }
         }
-        // Composite record: register the secret schema entry first, then
-        // run the anonymized CREATE TABLE + rid-index as ONE batched WAL
-        // record carrying the updated meta — the encrypted schema entry,
-        // the server table, and its rid index stand or fall together.
-        schema.insert(TableState {
+        // Composite record: the anonymized CREATE TABLE + rid index run
+        // as ONE batched WAL record carrying the draft's meta — the
+        // encrypted schema entry, the server table, and its rid index
+        // stand or fall together.
+        draft.insert(TableState {
             name: ct.name.clone(),
             anon: anon.clone(),
             columns,
             speaks_for: ct.speaks_for.clone(),
             next_rid: std::sync::Arc::new(std::sync::atomic::AtomicI64::new(1)),
         })?;
-        let meta = self.meta_blob(&schema);
         let batch = [
             Stmt::CreateTable(CreateTable {
                 name: anon.clone(),
@@ -689,11 +591,9 @@ impl Proxy {
                 column: "rid".into(),
             },
         ];
-        if let Err(e) = self.engine.execute_batch_with_meta(&batch, meta.as_deref()) {
-            schema.remove(&ct.name);
-            return Err(e.into());
-        }
-        self.bump_epoch();
+        self.commit_draft(&mut w, draft, |meta| {
+            self.engine.execute_batch_with_meta(&batch, meta)
+        })?;
         Ok(QueryResult::Ok)
     }
 
@@ -702,14 +602,9 @@ impl Proxy {
         table: &str,
         column: &str,
     ) -> Result<QueryResult, ProxyError> {
-        let (anon_t, col) = {
-            let schema = self.schema.read();
-            let t = schema.table(table)?;
-            let col = t
-                .column(column)
-                .ok_or_else(|| ProxyError::Schema(format!("unknown column {column}")))?;
-            (t.anon.clone(), col.clone())
-        };
+        let schema = self.schema.snapshot();
+        let anon_t = schema.table(table)?.anon.clone();
+        let col = locked_col(&schema, table, column)?;
         // Index DDL commits on its own, outside any session's
         // transaction, like every proxy DDL statement.
         let index = |column: String| {
@@ -796,13 +691,14 @@ pub(crate) struct ParamOcc {
 
 /// A fully rewritten SELECT, reusable across executions: the encrypted
 /// statement (with parameter holes), its decryption plan, the hole
-/// descriptors, and the schema epoch it was built against.
+/// descriptors, and the schema version it was built against, which its
+/// binds and decryptions read too.
 #[derive(Clone, Debug)]
 pub(crate) struct CachedSelect {
     pub stmt: Select,
     pub plan: SelectPlan,
     pub occ: Vec<ParamOcc>,
-    pub epoch: u64,
+    pub version: SchemaVersion,
 }
 
 /// Outcome of running a cached plan against the live schema.
@@ -893,6 +789,7 @@ impl<'a> SelectRw<'a> {
             Need::Ope => Req::Ope(t, c),
             Need::Search => Req::Search(t, c),
             Need::Fresh => Req::Fresh(t, c),
+            Need::Stale => Req::Stale(t, c),
             Need::JoinWith(other) => Req::Join((t, c), key(other)),
         });
     }
@@ -1591,24 +1488,19 @@ impl Proxy {
         allow_params: bool,
         usage: Option<&RefCell<Usage>>,
     ) -> Result<CachedSelect, ProxyError> {
-        self.plan_walk(|schema| {
-            let resolver = Resolver::from_select(schema, sel)?;
-            // Capture the epoch under the guard the rewrite reads: writers
-            // mutate (and bump) under the write lock, so a plan tagged
-            // with epoch E provably saw the schema as of E.
-            let epoch = self.schema_epoch();
-            let rw = SelectRw::new(self, schema, &resolver, true, allow_params, usage);
-            self.rewrite_select(rw, sel, epoch)
-        })
+        let (cs, _) = self.plan_walk(|version| {
+            let resolver = Resolver::from_select(version, sel)?;
+            let rw = SelectRw::new(self, version, &resolver, true, allow_params, usage);
+            self.rewrite_select(rw, sel, version)
+        })?;
+        Ok(cs)
     }
 
     /// Binds parameters (encrypting each occurrence per its slot),
-    /// executes the cached rewritten SELECT, and decrypts the results.
-    /// With `check_epoch`, reports `Stale` instead of executing when the
-    /// schema moved since the plan was built — the epoch is re-read under
-    /// the same read guard the bind encryptions use, so a plan never
-    /// binds against a schema newer than the one it was rewritten for.
-    /// With `max_rows` the run is bounded: it reports `Declined` instead
+    /// executes the cached rewritten SELECT, and decrypts the results,
+    /// all against the plan's own schema version. With `check_epoch`,
+    /// reports `Stale` instead of executing when the schema moved since
+    /// the plan was built. With `max_rows` the run is bounded: it reports `Declined` instead
     /// of executing when a bound value would need a fresh encryption (a
     /// JOIN-ADJ tag or an OPE tree walk — only the §3.5.2 caches are
     /// read) or the engine scan would visit more rows
@@ -1620,11 +1512,11 @@ impl Proxy {
         check_epoch: bool,
         max_rows: Option<usize>,
     ) -> Result<RunOutcome, ProxyError> {
+        if check_epoch && self.schema_epoch() != cs.version.epoch {
+            return Ok(RunOutcome::Stale);
+        }
+        let schema = &cs.version;
         let stmt = {
-            let schema = self.schema.read();
-            if check_epoch && self.schema_epoch() != cs.epoch {
-                return Ok(RunOutcome::Stale);
-            }
             if cs.occ.is_empty() {
                 cs.stmt.clone()
             } else {
@@ -1638,15 +1530,15 @@ impl Proxy {
                     let enc = match &occ.slot {
                         ParamSlot::Plain => Some(v.clone()),
                         ParamSlot::Eq { table, col } => {
-                            let col = locked_col(&schema, table, col)?;
+                            let col = locked_col(schema, table, col)?;
                             if max_rows.is_some() {
                                 self.eq_memo.get(&eq_memo_key(col, v))
                             } else {
-                                Some(self.encrypt_eq_const_in(&schema, col, v)?)
+                                Some(self.encrypt_eq_const_in(schema, col, v)?)
                             }
                         }
                         ParamSlot::Ord { table, col } => {
-                            let col = locked_col(&schema, table, col)?;
+                            let col = locked_col(schema, table, col)?;
                             let keys = self.col_keys(
                                 &col.table,
                                 &col.name,
@@ -1675,7 +1567,8 @@ impl Proxy {
                 None => return Ok(RunOutcome::Declined),
             },
         };
-        self.decrypt_results(&cs.plan, result).map(RunOutcome::Done)
+        self.decrypt_results(&cs.plan, schema, result)
+            .map(RunOutcome::Done)
     }
 
     /// Rewrites `sel` under the schema `rw` reads, returning the plan and
@@ -1684,7 +1577,7 @@ impl Proxy {
         &self,
         mut rw: SelectRw<'_>,
         sel: &Select,
-        epoch: u64,
+        version: &SchemaVersion,
     ) -> Result<(CachedSelect, Vec<Req>), ProxyError> {
         let (schema, resolver) = (rw.schema, rw.resolver);
         // Projections. DISTINCT compares every projected encrypted
@@ -1897,7 +1790,7 @@ impl Proxy {
             stmt: rewritten,
             plan,
             occ: rw.params.into_inner(),
-            epoch,
+            version: version.clone(),
         };
         Ok((cached, rw.reqs.into_inner()))
     }
@@ -2075,6 +1968,7 @@ impl Proxy {
     fn decrypt_results(
         &self,
         plan: &SelectPlan,
+        schema: &EncSchema,
         result: QueryResult,
     ) -> Result<QueryResult, ProxyError> {
         let QueryResult::Rows { rows, .. } = result else {
@@ -2083,11 +1977,7 @@ impl Proxy {
         // Gather every Add-onion (HOM) cell of the whole result set —
         // SUM/AVG aggregates and stale-column projections — and kick off
         // one pooled batch decryption. Plans without aggregate slots
-        // (the common case) skip the row scan entirely. This happens
-        // before the schema read guard is taken: a batch too small to
-        // split decrypts right here, and a guard held across it would
-        // stall every statement queued behind a writer waiting for it
-        // (an onion adjustment takes the write lock).
+        // (the common case) skip the row scan entirely.
         let hom_slots: Vec<usize> = plan
             .slots
             .iter()
@@ -2119,7 +2009,6 @@ impl Proxy {
         // decrypts everything except HOM cells and per-principal
         // columns, second pass handles per-principal columns (which
         // need the already-decrypted key column).
-        let schema = self.schema.read();
         let mut out_rows = Vec::with_capacity(rows.len());
         for row in rows.iter() {
             let mut dec: Vec<Value> = vec![Value::Null; plan.slots.len()];
@@ -2133,7 +2022,7 @@ impl Proxy {
                         iv,
                         enc_for: None,
                     } => {
-                        let cs = locked_col(&schema, table, col)?;
+                        let cs = locked_col(schema, table, col)?;
                         let keys = self.master_col_keys(cs, table);
                         let iv_val = iv.map(|idx| row[idx].clone());
                         dec[i] = decrypt_eq(
@@ -2150,7 +2039,7 @@ impl Proxy {
                     // lands.
                     Slot::Add | Slot::AvgPair { .. } => {}
                     Slot::Ord { table, col } => {
-                        let cs = locked_col(&schema, table, col)?;
+                        let cs = locked_col(schema, table, col)?;
                         let keys = self.master_col_keys(cs, table);
                         dec[i] = decrypt_ord(&keys, OrdLevel::Ope, &row[i], None)?;
                     }
@@ -2168,7 +2057,7 @@ impl Proxy {
                 else {
                     continue;
                 };
-                let cs = locked_col(&schema, table, col)?;
+                let cs = locked_col(schema, table, col)?;
                 let id = value_id_string(&dec[*key_idx]);
                 let principal: Principal = (ptype.clone(), id);
                 let root = self.mp.read().resolve_key(&self.engine, &principal);
@@ -2193,17 +2082,6 @@ impl Proxy {
             }
             out_rows.push(dec);
         }
-        // The onion passes above are done with the schema; release the
-        // read guard BEFORE joining the HOM batch. wait_help below may
-        // inline-run another session's queued statement on this thread,
-        // and a statement may take `schema.write()` (DDL, onion
-        // adjustment; INSERT itself is read-only here since rid
-        // allocation went atomic) — with the guard still held that
-        // same-thread read→write upgrade would deadlock (the locks are
-        // non-reentrant). Masked on a single-worker pool and for
-        // batches under 4 cells, where the pending batch is
-        // pre-resolved; live for larger batches on multicore.
-        drop(schema);
         // Join the pipelined HOM batch and fill the aggregate slots.
         if !hom_slots.is_empty() {
             let mut hom_cells: HashMap<(usize, usize), Option<i64>> = HashMap::new();

@@ -6,14 +6,13 @@ type RowMap = HashMap<String, Value>;
 
 impl Proxy {
     pub(crate) fn insert(&self, txn: &Txn, ins: &Insert) -> Result<QueryResult, ProxyError> {
-        // Snapshot the table state under the READ lock; rid allocation
-        // is a shared atomic counter (`TableState::alloc_rids`), so the
-        // write-mostly INSERT path no longer serialises against
-        // concurrent SELECTs' read locks just to advance a counter.
-        let tstate = {
-            let schema = self.schema.read();
-            schema.table(&ins.table)?.clone()
-        };
+        // The cells are encrypted under one schema version and written
+        // before any adjustment can re-encode their columns. The guard
+        // drops before the SPEAKS-FOR hooks, which may plan (and so
+        // adjust for) a SELECT.
+        let cells = self.schema.shared();
+        let schema = self.schema.snapshot();
+        let tstate = schema.table(&ins.table)?;
         let rid_start = tstate.alloc_rids(ins.rows.len() as i64);
         let columns: Vec<String> = if ins.columns.is_empty() {
             tstate.columns.iter().map(|c| c.name.clone()).collect()
@@ -67,8 +66,8 @@ impl Proxy {
                     out.push(value_to_literal(v));
                     continue;
                 }
-                let root = self.root_key_for(&tstate, col, &map)?;
-                let owner_keys = self.owner_keys_for(col, &root)?;
+                let root = self.root_key_for(tstate, col, &map)?;
+                let owner_keys = self.owner_keys(&schema, col, &root)?;
                 let cell = self.encrypt_cell_for(
                     &tstate.name.to_lowercase(),
                     col,
@@ -101,9 +100,10 @@ impl Proxy {
             rows: anon_rows,
         });
         self.engine.execute_in(txn, &stmt, None)?;
+        drop(cells);
 
         // §4: maintain key chains for SPEAKS-FOR annotations.
-        self.run_insert_hooks(&tstate, &row_maps)?;
+        self.run_insert_hooks(tstate, &row_maps)?;
         Ok(QueryResult::Affected(n))
     }
 
@@ -155,16 +155,7 @@ impl Proxy {
     }
 
     /// The column keys whose JOIN-ADJ key currently keys this column.
-    /// Takes its own (brief) schema read lock — callers must NOT already
-    /// hold one: parking_lot read locks are not reentrant, and a queued
-    /// writer between the two acquisitions deadlocks.
-    fn owner_keys_for(&self, col: &ColumnState, root: &Key) -> Result<Arc<ColumnKeys>, ProxyError> {
-        let schema = self.schema.read();
-        self.owner_keys_in(&schema, col, root)
-    }
-
-    /// Like [`Self::owner_keys_for`] but uses an already-held schema guard.
-    fn owner_keys_in(
+    fn owner_keys(
         &self,
         schema: &EncSchema,
         col: &ColumnState,
@@ -496,79 +487,45 @@ impl Proxy {
         upd: &Update,
         usage: Option<&RefCell<Usage>>,
     ) -> Result<QueryResult, ProxyError> {
-        let (stmt, stale_cols) = self.plan_walk(|schema| {
-            let resolver = Resolver::for_table(schema, &upd.table)?;
-            let rw = SelectRw::new(self, schema, &resolver, false, false, usage);
-            let tstate = schema.table(&upd.table)?;
-            let selection = upd.selection.as_ref().map(|w| rw.rw_pred(w)).transpose()?;
-            let mut sets: Vec<(String, Expr)> = Vec::new();
-            let mut stale_cols: Vec<String> = Vec::new();
-            for (cname, expr) in &upd.sets {
-                let col = tstate
-                    .column(cname)
-                    .ok_or_else(|| ProxyError::Schema(format!("unknown column {cname}")))?;
-                match self.rw_assignment(&rw, upd, tstate, col, expr) {
-                    Ok((assigned, stale)) => {
-                        sets.extend(assigned);
-                        stale_cols.extend(stale.then(|| col.name.clone()));
-                    }
-                    Err(e) => {
-                        let clause =
-                            Expr::binary(BinOp::Eq, Expr::col(cname.as_str()), expr.clone());
-                        return rw.clause(&clause, Err(e));
-                    }
-                }
-            }
-            let stmt = Stmt::Update(Update {
-                table: tstate.anon.clone(),
-                sets,
-                selection,
-            });
-            Ok(((stmt, stale_cols), rw.into_reqs()))
-        })?;
-        if stale_cols.is_empty() {
-            return Ok(self.engine.execute_in(txn, &stmt, None)?);
-        }
-        // Increment UPDATEs make the Eq/Ord/Search onions stale (§3.3).
-        // The stale bits are set, and logged, before the HOM_ADD runs: a
-        // crash in between recovers a stale bit on fresh onions, which
-        // costs one refresh, never a comparison served from stale ones.
-        // The HOM_ADD then runs under the schema read lock, so a refresh
-        // (which holds the write lock) cannot interleave with it.
-        let tlow = upd.table.to_lowercase();
         loop {
-            {
-                let schema = self.schema.read();
-                let all_stale = stale_cols
-                    .iter()
-                    .all(|c| locked_col(&schema, &tlow, c).is_ok_and(|col| col.stale));
-                if all_stale {
-                    return Ok(self.engine.execute_in(txn, &stmt, None)?);
+            let (stmt, epoch) = self.plan_walk(|version| {
+                let resolver = Resolver::for_table(version, &upd.table)?;
+                let rw = SelectRw::new(self, version, &resolver, false, false, usage);
+                let tstate = version.table(&upd.table)?;
+                let selection = upd.selection.as_ref().map(|w| rw.rw_pred(w)).transpose()?;
+                let mut sets: Vec<(String, Expr)> = Vec::new();
+                for (cname, expr) in &upd.sets {
+                    let col = tstate
+                        .column(cname)
+                        .ok_or_else(|| ProxyError::Schema(format!("unknown column {cname}")))?;
+                    match self.rw_assignment(&rw, upd, tstate, col, expr) {
+                        Ok(assigned) => sets.extend(assigned),
+                        Err(e) => {
+                            let clause =
+                                Expr::binary(BinOp::Eq, Expr::col(cname.as_str()), expr.clone());
+                            return rw.clause(&clause, Err(e));
+                        }
+                    }
                 }
-            }
-            let mut schema = self.schema.write();
-            let mut flipped = Vec::new();
-            for c in &stale_cols {
-                let col = locked_col_mut(&mut schema, &tlow, c)?;
-                if !col.stale {
-                    col.stale = true;
-                    flipped.push(c);
-                }
-            }
-            if let Err(e) = self.log_schema(&schema) {
-                for c in flipped {
-                    locked_col_mut(&mut schema, &tlow, c)?.stale = false;
-                }
-                return Err(e);
-            }
-            if !flipped.is_empty() {
-                self.bump_epoch();
+                let stmt = Stmt::Update(Update {
+                    table: tstate.anon.clone(),
+                    sets,
+                    selection,
+                });
+                Ok((stmt, rw.into_reqs()))
+            })?;
+            // The cells were encrypted, and any stale mark made, under
+            // `epoch`: write them only if no adjustment has run since, and
+            // before one can. An increment thus holds off every refresh
+            // from its stale check through its HOM_ADD.
+            let _cells = self.schema.shared();
+            if self.schema_epoch() == epoch {
+                return Ok(self.engine.execute_in(txn, &stmt, None)?);
             }
         }
     }
 
-    /// Rewrites `SET col = expr` into the onion assignments it becomes,
-    /// and whether it leaves the column's other onions stale.
+    /// Rewrites `SET col = expr` into the onion assignments it becomes.
     fn rw_assignment(
         &self,
         rw: &SelectRw<'_>,
@@ -576,14 +533,18 @@ impl Proxy {
         tstate: &TableState,
         col: &ColumnState,
         expr: &Expr,
-    ) -> Result<(Vec<(String, Expr)>, bool), ProxyError> {
+    ) -> Result<Vec<(String, Expr)>, ProxyError> {
         if !col.sensitive {
-            return Ok((vec![(col.anon.clone(), rw.map_plain_expr(expr)?)], false));
+            return Ok(vec![(col.anon.clone(), rw.map_plain_expr(expr)?)]);
         }
         if let Some(delta) = increment_of(expr, &col.name) {
-            // §3.3: increments run on the Add onion via HOM; the other
-            // onions become stale.
+            // §3.3: increments run on the Add onion via HOM, and the
+            // other onions are marked stale before the HOM_ADD runs: a
+            // crash in between recovers a stale bit on fresh onions,
+            // which costs one refresh, never a comparison served from
+            // stale ones.
             rw.serve(col, OpClass::Add)?;
+            rw.rely(col, Need::Stale);
             let enc = self.encrypt_hom_const(delta);
             let add = Expr::Func {
                 name: "HOM_ADD".into(),
@@ -591,7 +552,7 @@ impl Proxy {
                 star: false,
                 distinct: false,
             };
-            return Ok((vec![(col.anon_add(), add)], true));
+            return Ok(vec![(col.anon_add(), add)]);
         }
         // Plain constant assignment: re-encrypt every onion.
         let v = const_fold(expr)?;
@@ -621,26 +582,10 @@ impl Proxy {
                     })?
             }
         };
-        let owner_keys = self.owner_keys_in(rw.schema, col, &root)?;
+        let owner_keys = self.owner_keys(rw.schema, col, &root)?;
         let cell =
             self.encrypt_cell_for(&tstate.name.to_lowercase(), col, &root, &owner_keys, &v)?;
-        let mut sets = vec![(
-            col.anon_iv(),
-            value_to_literal(cell.iv.unwrap_or(Value::Null)),
-        )];
-        if let Some(x) = cell.eq {
-            sets.push((col.anon_eq(), value_to_literal(x)));
-        }
-        if let Some(x) = cell.ord {
-            sets.push((col.anon_ord(), value_to_literal(x)));
-        }
-        if let Some(x) = cell.add {
-            sets.push((col.anon_add(), value_to_literal(x)));
-        }
-        if let Some(x) = cell.srch {
-            sets.push((col.anon_srch(), value_to_literal(x)));
-        }
-        Ok((sets, false))
+        Ok(cell_sets(col, cell, true))
     }
 
     fn encrypt_hom_const(&self, v: i64) -> Expr {
@@ -671,12 +616,12 @@ impl Proxy {
                 }
             }
         }
-        let stmt = self.plan_walk(|schema| {
-            let resolver = Resolver::for_table(schema, &del.table)?;
-            let rw = SelectRw::new(self, schema, &resolver, false, false, usage);
+        let (stmt, _) = self.plan_walk(|version| {
+            let resolver = Resolver::for_table(version, &del.table)?;
+            let rw = SelectRw::new(self, version, &resolver, false, false, usage);
             let selection = del.selection.as_ref().map(|w| rw.rw_pred(w)).transpose()?;
             let stmt = Stmt::Delete(Delete {
-                table: schema.table(&del.table)?.anon.clone(),
+                table: version.table(&del.table)?.anon.clone(),
                 selection,
             });
             Ok((stmt, rw.into_reqs()))

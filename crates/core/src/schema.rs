@@ -9,7 +9,9 @@ use crate::colcrypt::OnionSet;
 use crate::error::ProxyError;
 use crate::onion::{EqLevel, OrdLevel, SecLevel};
 use cryptdb_sqlparser::{ColumnType, EncFor, SpeaksFor};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -107,6 +109,7 @@ impl ColumnState {
             Need::Ope => !self.sensitive || !self.onions.ord || self.ord_level == OrdLevel::Ope,
             Need::Search => !self.sensitive || self.search_used,
             Need::Fresh => !self.stale,
+            Need::Stale => self.stale,
             Need::JoinWith(other) => self.join_owner == other.join_owner,
         }
     }
@@ -136,6 +139,8 @@ pub(crate) enum Need<'a> {
     Search,
     /// Eq and Ord onions current (no increment since the last refresh).
     Fresh,
+    /// Eq and Ord onions marked stale, as an increment leaves them.
+    Stale,
     /// JOIN-ADJ tags under the same key as this column's (§3.4).
     JoinWith(&'a ColumnState),
 }
@@ -152,12 +157,9 @@ pub struct TableState {
     /// Monotone row counter backing the hidden `rid` column the proxy
     /// adds to every encrypted table (used for stale-column refresh).
     ///
-    /// Shared (`Arc`) and atomic so rid allocation needs only the schema
-    /// *read* lock: an INSERT clones the `TableState` snapshot under
-    /// `read()` and [`Self::alloc_rids`] bumps the same counter the
-    /// schema's own copy sees. Before this split every INSERT took the
-    /// schema `RwLock` in write mode just to advance this counter,
-    /// briefly serialising against every concurrent SELECT's read lock.
+    /// Shared (`Arc`) and atomic, so every schema version and every
+    /// clone of this table state allocates from one counter: rid
+    /// allocation never needs a schema change.
     pub next_rid: Arc<AtomicI64>,
 }
 
@@ -244,11 +246,6 @@ impl EncSchema {
         self.tables.values()
     }
 
-    /// All tables, mutable.
-    pub fn tables_mut(&mut self) -> impl Iterator<Item = &mut TableState> {
-        self.tables.values_mut()
-    }
-
     /// Records a registered principal type (idempotent).
     pub fn register_princ_type(&mut self, name: &str, external: bool) {
         if !self.princ_types.iter().any(|(n, _)| n == name) {
@@ -283,5 +280,123 @@ impl EncSchema {
             }
         }
         out
+    }
+}
+
+/// One published schema version: an immutable [`EncSchema`] and its
+/// number. A statement walks, binds and decrypts against one version.
+#[derive(Clone, Debug)]
+pub(crate) struct SchemaVersion {
+    pub schema: Arc<EncSchema>,
+    pub epoch: u64,
+}
+
+impl Deref for SchemaVersion {
+    type Target = EncSchema;
+
+    fn deref(&self) -> &EncSchema {
+        &self.schema
+    }
+}
+
+/// The proxy's schema, published copy-on-write.
+///
+/// `current` holds the live version; its lock is held only to clone or
+/// swap the pointer, so no reader waits behind a schema change.
+/// `writer` orders schema changes against cell writers: a change holds
+/// it exclusively ([`Self::write`]) from its first read to its publish,
+/// and a statement that writes cells holds it shared ([`Self::shared`])
+/// while the version its cells were encrypted under is still the live
+/// one, through its engine call, so no adjustment re-encodes a column
+/// in between. Neither side is reentrant.
+pub(crate) struct SchemaCell {
+    current: RwLock<SchemaVersion>,
+    writer: RwLock<()>,
+}
+
+impl SchemaCell {
+    pub fn new() -> Self {
+        SchemaCell {
+            current: RwLock::new(SchemaVersion {
+                schema: Arc::new(EncSchema::new()),
+                epoch: 0,
+            }),
+            writer: RwLock::new(()),
+        }
+    }
+
+    /// The live version.
+    pub fn snapshot(&self) -> SchemaVersion {
+        self.current.read().clone()
+    }
+
+    /// The live version's number.
+    pub fn epoch(&self) -> u64 {
+        self.current.read().epoch
+    }
+
+    /// Holds off every schema change until the guard drops.
+    pub fn shared(&self) -> RwLockReadGuard<'_, ()> {
+        self.writer.read()
+    }
+
+    /// Starts a schema change, once every other change and every shared
+    /// holder is done.
+    pub fn write(&self) -> SchemaWriter<'_> {
+        let guard = self.writer.write();
+        let live = self.snapshot();
+        SchemaWriter {
+            cell: self,
+            _guard: guard,
+            base_epoch: live.epoch,
+            accepted: live.schema,
+            changed: false,
+        }
+    }
+}
+
+/// One exclusive schema-change section. Edits go to a [`Self::draft`];
+/// a draft whose change reached the log is [`Self::accept`]ed. Dropping
+/// the section publishes the last accepted draft as the next version:
+/// once however many drafts it accepted, and not at all if none.
+pub(crate) struct SchemaWriter<'a> {
+    cell: &'a SchemaCell,
+    _guard: RwLockWriteGuard<'a, ()>,
+    base_epoch: u64,
+    accepted: Arc<EncSchema>,
+    changed: bool,
+}
+
+impl SchemaWriter<'_> {
+    /// What the section will publish: the last accepted draft, numbered.
+    pub fn version(&self) -> SchemaVersion {
+        SchemaVersion {
+            schema: self.accepted.clone(),
+            epoch: self.base_epoch + u64::from(self.changed),
+        }
+    }
+
+    /// The last accepted draft (the live schema until one is accepted).
+    pub fn schema(&self) -> &EncSchema {
+        &self.accepted
+    }
+
+    /// A copy of [`Self::schema`] to edit.
+    pub fn draft(&self) -> EncSchema {
+        (*self.accepted).clone()
+    }
+
+    /// Takes `draft` as the schema to publish.
+    pub fn accept(&mut self, draft: EncSchema) {
+        self.accepted = Arc::new(draft);
+        self.changed = true;
+    }
+}
+
+impl Drop for SchemaWriter<'_> {
+    fn drop(&mut self) {
+        if self.changed {
+            *self.cell.current.write() = self.version();
+        }
     }
 }

@@ -1543,6 +1543,16 @@ impl Engine {
         self.wal.lock().is_some()
     }
 
+    /// True if `meta` is the meta of the last record that reached the
+    /// log, counting one whose fsync failed (recovery may replay it).
+    /// False without a WAL.
+    pub fn meta_reached_log(&self, meta: &[u8]) -> bool {
+        self.wal
+            .lock()
+            .as_ref()
+            .is_some_and(|s| s.last_meta.as_deref() == Some(meta))
+    }
+
     /// Forces an fsync of the WAL (group-commit barrier for the
     /// `EveryN`/`Never` policies).
     pub fn wal_sync(&self) -> Result<(), EngineError> {

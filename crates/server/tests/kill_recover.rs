@@ -22,6 +22,7 @@
 use cryptdb_apps::mixed::{self, MixedScale};
 use cryptdb_apps::{phpbb, tpcc};
 use cryptdb_core::proxy::{EncryptionPolicy, Proxy, ProxyConfig};
+use cryptdb_core::{ProxyError, SecLevel};
 use cryptdb_engine::{FaultPlan, FsyncPolicy, RecoveryReport, TailState, WalConfig};
 use cryptdb_server::{canonical_dump, open_persistent, PersistConfig, Server, SessionTrace};
 use rand::rngs::StdRng;
@@ -726,6 +727,106 @@ fn transient_fsync_eio_withholds_acks_but_stays_consistent() {
     let (dump, report) = recover_dump(&dir);
     assert!(!report.corruption_detected);
     assert_eq!(dump, out.live_dump);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A config that encrypts every column, for the single-table cases.
+fn all_encrypted_cfg() -> ProxyConfig {
+    ProxyConfig {
+        paillier_bits: 256,
+        runtime_threads: 1,
+        ..Default::default()
+    }
+}
+
+/// A schema change whose WAL append fails leaves the live schema equal
+/// to the one a clean reopen recovers, and publishes no new version:
+/// for a floor, a principal type, a table, an onion peel and the stale
+/// mark of a first increment.
+#[test]
+fn failed_schema_append_leaves_the_live_schema_durable() {
+    type Change = fn(&Proxy) -> Result<(), ProxyError>;
+    let changes: [(&str, Change); 5] = [
+        ("set_min_level", |p| {
+            p.set_min_level("t", "a", SecLevel::Det)
+        }),
+        ("princtype", |p| p.execute("PRINCTYPE doc").map(drop)),
+        ("create-table", |p| {
+            p.execute("CREATE TABLE u (x int)").map(drop)
+        }),
+        ("first-equality", |p| {
+            p.execute("SELECT id FROM t WHERE a = 5").map(drop)
+        }),
+        ("first-increment", |p| {
+            p.execute("UPDATE t SET a = a + 1 WHERE id = 1").map(drop)
+        }),
+    ];
+    let encoded = |p: &Proxy| p.with_schema(cryptdb_core::meta::encode);
+    let mut problems = Vec::new();
+    for (what, change) in changes {
+        let dir = tmpdir(&format!("schema-eio-{what}"));
+        {
+            let (p, _) =
+                Proxy::open_persistent(&dir, MK, all_encrypted_cfg(), WalConfig::default())
+                    .unwrap();
+            for sql in [
+                "CREATE TABLE t (id int, a int)",
+                "INSERT INTO t (id, a) VALUES (1, 5)",
+                "SELECT a FROM t WHERE id = 1",
+            ] {
+                p.execute(sql).unwrap();
+            }
+        }
+        let wal = WalConfig {
+            fault: Some(FaultPlan::eio_on_appends(1, 1)),
+            ..WalConfig::default()
+        };
+        let (p, _) = Proxy::open_persistent(&dir, MK, all_encrypted_cfg(), wal).unwrap();
+        let epoch = p.schema_epoch();
+        let err = change(&p).expect_err(what);
+        assert!(err.to_string().contains("failpoint"), "{what}: {err}");
+        if p.schema_epoch() != epoch {
+            problems.push(format!("{what}: published a new schema version"));
+        }
+        let live = encoded(&p);
+        drop(p);
+        let (p, _) =
+            Proxy::open_persistent(&dir, MK, all_encrypted_cfg(), WalConfig::default()).unwrap();
+        if encoded(&p) != live {
+            problems.push(format!(
+                "{what}: the live schema differs from the recovered one"
+            ));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+    assert!(
+        problems.is_empty(),
+        "after a failed append:\n{}",
+        problems.join("\n")
+    );
+}
+
+/// A failed append while creating the multi-principal key tables is an
+/// error from `open_persistent`, not a panic; a clean reopen creates
+/// them.
+#[test]
+fn open_persistent_returns_a_failed_key_table_append() {
+    let dir = tmpdir("open-eio");
+    let wal = WalConfig {
+        fault: Some(FaultPlan::eio_on_appends(1, 1)),
+        ..WalConfig::default()
+    };
+    assert!(Proxy::open_persistent(&dir, MK, cfg(), wal).is_err());
+    let (p, _) = Proxy::open_persistent(&dir, MK, cfg(), WalConfig::default()).unwrap();
+    let tables = p.engine().table_names();
+    for key_table in [
+        "cryptdb_access_keys",
+        "cryptdb_public_keys",
+        "cryptdb_external_keys",
+    ] {
+        assert!(tables.iter().any(|t| t == key_table), "{key_table} missing");
+    }
+    p.execute("CREATE TABLE t (id int)").unwrap();
     let _ = fs::remove_dir_all(&dir);
 }
 

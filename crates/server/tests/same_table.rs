@@ -18,6 +18,7 @@ use cryptdb_server::{canonical_dump, replay_serial, Server, SessionTrace};
 use cryptdb_sqlparser::Stmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -132,6 +133,69 @@ fn same_table_sessions_match_serial_oracle() {
             "session {s} balance"
         );
     }
+}
+
+/// Races each cell writer against the first equality on the column it
+/// writes. That equality peels the column's Eq onion (RND → DET) while
+/// the writer encrypts; a cell encrypted at RND but written after the
+/// peel would be invisible to every later equality.
+#[test]
+fn cell_writers_never_race_an_onion_peel() {
+    const ROWS: i64 = 40;
+    type Write = fn(i64) -> String;
+    let writers: [(&str, Write); 2] = [
+        ("INSERT", |i| {
+            format!("INSERT INTO t (id, a) VALUES ({i}, {i})")
+        }),
+        ("UPDATE", |i| format!("UPDATE t SET a = {i} WHERE id = {i}")),
+    ];
+    let mut problems = Vec::new();
+    for (writer, write) in writers {
+        let proxy = test_proxy();
+        let mut setup = vec![
+            "CREATE TABLE t (id int, a int)".to_string(),
+            "INSERT INTO t (id, a) VALUES (0, 0)".to_string(),
+            "SELECT a FROM t WHERE id = 0".to_string(),
+        ];
+        if writer == "UPDATE" {
+            setup.extend((1..=ROWS).map(|i| format!("INSERT INTO t (id, a) VALUES ({i}, -{i})")));
+        }
+        for sql in &setup {
+            proxy.execute(sql).unwrap();
+        }
+        let written = AtomicI64::new(0);
+        let peeled_at = std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 1..=ROWS {
+                    proxy.execute(&write(i)).unwrap();
+                    written.store(i, Ordering::Release);
+                }
+            });
+            while written.load(Ordering::Acquire) < ROWS / 2 {
+                std::thread::yield_now();
+            }
+            let first = proxy.execute("SELECT id FROM t WHERE a = 0").unwrap();
+            assert_eq!(first.rows(), [vec![Value::Int(0)]], "{writer}");
+            written.load(Ordering::Acquire)
+        });
+        eprintln!("{writer}: the peel finished after {peeled_at}/{ROWS} writes");
+        let missing: Vec<i64> = (1..=ROWS)
+            .filter(|i| {
+                let r = proxy
+                    .execute(&format!("SELECT id FROM t WHERE a = {i}"))
+                    .unwrap();
+                r.rows() != [vec![Value::Int(*i)]]
+            })
+            .collect();
+        if !missing.is_empty() {
+            problems.push(format!("{writer}: equality misses rows {missing:?}"));
+        }
+    }
+    assert!(
+        problems.is_empty(),
+        "written across the peel:\n{}",
+        problems.join("\n")
+    );
 }
 
 /// A fresh proxy over the mixed tpcc + phpbb + hotcrp database, loaded,

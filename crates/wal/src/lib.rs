@@ -226,15 +226,6 @@ impl FaultPlan {
         }
     }
 
-    /// Plan where the disk fills permanently once `bytes` logical bytes
-    /// are on disk.
-    pub fn enospc_after(bytes: u64) -> FaultPlan {
-        FaultPlan {
-            enospc_after_bytes: Some(bytes),
-            ..FaultPlan::default()
-        }
-    }
-
     /// Plan where the disk fills at `bytes` logical bytes and clears
     /// after `clear_after` rejected appends.
     pub fn enospc_clearing(bytes: u64, clear_after: u64) -> FaultPlan {
