@@ -452,16 +452,16 @@ impl Proxy {
         }
         match stmt {
             Stmt::PrincType { names, external } => {
-                // Mirror the registration into the durable schema meta so
+                // The durable schema meta carries the registration, so
                 // recovery can rebuild the key manager's type registry.
                 let mut w = self.schema.write();
                 let mut draft = w.draft();
                 for n in names {
                     draft.register_princ_type(&n.to_lowercase(), *external);
                 }
-                self.log_draft(&mut w, draft)?;
-                self.mp.write().register_types(names, *external);
-                Ok(QueryResult::Ok)
+                let logged = self.log_draft(&mut w, draft);
+                self.register_princ_types(w.schema());
+                logged.map(|()| QueryResult::Ok)
             }
             Stmt::CreateTable(ct) => self.create_table(ct),
             Stmt::CreateIndex { table, column } => self.create_index(table, column),
@@ -680,6 +680,15 @@ impl Proxy {
         })
     }
 
+    /// Registers `schema`'s principal types with the key manager, which
+    /// mirrors what the log holds.
+    fn register_princ_types(&self, schema: &EncSchema) {
+        let mut mp = self.mp.write();
+        for (name, external) in schema.princ_types() {
+            mp.register_types(std::slice::from_ref(name), *external);
+        }
+    }
+
     /// Opens a durable proxy over `dir`: recovers the engine's ciphertext
     /// state from the snapshot + WAL (an empty directory starts fresh),
     /// then restores the proxy's secret schema from the last meta blob in
@@ -708,12 +717,7 @@ impl Proxy {
     fn restore_meta(&self, meta: &[u8]) -> Result<(), ProxyError> {
         let restored = crate::meta::decode(meta)?;
         let mut w = self.schema.write();
-        {
-            let mut mp = self.mp.write();
-            for (name, external) in restored.princ_types() {
-                mp.register_types(std::slice::from_ref(name), *external);
-            }
-        }
+        self.register_princ_types(&restored);
         let mut anon_known = std::collections::HashSet::new();
         for t in restored.tables() {
             anon_known.insert(t.anon.to_lowercase());

@@ -740,9 +740,10 @@ fn all_encrypted_cfg() -> ProxyConfig {
 }
 
 /// A schema change whose WAL append fails leaves the live schema equal
-/// to the one a clean reopen recovers, and publishes no new version:
-/// for a floor, a principal type, a table, an onion peel and the stale
-/// mark of a first increment.
+/// to the one a clean reopen recovers: for a floor, a principal type, a
+/// table, an onion peel and the stale mark of a first increment. A clean
+/// append failure publishes no new version; an fsync failure after a
+/// complete append publishes the change, whose record recovery replays.
 #[test]
 fn failed_schema_append_leaves_the_live_schema_durable() {
     type Change = fn(&Proxy) -> Result<(), ProxyError>;
@@ -763,8 +764,16 @@ fn failed_schema_append_leaves_the_live_schema_durable() {
     ];
     let encoded = |p: &Proxy| p.with_schema(cryptdb_core::meta::encode);
     let mut problems = Vec::new();
-    for (what, change) in changes {
-        let dir = tmpdir(&format!("schema-eio-{what}"));
+    let faults = [
+        ("append", FaultPlan::eio_on_appends(1, 1), 0),
+        ("fsync", FaultPlan::eio_on_syncs(1, 1), 1),
+    ];
+    for ((fault, plan, published), (what, change)) in faults
+        .iter()
+        .flat_map(|f| changes.iter().map(move |c| (f, c)))
+    {
+        let what = format!("{fault} EIO, {what}");
+        let dir = tmpdir(&format!("schema-eio-{}", what.replace([' ', ','], "")));
         {
             let (p, _) =
                 Proxy::open_persistent(&dir, MK, all_encrypted_cfg(), WalConfig::default())
@@ -778,15 +787,19 @@ fn failed_schema_append_leaves_the_live_schema_durable() {
             }
         }
         let wal = WalConfig {
-            fault: Some(FaultPlan::eio_on_appends(1, 1)),
+            fault: Some(plan.clone()),
             ..WalConfig::default()
         };
         let (p, _) = Proxy::open_persistent(&dir, MK, all_encrypted_cfg(), wal).unwrap();
         let epoch = p.schema_epoch();
-        let err = change(&p).expect_err(what);
+        let err = change(&p).expect_err(&what);
         assert!(err.to_string().contains("failpoint"), "{what}: {err}");
-        if p.schema_epoch() != epoch {
-            problems.push(format!("{what}: published a new schema version"));
+        if p.schema_epoch() != epoch + published {
+            problems.push(format!(
+                "{what}: epoch {epoch} -> {}, expected {}",
+                p.schema_epoch(),
+                epoch + published
+            ));
         }
         let live = encoded(&p);
         drop(p);
