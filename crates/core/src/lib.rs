@@ -41,5 +41,5 @@ pub mod udfs;
 
 pub use error::ProxyError;
 pub use onion::{EqLevel, OrdLevel, SecLevel};
-pub use proxy::{EncryptionPolicy, Proxy, ProxyMode};
+pub use proxy::{EncryptionPolicy, Proxy};
 pub use training::TrainingReport;

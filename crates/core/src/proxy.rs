@@ -38,16 +38,6 @@ use std::sync::Arc;
 pub use self::prepared::{Param, PlanCacheStats, PreparedStatement};
 pub use cryptdb_sqlparser::ColumnType;
 
-/// Proxy operating mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ProxyMode {
-    /// Full CryptDB: encrypt, rewrite, adjust, decrypt.
-    CryptDb,
-    /// Parse-and-forward ("MySQL+proxy" in Fig. 14): measures the proxy
-    /// path without encryption.
-    Passthrough,
-}
-
 /// Which columns get encrypted.
 #[derive(Clone, Debug)]
 pub enum EncryptionPolicy {
@@ -63,8 +53,6 @@ pub enum EncryptionPolicy {
 /// Proxy construction knobs.
 #[derive(Clone, Debug)]
 pub struct ProxyConfig {
-    /// Full CryptDB processing or parse-and-forward passthrough.
-    pub mode: ProxyMode,
     /// Which columns get encrypted.
     pub policy: EncryptionPolicy,
     /// Paillier modulus bits (the paper uses 1024 → 2048-bit ciphertexts).
@@ -76,7 +64,6 @@ pub struct ProxyConfig {
 impl Default for ProxyConfig {
     fn default() -> Self {
         ProxyConfig {
-            mode: ProxyMode::CryptDb,
             policy: EncryptionPolicy::All,
             paillier_bits: 1024,
             runtime_threads: 0,
@@ -114,9 +101,10 @@ pub struct Proxy {
     paillier: Arc<PaillierPrivate>,
     joinadj: JoinAdj,
     key_cache: RwLock<HashMap<(String, String, Key), Arc<ColumnKeys>>>,
-    /// Long-lived crypto worker pool: batch decryption, blinding
-    /// refills, and OPE cache warming all run here instead of spawning
-    /// threads per query. Dropped (and joined) with the proxy.
+    /// Long-lived crypto worker pool: blinding refills, OPE cache
+    /// warming and the serving layer's session statements run here
+    /// instead of spawning threads per query. Dropped (and joined) with
+    /// the proxy.
     runtime: WorkerPool,
     /// §3.5.2 blinding-factor pool with background watermark refills.
     hom_pool: BlindingPool<Ubig>,
@@ -345,7 +333,11 @@ impl Proxy {
         self.hom_pool.wait_ready()
     }
 
-    /// The proxy's crypto runtime (persistent worker pool).
+    /// The proxy's crypto runtime (persistent worker pool): blinding
+    /// refills run on its priority lane, and the serving layer runs
+    /// session statements on its bulk lane. Result decryption never
+    /// uses it — a statement decrypts its own result on the thread that
+    /// runs it, so no pool job blocks on another.
     pub fn runtime(&self) -> &WorkerPool {
         &self.runtime
     }
@@ -442,13 +434,10 @@ impl Proxy {
         stmt: &Stmt,
         usage: Option<&std::cell::RefCell<Usage>>,
     ) -> Result<QueryResult, ProxyError> {
-        // cryptdb_active interception happens in every mode (§4.2) — the
-        // password must never reach the DBMS.
+        // cryptdb_active interception (§4.2) — the password must never
+        // reach the DBMS.
         if let Some(r) = self.try_intercept_active(stmt)? {
             return Ok(r);
-        }
-        if self.config.mode == ProxyMode::Passthrough {
-            return Ok(self.engine.execute_in(txn, stmt, None)?);
         }
         match stmt {
             Stmt::PrincType { names, external } => {
@@ -751,12 +740,12 @@ impl Proxy {
 
 // ---- small expression utilities ----
 
-/// Error raised wherever the CryptDB-mode rewriter meets a `$n`
-/// placeholder in a position it cannot turn into a typed parameter
-/// slot. [`prepared`]'s plan builder recognises it (see
-/// [`is_param_fallback`]) and falls back to the generic
-/// substitute-then-rewrite plan; on the simple-query path it surfaces
-/// as an ordinary error, since simple queries carry no bindings.
+/// Error raised wherever the rewriter meets a `$n` placeholder in a
+/// position it cannot turn into a typed parameter slot. [`prepared`]'s
+/// plan builder recognises it (see [`is_param_fallback`]) and falls back
+/// to the generic substitute-then-rewrite plan; on the simple-query path
+/// it surfaces as an ordinary error, since simple queries carry no
+/// bindings.
 pub(crate) fn param_fallback() -> ProxyError {
     ProxyError::NeedsPlaintext(PARAM_FALLBACK_MARKER.into())
 }

@@ -186,11 +186,11 @@ impl Proxy {
     /// in a schema writer section; every bound value's encryption is
     /// already in the §3.5.2 caches (a miss would cost a JOIN-ADJ tag,
     /// about 2.3 ms, or an OPE tree walk); no output column needs
-    /// Paillier decryption (`SUM`/`AVG` or a HOM projection, which wait
-    /// on the worker pool) or a per-principal key chain; and the engine
-    /// scan visits at most `max_cells / encrypted output columns` rows,
-    /// so at most `max_cells` cells are decrypted. A `LIMIT` bounds the answer, not
-    /// the scan, and does not count.
+    /// Paillier decryption (`SUM`/`AVG` or a HOM projection, one
+    /// exponentiation mod `p²` per cell) or a per-principal key chain;
+    /// and the engine scan visits at most `max_cells / encrypted output
+    /// columns` rows, so at most `max_cells` cells are decrypted. A
+    /// `LIMIT` bounds the answer, not the scan, and does not count.
     pub fn execute_prepared_within(
         &self,
         ps: &PreparedStatement,
@@ -206,7 +206,7 @@ impl Proxy {
         let PlanKind::Select(cs) = &entry.plan else {
             return None;
         };
-        let pooled = |s: &Slot| {
+        let unbounded = |s: &Slot| {
             matches!(
                 s,
                 Slot::Add
@@ -217,7 +217,7 @@ impl Proxy {
                     }
             )
         };
-        if cs.plan.slots.iter().any(pooled) {
+        if cs.plan.slots.iter().any(unbounded) {
             return None;
         }
         if let Err(e) = check_arity(&entry, params) {
@@ -246,16 +246,14 @@ impl Proxy {
     fn build_plan(&self, sql: &str) -> Result<PlanEntry, ProxyError> {
         let stmt = single_stmt(sql)?;
         let nparams = count_params(&stmt)?;
-        // Only non-degenerate SELECTs in CryptDB mode get a typed plan;
-        // everything else re-runs the statement pipeline per execution.
-        let typed = match (&stmt, self.config.mode) {
-            (Stmt::Select(sel), ProxyMode::CryptDb) if !sel.from.is_empty() => {
-                match self.plan_select(sel, true, None) {
-                    Ok(cs) => Some(cs),
-                    Err(e) if is_param_fallback(&e) => None,
-                    Err(e) => return Err(e),
-                }
-            }
+        // Only non-degenerate SELECTs get a typed plan; everything else
+        // re-runs the statement pipeline per execution.
+        let typed = match &stmt {
+            Stmt::Select(sel) if !sel.from.is_empty() => match self.plan_select(sel, true, None) {
+                Ok(cs) => Some(cs),
+                Err(e) if is_param_fallback(&e) => None,
+                Err(e) => return Err(e),
+            },
             _ => None,
         };
         let mut kinds = vec![None; nparams];

@@ -1,6 +1,7 @@
 //! Query rewriting, onion adjustment, and result decryption.
 
 use super::*;
+use cryptdb_paillier::PaillierScratch;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
 
@@ -1974,41 +1975,26 @@ impl Proxy {
         let QueryResult::Rows { rows, .. } = result else {
             return Ok(result);
         };
-        // Gather every Add-onion (HOM) cell of the whole result set —
-        // SUM/AVG aggregates and stale-column projections — and kick off
-        // one pooled batch decryption. Plans without aggregate slots
-        // (the common case) skip the row scan entirely.
-        let hom_slots: Vec<usize> = plan
-            .slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| matches!(s, Slot::Add | Slot::AvgPair { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let mut hom_refs = Vec::new();
-        let mut pending_hom = None;
-        if !hom_slots.is_empty() {
-            let mut cts = Vec::new();
-            for (ri, row) in rows.iter().enumerate() {
-                for &i in &hom_slots {
-                    if row[i].is_null() {
-                        continue;
-                    }
-                    let bytes = row[i]
-                        .as_bytes()
-                        .ok_or_else(|| ProxyError::Crypto("Add onion cell is not bytes".into()))?;
-                    hom_refs.push((ri, i));
-                    cts.push(self.paillier.public().ciphertext_from_bytes(bytes));
-                }
+        // One pass over the rows. HOM cells (SUM/AVG aggregates and
+        // stale-column projections) decrypt in place on this thread with
+        // one scratch for the whole result set; per-principal columns go
+        // last in each row, since they need the decrypted key column.
+        let mut ws = PaillierScratch::new();
+        let mut hom_value = |cell: &Value| -> Result<Value, ProxyError> {
+            if cell.is_null() {
+                return Ok(Value::Null);
             }
-            if !cts.is_empty() {
-                pending_hom = Some(self.paillier.decrypt_i64_batch_pending(&self.runtime, cts));
+            let bytes = cell
+                .as_bytes()
+                .ok_or_else(|| ProxyError::Crypto("Add onion cell is not bytes".into()))?;
+            let ct = self.paillier.public().ciphertext_from_bytes(bytes);
+            match self.paillier.decrypt_i64_with(&ct, &mut ws) {
+                Some(v) => Ok(Value::Int(v)),
+                None => Err(ProxyError::OutOfRange(
+                    "HOM plaintext exceeds the 64-bit integer range".into(),
+                )),
             }
-        }
-        // Row post-processing overlaps with the HOM batch: first pass
-        // decrypts everything except HOM cells and per-principal
-        // columns, second pass handles per-principal columns (which
-        // need the already-decrypted key column).
+        };
         let mut out_rows = Vec::with_capacity(rows.len());
         for row in rows.iter() {
             let mut dec: Vec<Value> = vec![Value::Null; plan.slots.len()];
@@ -2035,9 +2021,15 @@ impl Proxy {
                         )?;
                     }
                     Slot::Eq { .. } => {} // Per-principal pass below.
-                    // HOM slots are filled after the pipelined batch
-                    // lands.
-                    Slot::Add | Slot::AvgPair { .. } => {}
+                    Slot::Add => dec[i] = hom_value(&row[i])?,
+                    Slot::AvgPair { count, .. } => {
+                        let sum = hom_value(&row[i])?;
+                        let n = row[*count].as_int().unwrap_or(0);
+                        dec[i] = match (sum, n) {
+                            (Value::Int(s), n) if n > 0 => Value::Int(s / n),
+                            _ => Value::Null,
+                        };
+                    }
                     Slot::Ord { table, col } => {
                         let cs = locked_col(schema, table, col)?;
                         let keys = self.master_col_keys(cs, table);
@@ -2081,45 +2073,6 @@ impl Proxy {
                 }
             }
             out_rows.push(dec);
-        }
-        // Join the pipelined HOM batch and fill the aggregate slots.
-        if !hom_slots.is_empty() {
-            let mut hom_cells: HashMap<(usize, usize), Option<i64>> = HashMap::new();
-            if let Some(pending) = pending_hom {
-                // Help-while-waiting: this thread may itself BE a pool
-                // worker (the serving layer dispatches client sessions
-                // as pool jobs), in which case a plain wait could leave
-                // every worker blocked on chunks queued behind other
-                // sessions — help_one keeps the queue draining.
-                for (key, v) in hom_refs.into_iter().zip(pending.wait_help(&self.runtime)) {
-                    hom_cells.insert(key, v);
-                }
-            }
-            let hom_value = |ri: usize, i: usize| -> Result<Value, ProxyError> {
-                match hom_cells.get(&(ri, i)) {
-                    None => Ok(Value::Null),
-                    Some(Some(v)) => Ok(Value::Int(*v)),
-                    Some(None) => Err(ProxyError::OutOfRange(
-                        "HOM plaintext exceeds the 64-bit integer range".into(),
-                    )),
-                }
-            };
-            for (ri, dec) in out_rows.iter_mut().enumerate() {
-                for (i, slot) in plan.slots.iter().enumerate() {
-                    match slot {
-                        Slot::Add => dec[i] = hom_value(ri, i)?,
-                        Slot::AvgPair { count, .. } => {
-                            let sum = hom_value(ri, i)?;
-                            let n = rows[ri][*count].as_int().unwrap_or(0);
-                            dec[i] = match (sum, n) {
-                                (Value::Int(s), n) if n > 0 => Value::Int(s / n),
-                                _ => Value::Null,
-                            };
-                        }
-                        _ => {}
-                    }
-                }
-            }
         }
         // In-proxy ORDER BY (§3.5.1).
         if !plan.proxy_sort.is_empty() {

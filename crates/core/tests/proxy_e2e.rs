@@ -1,6 +1,6 @@
 //! End-to-end tests: full CryptDB pipeline over the embedded engine.
 
-use cryptdb_core::proxy::{EncryptionPolicy, Proxy, ProxyConfig, ProxyMode};
+use cryptdb_core::proxy::{EncryptionPolicy, Proxy, ProxyConfig};
 use cryptdb_core::{ProxyError, SecLevel};
 use cryptdb_engine::{Engine, QueryResult, Value};
 use std::sync::Arc;
@@ -348,26 +348,6 @@ fn explicit_policy_leaves_marked_columns_plain() {
         .unwrap();
     let r = p.execute("SELECT body FROM notes WHERE id = 7").unwrap();
     assert_eq!(r.scalar(), Some(&Value::Str("secret stuff".into())));
-}
-
-#[test]
-fn passthrough_mode_is_transparent() {
-    let cfg = ProxyConfig {
-        mode: ProxyMode::Passthrough,
-        paillier_bits: 256,
-        ..Default::default()
-    };
-    let p = Proxy::new(Arc::new(Engine::new()), [1u8; 32], cfg);
-    p.execute("CREATE TABLE t (a int)").unwrap();
-    p.execute("INSERT INTO t (a) VALUES (5)").unwrap();
-    let r = p.execute("SELECT a FROM t").unwrap();
-    assert_eq!(r.scalar(), Some(&Value::Int(5)));
-    // Passthrough stores plaintext (it measures proxy overhead only).
-    p.engine()
-        .with_table("t", |t| {
-            assert_eq!(t.iter().next().unwrap().1[0], Value::Int(5));
-        })
-        .unwrap();
 }
 
 #[test]

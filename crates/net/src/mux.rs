@@ -54,7 +54,8 @@
 //!   pushes the whole buffer once. Simple `Q` statements always go
 //!   there: planning may adjust onions
 //!   (rewrite whole columns under the schema write lock), writes may
-//!   wait on a WAL fsync, and HOM decryption waits on the worker pool.
+//!   wait on a WAL fsync, and HOM decryption costs an exponentiation
+//!   per cell.
 //!
 //! A client that dribbles its frames costs one run per piece and sees
 //! the same bytes either way. The head-of-line ceiling this puts on the

@@ -168,7 +168,6 @@ fn idle_deadline_passing_mid_statement_closes_once_the_response_is_out() {
         policy: EncryptionPolicy::Explicit(Default::default()),
         paillier_bits: 256,
         runtime_threads: 1,
-        ..Default::default()
     };
     let proxy = Arc::new(Proxy::new(Arc::new(Engine::new()), [7u8; 32], cfg));
     let server = NetServer::spawn_with(proxy.clone(), "127.0.0.1:0", limits).unwrap();
@@ -1059,7 +1058,6 @@ fn full_scans_over_the_cell_budget_wait_for_the_worker() {
         policy: EncryptionPolicy::Explicit(Default::default()),
         paillier_bits: 256,
         runtime_threads: 1,
-        ..Default::default()
     };
     let proxy = Arc::new(Proxy::new(Arc::new(Engine::new()), [7u8; 32], cfg));
     let server = NetServer::spawn_with(proxy.clone(), "127.0.0.1:0", NetLimits::default()).unwrap();

@@ -30,11 +30,6 @@
 //!     half-width exponentiation by a half-width exponent — ~3× over the
 //!     full-width path, kept as
 //!     [`PaillierPrivate::blinding_from_r_noncrt`].
-//!
-//!   Batch SUM decryption rides the same CRT path:
-//!   [`PaillierPrivate::decrypt_i64_batch_pending`] fans the cells out
-//!   over the proxy's persistent [`WorkerPool`] (no per-query thread
-//!   spawns) and lets the caller overlap row post-processing.
 //! * **Short-plaintext decryption (proxy-side).** Signed 64-bit values
 //!   are encoded as residues (`v < 0` maps to `n + v`), and a cell or a
 //!   `HOM_SUM` of `k` cells carries `|V| ≤ k·2⁶³`, below `p/2` for any
@@ -51,14 +46,12 @@
 #![forbid(unsafe_code)]
 
 use cryptdb_bignum::{gen_prime, MontScratch, Montgomery, Ubig};
-use cryptdb_runtime::{PendingMap, WorkerPool};
-use std::sync::Arc;
 
 /// Reusable working memory for repeated private-key operations: one
 /// [`MontScratch`] serving every CRT context (p, q, p², q²). Batch
-/// consumers — the worker-pool decrypt chunks and the blinding-pool
-/// refill batches — hold one per chunk so the Montgomery kernels
-/// allocate nothing after the first call.
+/// consumers — the proxy's per-result-set HOM decryption and the
+/// blinding-pool refill batches — hold one per batch so the Montgomery
+/// kernels allocate nothing after the first call.
 #[derive(Default)]
 pub struct PaillierScratch {
     ws: MontScratch,
@@ -304,8 +297,8 @@ impl PaillierPrivate {
         self.decrypt_with(c, &mut PaillierScratch::new())
     }
 
-    /// [`Self::decrypt`] with caller-held working memory — the batch
-    /// decrypt paths reuse one scratch across every cell of a chunk.
+    /// [`Self::decrypt`] with caller-held working memory — a caller
+    /// decrypting many cells reuses one scratch across all of them.
     pub fn decrypt_with(&self, c: &Ciphertext, ws: &mut PaillierScratch) -> Ubig {
         let k = &self.crt;
         let mp = self.decrypt_mod_p(c, ws);
@@ -365,41 +358,6 @@ impl PaillierPrivate {
         } else {
             i64::try_from(-i128::from(p.sub(&mp).to_u64()?)).ok()
         }
-    }
-
-    /// Starts decrypting a batch of ciphertexts on a persistent
-    /// [`WorkerPool`] and returns immediately; join with
-    /// [`PendingMap::wait`]. No threads are spawned per call — the
-    /// chunks are queued to already-running workers, and the caller's
-    /// thread stays free to pipeline other work (§3.5.2: crypto off the
-    /// critical path).
-    ///
-    /// A batch that would be a single chunk — under 4 ciphertexts (every
-    /// scalar `SUM`/`AVG`), or any batch on a single-worker pool — is
-    /// decrypted inline and returned pre-resolved. Splitting it buys no
-    /// parallelism, and queueing it would make the caller's
-    /// [`PendingMap::wait_help`] run whatever other jobs are queued
-    /// ahead of it (another session's whole statement) on this thread.
-    pub fn decrypt_i64_batch_pending(
-        self: &Arc<Self>,
-        pool: &WorkerPool,
-        cts: Vec<Ciphertext>,
-    ) -> PendingMap<Option<i64>> {
-        if pool.threads() <= 1 || cts.len() < 4 {
-            let mut ws = PaillierScratch::new();
-            return PendingMap::ready(
-                cts.iter()
-                    .map(|c| self.decrypt_i64_with(c, &mut ws))
-                    .collect(),
-            );
-        }
-        let key = self.clone();
-        pool.map_chunked(cts, pool.threads(), move |part| {
-            let mut ws = PaillierScratch::new();
-            part.iter()
-                .map(|c| key.decrypt_i64_with(c, &mut ws))
-                .collect()
-        })
     }
 }
 
@@ -541,104 +499,18 @@ mod tests {
 
     #[test]
     fn batch_decrypt_matches_single() {
-        // Exactly 4 ciphertexts: the smallest batch split over the pool.
+        // One scratch reused across a batch decrypts like fresh ones.
         let (sk, mut rng) = key();
-        let sk = Arc::new(sk);
         let values = [3i64, -9, 1 << 40, 0];
         let cts: Vec<Ciphertext> = values
             .iter()
             .map(|&v| sk.encrypt_i64(v, &mut rng))
             .collect();
         let mut ws = PaillierScratch::new();
-        let pool = WorkerPool::new(4);
-        let batch = sk.decrypt_i64_batch_pending(&pool, cts.clone()).wait();
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(sk.decrypt_i64_with(&cts[i], &mut ws), Some(v));
-            assert_eq!(batch[i], Some(v));
+        for (c, &v) in cts.iter().zip(&values) {
+            assert_eq!(sk.decrypt_i64_with(c, &mut ws), Some(v));
+            assert_eq!(sk.decrypt_i64(c), Some(v));
         }
-    }
-
-    #[test]
-    fn pooled_batch_decrypt_matches_scoped() {
-        let (sk, mut rng) = key();
-        let sk = Arc::new(sk);
-        let values: Vec<i64> = (0..37).map(|i| i * 1_000_003 - 18).collect();
-        let cts: Vec<Ciphertext> = values
-            .iter()
-            .map(|&v| sk.encrypt_i64(v, &mut rng))
-            .collect();
-        // Baseline: one scoped thread per chunk, each with its own scratch.
-        let scoped: Vec<Option<i64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = cts
-                .chunks(10)
-                .map(|chunk| {
-                    let sk = &sk;
-                    s.spawn(move || {
-                        let mut ws = PaillierScratch::new();
-                        chunk
-                            .iter()
-                            .map(|c| sk.decrypt_i64_with(c, &mut ws))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        let check: Vec<Option<i64>> = values.iter().map(|&v| Some(v)).collect();
-        assert_eq!(scoped, check);
-        // The pending form overlaps caller-side work with decryption.
-        let pool = WorkerPool::new(4);
-        let pending = sk.decrypt_i64_batch_pending(&pool, cts.clone());
-        let again: Vec<Option<i64>> = cts.iter().map(|c| sk.decrypt_i64(c)).collect();
-        assert_eq!(pending.wait(), scoped);
-        assert_eq!(again, scoped);
-        // Single-worker pools resolve inline (pre-resolved pending).
-        let single = WorkerPool::new(1);
-        assert_eq!(sk.decrypt_i64_batch_pending(&single, cts).wait(), scoped);
-    }
-
-    #[test]
-    fn single_chunk_batch_never_runs_queued_jobs_on_the_caller() {
-        // Every worker is held and a foreign job is queued: a batch that
-        // went to the pool would make wait_help run the foreign job here.
-        let (sk, mut rng) = key();
-        let sk = Arc::new(sk);
-        let pool = WorkerPool::new(2);
-        let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
-        let gates: Vec<_> = (0..pool.threads())
-            .map(|_| {
-                let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
-                let started_tx = started_tx.clone();
-                pool.execute(move || {
-                    started_tx.send(()).expect("test alive");
-                    let _ = gate_rx.recv();
-                });
-                gate_tx
-            })
-            .collect();
-        for _ in 0..pool.threads() {
-            started_rx.recv().expect("worker picked up its gate job");
-        }
-        let caller = std::thread::current().id();
-        let (ran_tx, ran_rx) = std::sync::mpsc::channel();
-        pool.execute(move || {
-            let _ = ran_tx.send(std::thread::current().id());
-        });
-        for n in 1..4 {
-            let values: Vec<i64> = (0..n).map(|i| i * 7 - 3).collect();
-            let cts = values
-                .iter()
-                .map(|&v| sk.encrypt_i64(v, &mut rng))
-                .collect();
-            let out = sk.decrypt_i64_batch_pending(&pool, cts).wait_help(&pool);
-            assert_eq!(out, values.into_iter().map(Some).collect::<Vec<_>>());
-            assert!(ran_rx.try_recv().is_err(), "foreign job ran on the caller");
-        }
-        drop(gates);
-        assert_ne!(ran_rx.recv().expect("foreign job runs on a worker"), caller);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use cryptdb_bignum::Ubig;
 use cryptdb_paillier::{Ciphertext, PaillierPrivate, PaillierScratch};
-use cryptdb_runtime::WorkerPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,12 +14,6 @@ fn key() -> &'static Arc<PaillierPrivate> {
         let mut rng = StdRng::seed_from_u64(99);
         Arc::new(PaillierPrivate::keygen(&mut rng, 256))
     })
-}
-
-/// Shared 1-, 2- and 4-worker pools for the batch-decrypt properties.
-fn pools() -> &'static [WorkerPool; 3] {
-    static POOLS: OnceLock<[WorkerPool; 3]> = OnceLock::new();
-    POOLS.get_or_init(|| [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(4)])
 }
 
 /// The reference signed decode: the full Z_n residue from the non-CRT
@@ -36,9 +29,8 @@ fn reference_i64(sk: &PaillierPrivate, c: &Ciphertext) -> Option<i64> {
 }
 
 /// `decrypt_i64` (from `m mod p` alone) against the reference decode
-/// and against `expect`, one cell at a time and as one batch on the
-/// 2-worker pool. The batch repeats the cells up to at least four, the
-/// smallest batch the pool splits over its workers.
+/// and against `expect`, each cell with a fresh scratch and with one
+/// scratch reused across the whole batch.
 fn assert_parity(cts: &[Ciphertext], expect: &[Option<i64>]) {
     let sk = key();
     let mut ws = PaillierScratch::new();
@@ -47,10 +39,6 @@ fn assert_parity(cts: &[Ciphertext], expect: &[Option<i64>]) {
         assert_eq!(sk.decrypt_i64(c), e);
         assert_eq!(sk.decrypt_i64_with(c, &mut ws), e);
     }
-    let reps = 4usize.div_ceil(cts.len());
-    let cells = cts.iter().cycle().take(reps * cts.len()).cloned().collect();
-    let batch = sk.decrypt_i64_batch_pending(&pools()[1], cells);
-    assert_eq!(batch.wait(), expect.repeat(reps));
 }
 
 /// The `add`-product of encryptions of `vs` (the `HOM_SUM` UDF's output)
@@ -216,13 +204,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let cts: Vec<_> = vs.iter().map(|&v| sk.encrypt_i64(v, &mut rng)).collect();
         let mut ws = PaillierScratch::new();
-        for pool in pools() {
-            let batch = sk.decrypt_i64_batch_pending(pool, cts.clone()).wait();
-            prop_assert_eq!(batch.len(), cts.len());
-            for (i, c) in cts.iter().enumerate() {
-                prop_assert_eq!(batch[i], sk.decrypt_i64_with(c, &mut ws));
-                prop_assert_eq!(batch[i], Some(vs[i]));
-            }
+        for (c, &v) in cts.iter().zip(&vs) {
+            prop_assert_eq!(sk.decrypt_i64_with(c, &mut ws), sk.decrypt_i64(c));
+            prop_assert_eq!(sk.decrypt_i64(c), Some(v));
         }
     }
 }

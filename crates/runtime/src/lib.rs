@@ -9,16 +9,10 @@
 //! * [`WorkerPool`] — a long-lived, fixed-size worker pool fed by a
 //!   **two-lane job queue**: a priority lane ([`WorkerPool::execute_high`],
 //!   used by blinding refills) served ahead of the bulk lane
-//!   ([`WorkerPool::execute`], used by batch decrypt chunks and cache
-//!   warming), with an anti-starvation cap so neither lane can stall the
-//!   other. It replaces the per-call `std::thread::scope` fan-out that
-//!   batch SUM/AVG decryption used to pay on every result set: threads
-//!   are spawned once at proxy construction and jobs are dispatched with
-//!   one queue push. [`WorkerPool::map_chunked`] returns a
-//!   [`PendingMap`] immediately, so the proxy can *pipeline* ciphertext
-//!   decryption with row post-processing (decrypt the HOM cells on the
-//!   pool while the calling thread peels RND/DET/OPE onions) and only
-//!   join at the end.
+//!   ([`WorkerPool::execute`], used by the serving layer's session
+//!   statement chains and cache warming), with an anti-starvation cap so
+//!   neither lane can stall the other. Threads are spawned once at proxy
+//!   construction and jobs are dispatched with one queue push.
 //! * [`BlindingPool`] — the §3.5.2 "ciphertext pre-computing" pool with
 //!   low/high-water marks and a *background* refill task. The paper
 //!   pre-computes Paillier blinding factors `rⁿ mod n²` so INSERT pays
@@ -58,6 +52,11 @@
 //! locks to splice results in. The only blocking wait in the crate,
 //! [`BlindingPool::wait_ready`], is a test/bench convenience and is
 //! never called from pool workers.
+//!
+//! Callers keep one rule: **no pool job blocks on another pool job.** A
+//! job that joined a [`TaskHandle`] could wait on work queued behind
+//! itself with every worker equally stuck; the proxy therefore decrypts
+//! a result set on the thread that runs its statement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,7 +64,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -92,7 +91,8 @@ struct JobQueues {
     /// Priority lane: blinding-pool refills and other latency-critical
     /// maintenance. Popped ahead of `bulk`.
     high: VecDeque<Job>,
-    /// Bulk lane: batch decrypt chunks, cache warming — throughput work.
+    /// Bulk lane: session statement chains, cache warming — throughput
+    /// work.
     bulk: VecDeque<Job>,
     /// Consecutive high-lane pops while bulk was non-empty.
     high_streak: usize,
@@ -164,7 +164,7 @@ impl Drop for PoolInner {
 /// A long-lived, fixed-size worker pool fed by a two-lane job queue: a
 /// priority lane for latency-critical maintenance (blinding refills —
 /// [`WorkerPool::execute_high`]) that is served ahead of the bulk lane
-/// (batch decrypt chunks — [`WorkerPool::execute`]), with an
+/// (session statement chains — [`WorkerPool::execute`]), with an
 /// anti-starvation cap so heavy refill traffic cannot stall bulk work
 /// indefinitely.
 ///
@@ -254,8 +254,8 @@ impl WorkerPool {
 
     /// Enqueues a fire-and-forget job on the priority lane: it is popped
     /// ahead of any queued bulk work (subject to the anti-starvation
-    /// cap). Blinding-pool refills use this so a queued 64-cell batch
-    /// decryption cannot delay the refill that keeps INSERTs off the
+    /// cap). Blinding-pool refills use this so queued session statements
+    /// cannot delay the refill that keeps INSERTs off the
     /// synchronous fallback.
     pub fn execute_high(&self, job: impl FnOnce() + Send + 'static) {
         let mut q = lock(&self.inner.shared.queues);
@@ -300,71 +300,7 @@ impl WorkerPool {
         self.execute(move || {
             let _ = tx.send(f());
         });
-        TaskHandle { rx, _tx: None }
-    }
-
-    /// Pops one queued job (same two-lane policy as the workers) and
-    /// runs it on the calling thread; `false` when nothing is queued.
-    ///
-    /// This is the cooperative-scheduling primitive behind
-    /// [`PendingMap::wait_help`]: a thread that must block on pool
-    /// results — possibly a pool worker itself, when session jobs run
-    /// *on* the pool — keeps the queues draining instead of idling.
-    /// Without it, a serving layer that fans client sessions out over
-    /// the pool deadlocks as soon as every worker blocks waiting on
-    /// decrypt chunks queued behind other session jobs.
-    pub fn help_one(&self) -> bool {
-        let job = lock(&self.inner.shared.queues).pop();
-        match job {
-            Some(job) => {
-                // Same per-job panic containment as the workers.
-                let _ = catch_unwind(AssertUnwindSafe(job));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Splits `items` into at most `max_chunks` contiguous chunks, maps
-    /// each chunk on the pool, and returns immediately; the caller joins
-    /// (and re-establishes input order) via [`PendingMap::wait`].
-    ///
-    /// This is the batch-decryption shape: the caller kicks off the HOM
-    /// cells, processes the cheap onions on its own thread, then waits.
-    pub fn map_chunked<T, U, F>(&self, items: Vec<T>, max_chunks: usize, f: F) -> PendingMap<U>
-    where
-        T: Send + 'static,
-        U: Send + 'static,
-        F: Fn(Vec<T>) -> Vec<U> + Send + Sync + 'static,
-    {
-        let total = items.len();
-        if total == 0 {
-            return PendingMap::ready(Vec::new());
-        }
-        let chunks = max_chunks.clamp(1, total);
-        let chunk_len = total.div_ceil(chunks);
-        let f = Arc::new(f);
-        let (tx, rx) = channel();
-        let mut items = items;
-        let mut idx = 0usize;
-        let mut sent = 0usize;
-        while !items.is_empty() {
-            let rest = items.split_off(items.len().min(chunk_len));
-            let chunk = std::mem::replace(&mut items, rest);
-            let f = f.clone();
-            let tx = tx.clone();
-            self.execute(move || {
-                let _ = tx.send((idx, f(chunk)));
-            });
-            idx += 1;
-            sent += 1;
-        }
-        PendingMap {
-            rx,
-            chunks: sent,
-            total,
-            ready: None,
-        }
+        TaskHandle { rx }
     }
 }
 
@@ -399,21 +335,9 @@ impl CancelToken {
 /// Handle to a [`WorkerPool::submit`] result.
 pub struct TaskHandle<T> {
     rx: Receiver<T>,
-    /// Kept alive for pre-resolved handles so a disconnected channel is
-    /// unambiguous evidence of a panicked job.
-    _tx: Option<Sender<T>>,
 }
 
 impl<T> TaskHandle<T> {
-    /// Wraps an already-computed value (no pool dispatch) — for callers
-    /// that sometimes short-circuit, e.g. when the work is disabled by
-    /// configuration.
-    pub fn ready(value: T) -> Self {
-        let (tx, rx) = channel();
-        tx.send(value).expect("receiver held by this handle");
-        TaskHandle { rx, _tx: Some(tx) }
-    }
-
     /// Blocks until the job finishes.
     ///
     /// # Panics
@@ -421,125 +345,6 @@ impl<T> TaskHandle<T> {
     /// Panics if the job panicked (its result sender was dropped).
     pub fn join(self) -> T {
         self.rx.recv().expect("runtime worker panicked")
-    }
-
-    /// Non-blocking poll; `None` while the job is still running.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job panicked — a permanently-pending handle must
-    /// not be mistaken for a still-running job.
-    pub fn try_join(&self) -> Option<T> {
-        match self.rx.try_recv() {
-            Ok(v) => Some(v),
-            Err(std::sync::mpsc::TryRecvError::Empty) => None,
-            Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                panic!("runtime worker panicked")
-            }
-        }
-    }
-}
-
-/// In-flight [`WorkerPool::map_chunked`] computation.
-pub struct PendingMap<U> {
-    rx: Receiver<(usize, Vec<U>)>,
-    chunks: usize,
-    total: usize,
-    /// Results computed inline (single-worker pools, where a channel
-    /// round-trip buys nothing); `wait` returns these directly.
-    ready: Option<Vec<U>>,
-}
-
-impl<U> PendingMap<U> {
-    /// Wraps already-computed results (no pool dispatch). Callers that
-    /// sometimes compute inline — e.g. tiny batches, or hosts where the
-    /// pool has a single worker — can return the same pending type.
-    pub fn ready(items: Vec<U>) -> Self {
-        let (_, rx) = channel();
-        PendingMap {
-            rx,
-            chunks: 0,
-            total: items.len(),
-            ready: Some(items),
-        }
-    }
-    /// Blocks until every chunk finishes; results keep input order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a chunk's job panicked.
-    pub fn wait(self) -> Vec<U> {
-        if let Some(ready) = self.ready {
-            return ready;
-        }
-        let mut parts: Vec<Option<Vec<U>>> = (0..self.chunks).map(|_| None).collect();
-        for _ in 0..self.chunks {
-            let (idx, part) = self.rx.recv().expect("runtime worker panicked");
-            parts[idx] = Some(part);
-        }
-        self.assemble(parts)
-    }
-
-    /// Like [`Self::wait`], but the waiting thread *helps the pool*
-    /// while its chunks are outstanding: it pops and runs queued jobs
-    /// (via [`WorkerPool::help_one`]) instead of parking.
-    ///
-    /// Callers that may themselves be pool workers — e.g. a proxy whose
-    /// client sessions are dispatched as pool jobs and whose result
-    /// decryption fans chunks out to the *same* pool — MUST use this
-    /// form: with plain `wait`, all workers can end up blocked on
-    /// chunks that are queued behind the very session jobs occupying
-    /// them, and no thread remains to run anything. Helping makes that
-    /// configuration deadlock-free (every blocked wait either receives
-    /// a result or makes global progress by running a queued job).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a chunk's job panicked.
-    pub fn wait_help(self, pool: &WorkerPool) -> Vec<U> {
-        if let Some(ready) = self.ready {
-            return ready;
-        }
-        let mut parts: Vec<Option<Vec<U>>> = (0..self.chunks).map(|_| None).collect();
-        let mut received = 0usize;
-        while received < self.chunks {
-            match self.rx.try_recv() {
-                Ok((idx, part)) => {
-                    parts[idx] = Some(part);
-                    received += 1;
-                    continue;
-                }
-                Err(std::sync::mpsc::TryRecvError::Empty) => {}
-                Err(std::sync::mpsc::TryRecvError::Disconnected) => {
-                    panic!("runtime worker panicked")
-                }
-            }
-            if !pool.help_one() {
-                // Nothing to help with: our chunks are in flight on the
-                // workers. Park briefly on the channel — the timeout
-                // re-checks the queue so a job enqueued meanwhile (by a
-                // chunk of ours that fans out further) still gets help.
-                match self.rx.recv_timeout(std::time::Duration::from_micros(100)) {
-                    Ok((idx, part)) => {
-                        parts[idx] = Some(part);
-                        received += 1;
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-                    Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                        panic!("runtime worker panicked")
-                    }
-                }
-            }
-        }
-        self.assemble(parts)
-    }
-
-    fn assemble(self, parts: Vec<Option<Vec<U>>>) -> Vec<U> {
-        let mut out = Vec::with_capacity(self.total);
-        for part in parts {
-            out.extend(part.expect("every chunk reports exactly once"));
-        }
-        out
     }
 }
 
@@ -762,8 +567,8 @@ impl<T: Send + 'static> BlindingPool<T> {
 
     fn schedule_refill(&self) {
         let shared = self.shared.clone();
-        // Priority lane: a queued bulk batch (e.g. a 64-cell SUM
-        // decryption) must not delay the refill that keeps INSERT-side
+        // Priority lane: session statements queued on the bulk lane
+        // must not delay the refill that keeps INSERT-side
         // takers off the synchronous fallback.
         self.pool.execute_high(move || loop {
             // The deficit check and the `refilling` hand-off must share
@@ -867,43 +672,10 @@ mod tests {
     }
 
     #[test]
-    fn map_chunked_keeps_order() {
-        let pool = WorkerPool::new(3);
-        let items: Vec<u64> = (0..100).collect();
-        let out = pool
-            .map_chunked(items, 8, |chunk| {
-                chunk.into_iter().map(|v| v * 2).collect::<Vec<_>>()
-            })
-            .wait();
-        assert_eq!(out, (0..100).map(|v| v * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn ready_handle_resolves_immediately() {
-        let h = TaskHandle::ready(5usize);
-        assert_eq!(h.try_join(), Some(5));
-        // Repolling a consumed-but-alive handle reports "not ready",
-        // never "panicked".
-        assert_eq!(h.try_join(), None);
-        assert_eq!(TaskHandle::ready("x").join(), "x");
-    }
-
-    #[test]
     #[should_panic(expected = "runtime worker panicked")]
-    fn try_join_surfaces_worker_panics() {
+    fn join_surfaces_worker_panics() {
         let pool = WorkerPool::new(1);
-        let h = pool.submit(|| panic!("job panic"));
-        // Wait for the job to die, then poll: must panic, not hang as
-        // an eternal None.
-        std::thread::sleep(Duration::from_millis(50));
-        let _ = h.try_join();
-    }
-
-    #[test]
-    fn map_chunked_empty_input() {
-        let pool = WorkerPool::new(2);
-        let out = pool.map_chunked(Vec::<u64>::new(), 4, |c| c).wait();
-        assert!(out.is_empty());
+        pool.submit(|| panic!("job panic")).join();
     }
 
     #[test]
@@ -1138,8 +910,7 @@ mod tests {
     /// until the worker has actually *started* the job: on a single
     /// hardware thread the worker may otherwise not be scheduled until
     /// after the test has queued everything, leaving the gate job in
-    /// the bulk queue where it skews pop-order assertions (or gets
-    /// help-run by the asserting thread itself).
+    /// the bulk queue where it skews pop-order assertions.
     fn gate_worker(pool: &WorkerPool) -> std::sync::mpsc::Sender<()> {
         let (gate_tx, gate_rx) = std::sync::mpsc::channel::<()>();
         let (started_tx, started_rx) = std::sync::mpsc::channel::<()>();
@@ -1153,9 +924,10 @@ mod tests {
 
     #[test]
     fn priority_refill_overtakes_bulk_batch() {
-        // A refill enqueued *behind* a 64-cell bulk batch must complete
-        // first: with the single worker blocked on a gate job, queue 64
-        // bulk chunks, then one priority job, then open the gate.
+        // A refill enqueued *behind* a backlog of bulk work (queued
+        // session statements) must complete first: with the single
+        // worker blocked on a gate job, queue 64 bulk jobs, then one
+        // priority job, then open the gate.
         let pool = WorkerPool::new(1);
         let gate_tx = gate_worker(&pool);
         let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
@@ -1200,82 +972,6 @@ mod tests {
             "first bulk job ran at position {first_bulk}, starved past the streak cap"
         );
         assert_eq!(order.iter().filter(|s| **s == "bulk").count(), 5);
-    }
-
-    #[test]
-    fn mixed_load_priority_wins_without_starving_sessions() {
-        // The serving-layer job mix on one queue: session jobs (bulk),
-        // a 64-cell batch decrypt (bulk chunks), and a blinding refill
-        // burst (priority). The refill must still be served first, and
-        // no session/decrypt job may starve past the anti-starvation
-        // cap despite the priority backlog.
-        let pool = WorkerPool::new(1);
-        let gate_tx = gate_worker(&pool);
-        let order = Arc::new(Mutex::new(Vec::<&'static str>::new()));
-        for _ in 0..4 {
-            let order = order.clone();
-            pool.execute(move || lock(&order).push("session"));
-        }
-        let items: Vec<u64> = (0..64).collect();
-        let pending = {
-            let order = order.clone();
-            pool.map_chunked(items, 8, move |chunk| {
-                lock(&order).push("chunk");
-                chunk.into_iter().map(|v| v + 1).collect::<Vec<_>>()
-            })
-        };
-        for _ in 0..40 {
-            let order = order.clone();
-            pool.execute_high(move || lock(&order).push("refill"));
-        }
-        gate_tx.send(()).unwrap();
-        let decrypted = pending.wait();
-        assert_eq!(decrypted, (1..=64).collect::<Vec<_>>());
-        pool.submit(|| ()).join(); // Bulk sentinel: queues fully drained.
-        let order = lock(&order);
-        assert_eq!(order.len(), 4 + 8 + 40);
-        assert_eq!(
-            order[0], "refill",
-            "priority refill must be served ahead of queued session/decrypt work"
-        );
-        let first_bulk = order.iter().position(|s| *s != "refill").unwrap();
-        assert!(
-            first_bulk <= HIGH_STREAK_MAX,
-            "bulk work starved to position {first_bulk} behind the refill burst"
-        );
-    }
-
-    #[test]
-    fn wait_help_inside_a_worker_does_not_deadlock() {
-        // A session job running *on* the pool fans a batch out to the
-        // same pool and waits. With a single worker (this thread!) the
-        // chunks can never be served by anyone else — wait_help must
-        // run them inline. Plain wait() would deadlock here.
-        let pool = WorkerPool::new(1);
-        let inner_pool = pool.clone();
-        let h = pool.submit(move || {
-            let items: Vec<u64> = (0..64).collect();
-            let pending = inner_pool.map_chunked(items, 8, |chunk| {
-                chunk.into_iter().map(|v| v * 3).collect::<Vec<_>>()
-            });
-            pending.wait_help(&inner_pool)
-        });
-        assert_eq!(h.join(), (0..64).map(|v| v * 3).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn wait_help_from_outside_serves_chunks_while_workers_are_busy() {
-        // The lone worker is wedged on a gate; the waiting caller must
-        // make progress by running its own chunks.
-        let pool = WorkerPool::new(1);
-        let gate_tx = gate_worker(&pool);
-        let items: Vec<u64> = (0..32).collect();
-        let pending = pool.map_chunked(items, 4, |chunk| {
-            chunk.into_iter().map(|v| v + 10).collect::<Vec<_>>()
-        });
-        let out = pending.wait_help(&pool);
-        assert_eq!(out, (10..42).collect::<Vec<_>>());
-        gate_tx.send(()).unwrap();
     }
 
     #[test]

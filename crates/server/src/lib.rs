@@ -15,11 +15,10 @@
 //!   next statement. Per-session order is preserved (the next statement
 //!   only runs after the current one's responder returns) while sessions
 //!   interleave at statement granularity — no session can monopolise a
-//!   worker, and a waiting decrypt can help-run other sessions'
-//!   statements ([`PendingMap::wait_help`]) without ever inlining an
-//!   entire foreign session. Each session owns one transaction handle
-//!   ([`Txn`]): its `BEGIN` … `COMMIT` is its own, and closing the
-//!   session rolls back a transaction it left open.
+//!   worker. A statement decrypts its own result on the worker that runs
+//!   it, so no session job ever blocks on another pool job. Each session
+//!   owns one transaction handle ([`Txn`]): its `BEGIN` … `COMMIT` is its
+//!   own, and closing the session rolls back a transaction it left open.
 //! * [`Server`] fans N pre-recorded session traces out over shared
 //!   [`StatementSession`] chains and aggregates a [`ServingReport`] of
 //!   per-session statement and error counts. The `cryptdb-net` wire
@@ -38,7 +37,6 @@
 //! commutative across sessions by construction, so any divergence is a
 //! real isolation bug, not schedule noise).
 //!
-//! [`PendingMap::wait_help`]: cryptdb_runtime::PendingMap::wait_help
 //! [`WorkerPool`]: cryptdb_runtime::WorkerPool
 
 #![forbid(unsafe_code)]

@@ -72,7 +72,6 @@ fn cfg() -> ProxyConfig {
         policy: EncryptionPolicy::Explicit(mixed::encrypted_columns()),
         paillier_bits: 256,
         runtime_threads: 1,
-        ..Default::default()
     }
 }
 
@@ -476,7 +475,6 @@ fn seal_cfg() -> ProxyConfig {
         policy: EncryptionPolicy::Explicit(map),
         paillier_bits: 256,
         runtime_threads: 1,
-        ..Default::default()
     }
 }
 

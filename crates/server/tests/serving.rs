@@ -123,33 +123,39 @@ fn panicking_responder_does_not_wedge_wait_idle() {
 #[test]
 fn sessions_outnumbering_workers_complete() {
     // More sessions than pool threads: chains must interleave on the
-    // queue without wedging (runtime_threads = 1 forces the worst case,
-    // and SUM queries exercise decrypt on the same pool).
-    let cfg = ProxyConfig {
-        policy: EncryptionPolicy::Explicit(mixed::encrypted_columns()),
-        paillier_bits: 256,
-        runtime_threads: 1,
-        ..Default::default()
-    };
-    let proxy = Arc::new(Proxy::new(Arc::new(Engine::new()), [9u8; 32], cfg));
-    proxy
-        .execute("CREATE TABLE acct (id int, bal int)")
-        .unwrap();
-    let traces: Vec<SessionTrace> = (0..6)
-        .map(|s| {
-            let mut stmts = Vec::new();
-            for i in 0..4 {
-                stmts.push(format!(
-                    "INSERT INTO acct (id, bal) VALUES ({}, {})",
-                    s * 10 + i,
-                    100 * s
-                ));
-                stmts.push("SELECT SUM(bal) FROM acct".to_string());
-            }
-            SessionTrace::new(format!("s{s}"), stmts)
-        })
-        .collect();
-    let report = Server::new(proxy).serve(traces);
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.queries, 6 * 8);
+    // queue without wedging (runtime_threads = 1 forces the worst case).
+    // `acct.bal` is encrypted, so the SUMs decrypt HOM cells on the same
+    // pool threads, and the GROUP BY decrypts one per group.
+    for runtime_threads in [1, 2] {
+        let mut columns = mixed::encrypted_columns();
+        columns.insert("acct".into(), vec!["bal".into()]);
+        let cfg = ProxyConfig {
+            policy: EncryptionPolicy::Explicit(columns),
+            paillier_bits: 256,
+            runtime_threads,
+        };
+        let proxy = Arc::new(Proxy::new(Arc::new(Engine::new()), [9u8; 32], cfg));
+        proxy
+            .execute("CREATE TABLE acct (id int, bal int)")
+            .unwrap();
+        let traces: Vec<SessionTrace> = (0..6)
+            .map(|s| {
+                let mut stmts = Vec::new();
+                for i in 0..4 {
+                    stmts.push(format!(
+                        "INSERT INTO acct (id, bal) VALUES ({}, {})",
+                        s * 10 + i,
+                        100 * s
+                    ));
+                    stmts.push("SELECT SUM(bal) FROM acct".to_string());
+                }
+                // At least this session's four ids: four HOM cells.
+                stmts.push("SELECT id, SUM(bal) FROM acct GROUP BY id".to_string());
+                SessionTrace::new(format!("s{s}"), stmts)
+            })
+            .collect();
+        let report = Server::new(proxy).serve(traces);
+        assert_eq!(report.errors, 0, "runtime_threads = {runtime_threads}");
+        assert_eq!(report.queries, 6 * 9);
+    }
 }

@@ -286,7 +286,9 @@ fn null_increment_stays_null() {
     let pair = Pair::new(11);
     for stmt in [
         "CREATE TABLE t (id int, v int)",
-        "INSERT INTO t (id, v) VALUES (1, NULL), (2, 5)",
+        // Four non-NULL cells: once `v` is stale, `SELECT id, v` reads
+        // them all from the Add onion.
+        "INSERT INTO t (id, v) VALUES (1, NULL), (2, 5), (3, -7), (4, 0), (5, 9)",
         "UPDATE t SET v = v + 1 WHERE id = 1",
     ] {
         pair.run_both(stmt);
